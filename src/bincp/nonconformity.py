@@ -8,7 +8,9 @@ grow with strangeness, so they are negated at the boundary of this module.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -59,7 +61,6 @@ class TrainingBag:
 
     points: np.ndarray
     is_positive: np.ndarray
-    metric: str = "euclidean"
 
     def __post_init__(self) -> None:
         points = np.array(self.points, dtype=float)
@@ -70,8 +71,6 @@ class TrainingBag:
         labels = np.array(self.is_positive, dtype=bool)
         if labels.shape != (points.shape[0],):
             raise ValueError("one label per bag point required")
-        if self.metric != "euclidean":
-            raise ValueError(f"unsupported metric {self.metric!r}")
         points.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "points", points)
@@ -104,7 +103,6 @@ class TrainingBag:
         return TrainingBag(
             np.vstack([self.points, point[None, :]]),
             np.append(self.is_positive, label is Label.POSITIVE),
-            self.metric,
         )
 
     def __len__(self) -> int:
@@ -119,24 +117,12 @@ def _distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(((points - x) ** 2).sum(axis=1))
 
 
-def _pairwise_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # Blockwise direct form; same arithmetic as _distances so distance ties
-    # come out identically in batch and single-point code paths.
-    out = np.empty((queries.shape[0], points.shape[0]))
-    block = max(1, int(2**22 // max(points.size, 1)))
-    for start in range(0, queries.shape[0], block):
-        chunk = queries[start : start + block]
-        out[start : start + block] = np.sqrt(
-            ((chunk[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        )
-    return out
-
-
 def _mean_smallest(dists: np.ndarray, k: int) -> float:
-    """Mean of the up-to-k smallest values; +inf for an empty pool."""
+    """Mean of the up-to-k smallest values, summed smallest first; +inf if none."""
     if dists.size == 0:
         return math.inf
-    return float(np.sort(dists)[:k].mean())
+    smallest = np.sort(dists)[:k].tolist()
+    return functools.reduce(operator.add, smallest) / len(smallest)
 
 
 def _ratio(d_same: float, d_diff: float) -> float:
@@ -217,10 +203,89 @@ def knn_probability_scores(bag: TrainingBag, point: Sequence[float], k: int) -> 
     return ScorePair(frac_pos, 1.0 - frac_pos, probability=True)
 
 
-def _rowwise_mean_smallest(sorted_block: np.ndarray, k: int) -> np.ndarray:
+def _row_means(sorted_block: np.ndarray) -> np.ndarray:
+    """Row means, each summed left to right; +inf for rows of an empty pool.
+
+    The cumulative sum fixes the order of additions, so a row's mean does
+    not depend on the block's shape or memory layout.
+    """
     if sorted_block.shape[1] == 0:
         return np.full(sorted_block.shape[0], np.inf)
-    return sorted_block[:, :k].mean(axis=1)
+    return np.cumsum(sorted_block, axis=1)[:, -1] / sorted_block.shape[1]
+
+
+# Scratch memory one query block of `_k_nearest` may use, in bytes.
+_BLOCK_BYTES = 1 << 23
+# Candidates the shortlist keeps beyond the k nearest.
+_SHORTLIST_MARGIN = 8
+
+
+def _k_nearest(
+    queries: np.ndarray, points: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of the min(k, n) nearest of n points, per query.
+
+    Each row is ordered by (distance, point index), and the distances are
+    those of `_distances`, bit for bit.  The GEMM form |q|^2 + |p|^2 - 2 q.p
+    on mean-centred data shortlists k + margin candidates per query, whose
+    distances are then computed directly.  A query whose shortlist cannot
+    be proven to hold its k nearest is ranked against all n points, so the
+    result does not depend on BLAS or its thread count.  Queries go through
+    in blocks that keep scratch memory near `_BLOCK_BYTES`.
+    """
+    n, dim = points.shape
+    k = min(k, n)
+    if k == 0:
+        return np.empty((len(queries), 0), dtype=np.intp), np.empty((len(queries), 0))
+    width = min(n, k + _SHORTLIST_MARGIN)
+    center = points.mean(axis=0)
+    shifted = points - center
+    sq_points = (shifted**2).sum(axis=1)
+    eps = np.finfo(float).eps
+    # |GEMM value - true squared distance| <= gemm_error * (|q|^2 + max |p|^2),
+    # counting the dot product, both norms, two sums and the centring.
+    gemm_error = 4 * (dim + 4) * eps
+    # Relative error of a direct-form squared distance and its square root.
+    direct_error = 2 * (dim + 8) * eps
+    rows = max(1, _BLOCK_BYTES // (8 * (2 * n + width * dim)))
+    index = np.empty((len(queries), k), dtype=np.intp)
+    dist = np.empty((len(queries), k))
+    for start in range(0, len(queries), rows):
+        block = queries[start : start + rows]
+        stop = start + len(block)
+        if width == n:
+            cand = np.broadcast_to(np.arange(n), (len(block), n))
+            proven = np.ones(len(block), dtype=bool)
+        else:
+            q = block - center
+            sq_q = (q**2).sum(axis=1)
+            gram = q @ shifted.T
+            gram *= -2.0
+            gram += sq_q[:, None]
+            gram += sq_points
+            cand = np.argpartition(gram, width - 1, axis=1)[:, :width]
+            cand.sort(axis=1)
+            shortlist = np.take_along_axis(gram, cand, axis=1)
+            kth = np.partition(shortlist, k - 1, axis=1)[:, k - 1]
+            last = shortlist.max(axis=1)
+            # Points left out have GEMM values >= last, so true squared
+            # distances >= last - slack; k shortlisted points lie within
+            # kth + slack.  A gap that also clears the direct form's rounding
+            # puts every left-out point strictly beyond the k-th nearest.
+            slack = gemm_error * (sq_q + sq_points.max())
+            proven = last - kth > 2 * slack + direct_error * (
+                np.abs(last) + np.abs(kth) + 2 * slack
+            )
+        d = np.sqrt(((points[cand] - block[:, None, :]) ** 2).sum(axis=2))
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        index[start:stop] = np.take_along_axis(cand, order, axis=1)
+        dist[start:stop] = np.take_along_axis(d, order, axis=1)
+        for row in np.flatnonzero(~proven):
+            full = _distances(points, block[row])
+            nearest = np.argsort(full, kind="stable")[:k]
+            index[start + row] = nearest
+            dist[start + row] = full[nearest]
+    return index, dist
 
 
 def _query_matrix(data: Dataset, measure: MeasureSpec) -> np.ndarray:
@@ -239,6 +304,10 @@ def score_dataset(
 
     The input dataset is never modified.  Passthrough requires precomputed
     scores; the nearest-neighbour measures require features plus a bag.
+    Distance ties among bag points go to the lower bag index.  Scores do
+    not depend on the BLAS library or its thread count, and queries are
+    scored in blocks, so scratch memory stays near `_BLOCK_BYTES` per
+    block whatever the size of `data`.
     """
     if measure.kind == "passthrough":
         missing = [s.id for s in data if s.scores is None]
@@ -255,21 +324,20 @@ def score_dataset(
         raise ValueError(
             f"data has {queries.shape[1]} features but bag has {bag.dim}"
         )
-    distances = _pairwise_distances(queries, bag.points)
 
     if measure.kind == "knn_prob":
         if measure.k > len(bag):
             raise ValueError(f"k must be in [1, {len(bag)}], got {measure.k}")
-        nearest = np.argsort(distances, axis=1, kind="stable")[:, : measure.k]
+        nearest, _ = _k_nearest(queries, bag.points, measure.k)
         frac_pos = bag.is_positive[nearest].mean(axis=1)
         pairs = [
             ScorePair(float(f), 1.0 - float(f), probability=True) for f in frac_pos
         ]
     else:
-        pos_sorted = np.sort(distances[:, bag.is_positive], axis=1)
-        neg_sorted = np.sort(distances[:, ~bag.is_positive], axis=1)
-        mean_pos = _rowwise_mean_smallest(pos_sorted, measure.k)
-        mean_neg = _rowwise_mean_smallest(neg_sorted, measure.k)
+        mean_pos, mean_neg = (
+            _row_means(_k_nearest(queries, bag.points[pool], measure.k)[1])
+            for pool in (bag.is_positive, ~bag.is_positive)
+        )
         alpha_pos = _ratio_array(mean_pos, mean_neg)
         alpha_neg = _ratio_array(mean_neg, mean_pos)
         pairs = [

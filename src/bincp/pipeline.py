@@ -224,9 +224,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     with _stage("calibration-report"):
         calibration_block = _calibration_block(calibration, config.threshold)
 
-    rng = (
-        np.random.default_rng(config.smoothing_seed) if config.smoothed else None
-    )
     predictions: dict[float, list[Prediction]] = {}
     results: list[dict] = []
     seen: set[float] = set()
@@ -237,6 +234,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         eps = SignificanceLevel(value)
         if test is None:
             continue
+        # A fresh generator per epsilon gives every level the same tie draws,
+        # so smoothed regions nest across epsilon as the plain ones do.
+        rng = (
+            np.random.default_rng(config.smoothing_seed) if config.smoothed else None
+        )
         with _stage("predict"):
             preds = predict_set(table, test, eps, smoothed=config.smoothed, rng=rng)
         predictions[value] = preds

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bincp import nonconformity
 from bincp.core import Dataset, Label, Sample, ScorePair
 from bincp.nonconformity import (
     MeasureSpec,
@@ -14,6 +15,37 @@ from bincp.nonconformity import (
     probability_conformity,
     score_dataset,
 )
+
+
+def _scoring_layouts():
+    """(name, points, labels, queries) cases for the batch scoring oracle.
+
+    Every bag has 60 points in 10 dimensions and two classes of about 30,
+    except the one-class bag.
+    """
+    rng = np.random.default_rng(20)
+    points = rng.normal(size=(60, 10))
+    labels = rng.random(60) < 0.5
+    queries = rng.normal(size=(12, 10))
+    yield "plain", points, labels, queries
+
+    dup, dup_labels = points.copy(), labels.copy()
+    dup[10:20] = dup[0]  # duplicates within one class
+    dup_labels[10:20] = dup_labels[0]
+    dup[20:30] = dup[1]  # duplicates split across the classes
+    dup_labels[20:30] = np.arange(10) % 2 == 0
+    near = dup[[0, 1, 0, 1]] + 1e-3 * rng.normal(size=(4, 10))
+    yield "duplicates", dup, dup_labels, np.vstack([queries, dup[[0, 1]], near])
+
+    yield "one-class", points, np.ones(60, dtype=bool), queries
+
+    # Uncentred, |q|^2 + |p|^2 - 2 q.p would cancel badly this far out.
+    yield "far", points + 1e8, labels, queries + 1e8
+
+    tied = points.copy()
+    tied[:55] = tied[0]
+    close = tied[0] + 1e-2 * rng.normal(size=(6, 10))
+    yield "tied", tied, labels, np.vstack([tied[:1], close, queries])
 
 
 def bag_of(*pairs):
@@ -256,29 +288,41 @@ class TestScoreDataset:
         assert len(out) == 0
 
     @pytest.mark.parametrize("kind", ["knn_ratio", "knn_prob"])
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_batch_scoring_matches_single_point_scoring(self, kind, k):
-        rng = np.random.default_rng(20)
-        points = rng.normal(size=(30, 3))
-        labels = rng.random(30) < 0.5
-        bag = TrainingBag(points, labels)
-        queries = rng.normal(size=(17, 3))
-        data = Dataset(
-            tuple(
-                Sample(id=f"q{i}", features=tuple(q)) for i, q in enumerate(queries)
-            )
-        )
-        out = score_dataset(MeasureSpec(kind, k), bag, data)
-        for sample in out:
-            if kind == "knn_prob":
-                expected = knn_probability_scores(bag, sample.features, k)
-            else:
-                a_pos = knn_distance_ratio(bag, sample.features, Label.POSITIVE, k)
-                a_neg = knn_distance_ratio(bag, sample.features, Label.NEGATIVE, k)
-                expected = ScorePair(
-                    conformity_from_ratio(a_pos), conformity_from_ratio(a_neg)
+    @pytest.mark.parametrize("k", [1, 2, 5, 9, 40, 60])
+    def test_batch_scoring_matches_single_point_scoring(self, kind, k, monkeypatch):
+        # Bit-for-bit oracle for the blocked k-nearest kernel; k=60 is the
+        # whole bag.  The "tied" layout puts 55 copies of one point next to
+        # the queries, more than k + margin, so the exact fallback must run.
+        fallback_rows = []
+        exact = nonconformity._distances
+
+        def counted(points, x):
+            fallback_rows.append(x)
+            return exact(points, x)
+
+        monkeypatch.setattr(nonconformity, "_distances", counted)
+        for layout, points, labels, queries in _scoring_layouts():
+            bag = TrainingBag(points, labels)
+            data = Dataset(
+                tuple(
+                    Sample(id=f"q{i}", features=tuple(q))
+                    for i, q in enumerate(queries)
                 )
-            assert sample.scores == expected
+            )
+            fallback_rows.clear()
+            out = score_dataset(MeasureSpec(kind, k), bag, data)
+            if layout == "tied" and k <= 9:
+                assert fallback_rows, "exact fallback did not run"
+            for sample in out:
+                if kind == "knn_prob":
+                    expected = knn_probability_scores(bag, sample.features, k)
+                else:
+                    a_pos = knn_distance_ratio(bag, sample.features, Label.POSITIVE, k)
+                    a_neg = knn_distance_ratio(bag, sample.features, Label.NEGATIVE, k)
+                    expected = ScorePair(
+                        conformity_from_ratio(a_pos), conformity_from_ratio(a_neg)
+                    )
+                assert sample.scores == expected, (layout, sample.id)
 
     def test_duplicate_points_across_classes_score_to_negative_infinity(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((0.0,), Label.POSITIVE))

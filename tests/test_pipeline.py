@@ -153,6 +153,20 @@ class TestRunPipeline:
         other = run_pipeline(demo_config(smoothed=True, smoothing_seed=8))
         assert regions_csv(first) != regions_csv(other)
 
+    def test_smoothed_regions_nest_across_epsilons(self):
+        both = run_pipeline(
+            demo_config(epsilons=(0.1, 0.2), smoothed=True, smoothing_seed=0)
+        )
+        alone = run_pipeline(
+            demo_config(epsilons=(0.2,), smoothed=True, smoothing_seed=0)
+        )
+        assert both.predictions[0.2] == alone.predictions[0.2]
+        assert both.document["results"][1] == alone.document["results"][0]
+        for wide, narrow in zip(both.predictions[0.1], both.predictions[0.2]):
+            for label in Label:
+                if narrow.region.contains(label):
+                    assert wide.region.contains(label)
+
     def test_smoothed_p_values_stay_below_plain_ones(self):
         plain = run_pipeline(demo_config()).predictions[0.2]
         smooth = run_pipeline(
