@@ -7,8 +7,6 @@ from .core import (
     Sample,
     ScorePair,
     SignificanceLevel,
-    confidence_to_epsilon,
-    region_contains,
 )
 from .data import DataFormatError, SyntheticSpec, generate_synthetic, load_dataset
 from .evaluate import (
@@ -35,10 +33,8 @@ from .nonconformity import (
     MeasureSpec,
     NonconformityValue,
     TrainingBag,
-    conformity_from_ratio,
     knn_distance_ratio,
     knn_probability_scores,
-    probability_conformity,
     score_dataset,
 )
 from .online import OnlineState, full_cp_pvalue, online_round, run_online
@@ -69,8 +65,6 @@ __all__ = [
     "build_calibration_table",
     "calibration_report",
     "conditional_singleton_metrics",
-    "confidence_to_epsilon",
-    "conformity_from_ratio",
     "efficiency",
     "emit_report",
     "full_cp_pvalue",
@@ -81,9 +75,7 @@ __all__ = [
     "online_round",
     "p_values",
     "predict_set",
-    "probability_conformity",
     "region",
-    "region_contains",
     "region_distribution",
     "run_online",
     "run_pipeline",

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .core import confidence_to_epsilon
+from .core import SignificanceLevel
 from .data import SyntheticSpec, generate_synthetic, write_dataset
 from .nonconformity import MeasureSpec
 from .icp import SplitConfig
@@ -98,7 +98,9 @@ def _epsilons(args: argparse.Namespace) -> tuple[float, ...]:
     if args.epsilon:
         values.extend(args.epsilon)
     if args.confidence:
-        values.extend(confidence_to_epsilon(c).epsilon for c in args.confidence)
+        values.extend(
+            SignificanceLevel.from_confidence(c).epsilon for c in args.confidence
+        )
     return tuple(values) if values else (0.2,)
 
 
@@ -151,13 +153,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.regions_out is not None and args.test is None:
+        raise CliError("--regions-out requires --test")
     result = run_pipeline(_run_config(args))
     if args.test is not None and not result.document["results"]:
         raise CliError("evaluate requires labels on every --test row")
     _write_output(args.out, emit_report(result.document, args.format))
     if args.regions_out is not None:
-        if args.test is None:
-            raise CliError("--regions-out requires --test")
         Path(args.regions_out).write_bytes(regions_csv(result))
     return 0
 
@@ -169,7 +171,7 @@ def _cmd_simulate_online(args: argparse.Namespace) -> int:
     if args.epsilon is not None:
         epsilon = args.epsilon
     elif args.confidence is not None:
-        epsilon = confidence_to_epsilon(args.confidence).epsilon
+        epsilon = SignificanceLevel.from_confidence(args.confidence).epsilon
     rounds = simulate_online(
         OnlineConfig(
             data_path=args.data,

@@ -156,11 +156,6 @@ class SignificanceLevel:
         return round(100.0 * (1.0 - self.epsilon), _ROUND_DIGITS)
 
 
-def confidence_to_epsilon(confidence_percent: float) -> SignificanceLevel:
-    """Convert a confidence percent (the usual N%) to a significance level."""
-    return SignificanceLevel.from_confidence(confidence_percent)
-
-
 class PredictionRegion(Enum):
     """Set-valued prediction for one sample: a singleton, both labels, or neither."""
 
@@ -202,8 +197,3 @@ class PredictionRegion(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def region_contains(region: PredictionRegion, label: Label) -> bool:
-    """True when the region covers the given label (always for both, never for empty)."""
-    return region.contains(label)

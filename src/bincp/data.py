@@ -68,12 +68,19 @@ def _parse_float(raw: str, path: Path, line: int, column: str) -> float:
 
 
 def load_dataset(
-    path: Path | str, positive_class: str, schema: str = "auto"
+    path: Path | str,
+    positive_class: str,
+    schema: str = "auto",
+    *,
+    class_names: set[str] | None = None,
 ) -> Dataset:
     """Read a dataset, mapping the named class to positive and the other to negative.
 
     Errors carry the offending line number.  Files may hold at most two class
-    names; when two appear, `positive_class` must be one of them.
+    names; when two appear, `positive_class` must be one of them.  Files read
+    for one run share `class_names`: the names of this file are added to it,
+    and the rule holds for the union, so that a file naming a third class
+    (such as a typo of the negative one) is rejected.
     """
     path = Path(path)
     if schema not in SCHEMAS:
@@ -93,7 +100,7 @@ def load_dataset(
         raise DataFormatError(f"{path}: schema 'both' requires feature columns")
 
     width = 2 + n_features + (2 if has_scores else 0)
-    class_names: dict[str, int] = {}
+    names = set() if class_names is None else class_names
     samples: list[Sample] = []
     for line, row in enumerate(rows[1:], start=2):
         if len(row) != width:
@@ -103,7 +110,7 @@ def load_dataset(
         sample_id = row[0]
         raw_label = row[1]
         if raw_label:
-            class_names.setdefault(raw_label, line)
+            names.add(raw_label)
         features = (
             tuple(
                 _parse_float(row[2 + i], path, line, f"x{i + 1}")
@@ -134,14 +141,14 @@ def load_dataset(
 
     if not samples:
         raise DataFormatError(f"{path}: no data rows")
-    if len(class_names) > 2:
+    if len(names) > 2:
         raise DataFormatError(
-            f"{path}: more than two classes: {sorted(class_names)}"
+            f"{path}: more than two classes: {sorted(names)}"
         )
-    if len(class_names) == 2 and positive_class not in class_names:
+    if len(names) == 2 and positive_class not in names:
         raise DataFormatError(
             f"{path}: positive class {positive_class!r} not among "
-            f"{sorted(class_names)}"
+            f"{sorted(names)}"
         )
     try:
         return Dataset(tuple(samples))

@@ -13,13 +13,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Dataset, Label, PredictionRegion, ScorePair, region_contains
+from .core import Dataset, Label, PredictionRegion, ScorePair, SignificanceLevel
 
 SCORED_ACCURACY_MODES = ("both_correct", "both_wrong")
+
+# Region kinds in the column order of the region-count table; the codes
+# below `_BOTH` are the singletons.
+_KINDS = (
+    PredictionRegion.SINGLE_POSITIVE,
+    PredictionRegion.SINGLE_NEGATIVE,
+    PredictionRegion.BOTH,
+    PredictionRegion.EMPTY,
+)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_BOTH = _KIND_CODES[PredictionRegion.BOTH]
 
 
 def _check_paired(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
@@ -31,20 +42,31 @@ def _check_paired(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
         )
 
 
-def validity(
-    regions: Sequence[PredictionRegion], truths: Sequence[Label]
-) -> float:
-    """Fraction of regions containing the true label."""
-    _check_paired("regions", regions, "truths", truths)
-    hits = sum(1 for r, t in zip(regions, truths) if region_contains(r, t))
-    return hits / len(regions)
+def _kinds(regions: Sequence[PredictionRegion]) -> np.ndarray:
+    return np.fromiter(
+        map(_KIND_CODES.__getitem__, regions), dtype=np.intp, count=len(regions)
+    )
 
 
-def efficiency(regions: Sequence[PredictionRegion]) -> float:
-    """Fraction of single-label regions."""
-    if len(regions) == 0:
-        raise ValueError("regions must not be empty")
-    return sum(1 for r in regions if r.is_singleton) / len(regions)
+def _positive(truths: Sequence[Label]) -> np.ndarray:
+    return np.fromiter(
+        (t is Label.POSITIVE for t in truths), dtype=bool, count=len(truths)
+    )
+
+
+def _s_pos(scores: Sequence[ScorePair]) -> np.ndarray:
+    return np.fromiter((s.s_pos for s in scores), dtype=float, count=len(scores))
+
+
+def _forced_choice(
+    tp: int, fn: int, fp: int, tn: int
+) -> tuple[float, float | None, float | None]:
+    """Accuracy, sensitivity and specificity; a rate with no denominator is None."""
+    return (
+        (tp + tn) / (tp + fn + fp + tn),
+        tp / (tp + fn) if tp + fn else None,
+        tn / (tn + fp) if tn + fp else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -84,21 +106,78 @@ class RegionDistribution:
         return self.frac_correct_single + self.frac_false_single
 
 
+class _RegionCounts(NamedTuple):
+    """The region-count table of a test set: true class by region kind.
+
+    tp and fn count the positive rows given a positive or a negative
+    singleton, fp and tn the negative rows; both and empty count all rows.
+    Each region metric is a sum of these ints over their total, one rounding
+    from the exact ratio, so the identities between the metrics hold exactly.
+    """
+
+    tp: int
+    fn: int
+    fp: int
+    tn: int
+    both: int
+    empty: int
+
+    @classmethod
+    def of(cls, kinds: np.ndarray, positive: np.ndarray) -> "_RegionCounts":
+        cells = np.where(positive, 0, len(_KINDS)) + kinds
+        counts = np.bincount(cells, minlength=2 * len(_KINDS)).reshape(2, -1)
+        (tp, fn, pos_both, pos_empty), (fp, tn, neg_both, neg_empty) = counts.tolist()
+        return cls(tp, fn, fp, tn, pos_both + neg_both, pos_empty + neg_empty)
+
+    @property
+    def n(self) -> int:
+        return sum(self)
+
+    @property
+    def validity(self) -> float:
+        return (self.tp + self.tn + self.both) / self.n
+
+    @property
+    def efficiency(self) -> float:
+        return (self.tp + self.tn + self.fn + self.fp) / self.n
+
+    def distribution(self) -> RegionDistribution:
+        correct, false, n = self.tp + self.tn, self.fn + self.fp, self.n
+        return RegionDistribution(correct / n, false / n, self.both / n, self.empty / n)
+
+    def scored_accuracy(self, mode: str) -> float:
+        if mode == "both_wrong":
+            return (self.tp + self.tn) / self.n
+        return self.validity
+
+
+def _region_counts(
+    regions: Sequence[PredictionRegion], truths: Sequence[Label]
+) -> _RegionCounts:
+    _check_paired("regions", regions, "truths", truths)
+    return _RegionCounts.of(_kinds(regions), _positive(truths))
+
+
+def validity(
+    regions: Sequence[PredictionRegion], truths: Sequence[Label]
+) -> float:
+    """Fraction of regions containing the true label."""
+    return _region_counts(regions, truths).validity
+
+
+def efficiency(regions: Sequence[PredictionRegion]) -> float:
+    """Fraction of single-label regions."""
+    if len(regions) == 0:
+        raise ValueError("regions must not be empty")
+    # Efficiency ignores the truth, so every row may count as positive.
+    return _RegionCounts.of(_kinds(regions), np.ones(len(regions), bool)).efficiency
+
+
 def region_distribution(
     regions: Sequence[PredictionRegion], truths: Sequence[Label]
 ) -> RegionDistribution:
     """Split the predictions into correct singles, wrong singles, both, empty."""
-    _check_paired("regions", regions, "truths", truths)
-    n = len(regions)
-    n_both = sum(1 for r in regions if r is PredictionRegion.BOTH)
-    n_empty = sum(1 for r in regions if r is PredictionRegion.EMPTY)
-    n_correct = sum(
-        1
-        for r, t in zip(regions, truths)
-        if r.is_singleton and region_contains(r, t)
-    )
-    n_false = n - n_both - n_empty - n_correct
-    return RegionDistribution(n_correct / n, n_false / n, n_both / n, n_empty / n)
+    return _region_counts(regions, truths).distribution()
 
 
 def scored_accuracy(
@@ -116,17 +195,7 @@ def scored_accuracy(
         raise ValueError(
             f"mode must be one of {SCORED_ACCURACY_MODES}, got {mode!r}"
         )
-    _check_paired("regions", regions, "truths", truths)
-    n = len(regions)
-    n_correct_single = sum(
-        1
-        for r, t in zip(regions, truths)
-        if r.is_singleton and region_contains(r, t)
-    )
-    if mode == "both_wrong":
-        return n_correct_single / n
-    n_both = sum(1 for r in regions if r is PredictionRegion.BOTH)
-    return (n_correct_single + n_both) / n
+    return _region_counts(regions, truths).scored_accuracy(mode)
 
 
 @dataclass(frozen=True)
@@ -136,6 +205,20 @@ class BinaryMetrics:
     accuracy: float
     sensitivity: float | None
     specificity: float | None
+
+
+def _check_threshold(threshold: float) -> None:
+    if not (math.isfinite(threshold) and 0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
+def _threshold_confusion(
+    s_pos: np.ndarray, positive: np.ndarray, threshold: float
+) -> tuple[int, int, int, int]:
+    """(tp, fn, fp, tn) of calling positive every s_pos >= threshold."""
+    cells = np.where(positive, 0, 2) + (s_pos < threshold)
+    tp, fn, fp, tn = np.bincount(cells, minlength=4).tolist()
+    return tp, fn, fp, tn
 
 
 def binary_metrics(
@@ -152,21 +235,24 @@ def binary_metrics(
     _check_paired("scores", scores, "truths", truths)
     if not all(s.probability for s in scores):
         raise ValueError("binary metrics need probability-type scores")
-    if not (math.isfinite(threshold) and 0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    tp = fp = tn = fn = 0
-    for pair, truth in zip(scores, truths):
-        called_positive = pair.s_pos >= threshold
-        if truth is Label.POSITIVE:
-            tp += called_positive
-            fn += not called_positive
-        else:
-            fp += called_positive
-            tn += not called_positive
-    accuracy = (tp + tn) / len(scores)
-    sensitivity = tp / (tp + fn) if (tp + fn) else None
-    specificity = tn / (tn + fp) if (tn + fp) else None
-    return BinaryMetrics(accuracy, sensitivity, specificity)
+    _check_threshold(threshold)
+    return BinaryMetrics(
+        *_forced_choice(
+            *_threshold_confusion(_s_pos(scores), _positive(truths), threshold)
+        )
+    )
+
+
+def _auroc(s_pos: np.ndarray, positive: np.ndarray) -> float:
+    neg = np.sort(s_pos[~positive])
+    pos = s_pos[positive]
+    if pos.size == 0 or neg.size == 0:
+        raise ValueError("AUROC needs at least one sample of each class")
+    below = np.searchsorted(neg, pos, side="left")
+    at_most = np.searchsorted(neg, pos, side="right")
+    wins = int(below.sum())
+    ties = int((at_most - below).sum())
+    return (wins + 0.5 * ties) / (pos.size * neg.size)
 
 
 def auroc(scores: Sequence[ScorePair], truths: Sequence[Label]) -> float:
@@ -177,25 +263,7 @@ def auroc(scores: Sequence[ScorePair], truths: Sequence[Label]) -> float:
     involved.
     """
     _check_paired("scores", scores, "truths", truths)
-    pos = np.sort(
-        np.array(
-            [s.s_pos for s, t in zip(scores, truths) if t is Label.POSITIVE],
-            dtype=float,
-        )
-    )
-    neg = np.sort(
-        np.array(
-            [s.s_pos for s, t in zip(scores, truths) if t is Label.NEGATIVE],
-            dtype=float,
-        )
-    )
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("AUROC needs at least one sample of each class")
-    below = np.searchsorted(neg, pos, side="left")
-    at_most = np.searchsorted(neg, pos, side="right")
-    wins = int(below.sum())
-    ties = int((at_most - below).sum())
-    return (wins + 0.5 * ties) / (pos.size * neg.size)
+    return _auroc(_s_pos(scores), _positive(truths))
 
 
 @dataclass(frozen=True)
@@ -242,6 +310,20 @@ class ConditionalSingletonMetrics:
     false_positives_in_singletons: int
 
 
+def _singleton_metrics(
+    counts: _RegionCounts, kinds: np.ndarray, s_pos: np.ndarray, positive: np.ndarray
+) -> ConditionalSingletonMetrics:
+    tp, fn, fp, tn = counts[:4]
+    n_singleton = tp + fn + fp + tn
+    if not n_singleton:
+        return ConditionalSingletonMetrics(None, None, None, None, 0, 0)
+    single = kinds < _BOTH
+    area = _auroc(s_pos[single], positive[single]) if tp + fn and fp + tn else None
+    return ConditionalSingletonMetrics(
+        *_forced_choice(tp, fn, fp, tn), area, n_singleton, fp
+    )
+
+
 def conditional_singleton_metrics(
     regions: Sequence[PredictionRegion],
     scores: Sequence[ScorePair],
@@ -253,58 +335,9 @@ def conditional_singleton_metrics(
     "when the predictor commits, how often is it right", which is the
     fair companion number to overall validity.
     """
-    _check_paired("regions", regions, "truths", truths)
+    counts = _region_counts(regions, truths)
     _check_paired("regions", regions, "scores", scores)
-    picked = [
-        (r, s, t)
-        for r, s, t in zip(regions, scores, truths)
-        if r.is_singleton
-    ]
-    false_pos = sum(
-        1
-        for r, _, t in picked
-        if r is PredictionRegion.SINGLE_POSITIVE and t is Label.NEGATIVE
-    )
-    if not picked:
-        return ConditionalSingletonMetrics(None, None, None, None, 0, 0)
-
-    predicted = [
-        Label.POSITIVE if r is PredictionRegion.SINGLE_POSITIVE else Label.NEGATIVE
-        for r, _, _ in picked
-    ]
-    truth_sub = [t for _, _, t in picked]
-    score_sub = [s for _, s, _ in picked]
-    hits = sum(1 for p, t in zip(predicted, truth_sub) if p is t)
-    accuracy = hits / len(picked)
-
-    tp = sum(
-        1 for p, t in zip(predicted, truth_sub)
-        if p is Label.POSITIVE and t is Label.POSITIVE
-    )
-    fn = sum(
-        1 for p, t in zip(predicted, truth_sub)
-        if p is Label.NEGATIVE and t is Label.POSITIVE
-    )
-    tn = sum(
-        1 for p, t in zip(predicted, truth_sub)
-        if p is Label.NEGATIVE and t is Label.NEGATIVE
-    )
-    fp = len(picked) - tp - fn - tn
-    sensitivity = tp / (tp + fn) if (tp + fn) else None
-    specificity = tn / (tn + fp) if (tn + fp) else None
-
-    has_both = any(t is Label.POSITIVE for t in truth_sub) and any(
-        t is Label.NEGATIVE for t in truth_sub
-    )
-    restricted_auroc = auroc(score_sub, truth_sub) if has_both else None
-    return ConditionalSingletonMetrics(
-        accuracy,
-        sensitivity,
-        specificity,
-        restricted_auroc,
-        len(picked),
-        false_pos,
-    )
+    return _singleton_metrics(counts, _kinds(regions), _s_pos(scores), _positive(truths))
 
 
 @dataclass(frozen=True)
@@ -318,16 +351,15 @@ class MetricPanel:
 
 
 def _metric_panel(
-    scores: Sequence[ScorePair], truths: Sequence[Label], threshold: float
+    s_pos: np.ndarray, positive: np.ndarray, probability: bool, threshold: float
 ) -> MetricPanel:
-    has_both = any(t is Label.POSITIVE for t in truths) and any(
-        t is Label.NEGATIVE for t in truths
+    area = _auroc(s_pos, positive) if positive.any() and not positive.all() else None
+    if not probability:
+        return MetricPanel(None, None, None, area)
+    _check_threshold(threshold)
+    return MetricPanel(
+        *_forced_choice(*_threshold_confusion(s_pos, positive, threshold)), area
     )
-    area = auroc(scores, truths) if has_both else None
-    if all(s.probability for s in scores):
-        rates = binary_metrics(scores, truths, threshold)
-        return MetricPanel(rates.accuracy, rates.sensitivity, rates.specificity, area)
-    return MetricPanel(None, None, None, area)
 
 
 @dataclass(frozen=True)
@@ -344,6 +376,10 @@ class EvaluationReport:
     binary: MetricPanel
     singleton_conditional: ConditionalSingletonMetrics
 
+    @property
+    def confidence_percent(self) -> float:
+        return SignificanceLevel(self.epsilon).confidence_percent
+
 
 def evaluate_predictions(
     regions: Sequence[PredictionRegion],
@@ -352,18 +388,26 @@ def evaluate_predictions(
     threshold: float = 0.5,
     epsilon: float = 0.0,
 ) -> EvaluationReport:
-    """Bundle every metric this module defines into one report row."""
+    """Every metric this module defines for one significance level.
+
+    The region metrics all read one region-count table, so validity equals
+    the both_correct accuracy and the correct-single fraction the both_wrong
+    one, bit for bit.
+    """
     _check_paired("regions", regions, "truths", truths)
     _check_paired("regions", regions, "scores", scores)
-    dist = region_distribution(regions, truths)
+    kinds, positive, s_pos = _kinds(regions), _positive(truths), _s_pos(scores)
+    counts = _RegionCounts.of(kinds, positive)
     return EvaluationReport(
         epsilon=epsilon,
         n=len(regions),
-        validity=validity(regions, truths),
-        efficiency=efficiency(regions),
-        distribution=dist,
-        scored_accuracy_both_correct=scored_accuracy("both_correct", regions, truths),
-        scored_accuracy_both_wrong=scored_accuracy("both_wrong", regions, truths),
-        binary=_metric_panel(scores, truths, threshold),
-        singleton_conditional=conditional_singleton_metrics(regions, scores, truths),
+        validity=counts.validity,
+        efficiency=counts.efficiency,
+        distribution=counts.distribution(),
+        scored_accuracy_both_correct=counts.scored_accuracy("both_correct"),
+        scored_accuracy_both_wrong=counts.scored_accuracy("both_wrong"),
+        binary=_metric_panel(
+            s_pos, positive, all(s.probability for s in scores), threshold
+        ),
+        singleton_conditional=_singleton_metrics(counts, kinds, s_pos, positive),
     )

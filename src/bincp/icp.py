@@ -108,7 +108,7 @@ class CalibrationTable:
                 raise ValueError(f"{name} must be a nonempty 1-d array")
             if np.isnan(scores).any():
                 raise ValueError(f"{name} must not contain NaN")
-            if np.any(np.diff(scores) < 0):
+            if np.any(scores[1:] < scores[:-1]):
                 raise ValueError(f"{name} must be sorted ascending")
             scores.flags.writeable = False
             object.__setattr__(self, name, scores)
@@ -157,20 +157,35 @@ class PValuePair:
                 raise ValueError(f"{name} must be in (0, 1], got {p}")
 
 
-def _one_p_value(
-    calibration_scores: np.ndarray,
-    score: float,
+def _p_value_columns(
+    table: CalibrationTable,
+    s_pos: np.ndarray,
+    s_neg: np.ndarray,
     smoothed: bool,
     rng: np.random.Generator | None,
-) -> float:
-    n = calibration_scores.size
-    if not smoothed:
-        at_most = int(np.searchsorted(calibration_scores, score, side="right"))
-        return (at_most + 1) / (n + 1)
-    below = int(np.searchsorted(calibration_scores, score, side="left"))
-    ties = int(np.searchsorted(calibration_scores, score, side="right")) - below
-    tau = 1.0 - rng.random()  # in (0, 1], keeps the p-value positive
-    return (below + tau * (ties + 1)) / (n + 1)
+) -> tuple[np.ndarray, np.ndarray]:
+    """p-value columns (positive, negative) for a batch of test score columns.
+
+    A p-value counts the calibration scores below the test score, plus tau
+    times the ties and the test sample itself, over n + 1.  The deterministic
+    form takes tau = 1; the smoothed form draws tau in (0, 1] as one (n, 2)
+    block: row by row, the positive hypothesis first.
+    """
+    if np.isnan(s_pos).any() or np.isnan(s_neg).any():
+        raise ValueError("test scores must not be NaN")
+    if smoothed and rng is None:
+        raise ValueError("smoothed p-values need an rng")
+    shape = (s_pos.size, 2)
+    tau = 1.0 - rng.random(shape) if smoothed else np.ones(shape)
+    columns = []
+    for side, (calibration_scores, scores) in enumerate(
+        ((table.pos_scores, s_pos), (table.neg_scores, s_neg))
+    ):
+        below = np.searchsorted(calibration_scores, scores, side="left")
+        tied = np.searchsorted(calibration_scores, scores, side="right") - below
+        n = calibration_scores.size
+        columns.append((below + tau[:, side] * (tied + 1)) / (n + 1))
+    return columns[0], columns[1]
 
 
 def p_values(
@@ -180,20 +195,15 @@ def p_values(
     smoothed: bool = False,
     rng: np.random.Generator | None = None,
 ) -> PValuePair:
-    """Rank the test scores within the calibration table, one p per hypothesis.
+    """Rank one test score pair within the calibration table, one p per hypothesis.
 
-    The deterministic form counts calibration scores <= the test score plus
-    the test sample itself, over n + 1.  The smoothed form spreads the tie
-    mass uniformly and needs `rng`; the positive hypothesis draws first.
+    A batch of one: the same counts and draws as one row of `predict_set`;
+    the smoothed form needs `rng` and the positive hypothesis draws first.
     """
-    if math.isnan(scores.s_pos) or math.isnan(scores.s_neg):
-        raise ValueError("test scores must not be NaN")
-    if smoothed and rng is None:
-        raise ValueError("smoothed p-values need an rng")
-    return PValuePair(
-        _one_p_value(table.pos_scores, scores.s_pos, smoothed, rng),
-        _one_p_value(table.neg_scores, scores.s_neg, smoothed, rng),
+    p_pos, p_neg = _p_value_columns(
+        table, np.array([scores.s_pos]), np.array([scores.s_neg]), smoothed, rng
     )
+    return PValuePair(float(p_pos[0]), float(p_neg[0]))
 
 
 def region(p: PValuePair, eps: SignificanceLevel) -> PredictionRegion:
@@ -224,8 +234,12 @@ def predict_set(
     missing = [s.id for s in tests if s.scores is None]
     if missing:
         raise ValueError(f"test samples need scores, missing for {missing[:5]}")
-    results = []
-    for sample in tests:
-        p = p_values(table, sample.scores, smoothed=smoothed, rng=rng)
-        results.append(Prediction(sample.id, p, region(p, eps)))
-    return results
+    s_pos = np.array([s.scores.s_pos for s in tests], dtype=float)
+    s_neg = np.array([s.scores.s_neg for s in tests], dtype=float)
+    p_pos, p_neg = _p_value_columns(table, s_pos, s_neg, smoothed, rng)
+    return [
+        Prediction(sample.id, p, region(p, eps))
+        for sample, p in zip(
+            tests, map(PValuePair, p_pos.tolist(), p_neg.tolist())
+        )
+    ]

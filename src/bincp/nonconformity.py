@@ -174,18 +174,6 @@ def knn_distance_ratio(
     return NonconformityValue(_ratio(d_same, d_diff))
 
 
-def conformity_from_ratio(value: NonconformityValue) -> float:
-    """Flip a distance-ratio into the shared higher-is-more-conforming direction."""
-    return -value.alpha
-
-
-def probability_conformity(scores: ScorePair, hypothesized: Label) -> float:
-    """Conformity of a label hypothesis given ingested class probabilities."""
-    if not scores.probability:
-        raise ValueError("probability conformity needs a probability-type score pair")
-    return scores.for_label(hypothesized)
-
-
 def knn_probability_scores(bag: TrainingBag, point: Sequence[float], k: int) -> ScorePair:
     """Fraction of positive labels among the k nearest bag points.
 

@@ -13,17 +13,17 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .core import Dataset, Label, SignificanceLevel
 from .data import load_dataset
 from .evaluate import (
+    SCORED_ACCURACY_MODES,
     CalibrationReport,
-    ConditionalSingletonMetrics,
-    EvaluationReport,
-    MetricPanel,
     calibration_report,
     evaluate_predictions,
 )
@@ -40,6 +40,105 @@ from .online import OnlineRound, run_online
 REPORT_FORMATS = ("json", "csv", "text")
 
 _ABSENT_TEXT = "—"
+
+
+def _opt(value: float | None) -> float | None:
+    return None if value is None else float(value)
+
+
+def _text_value(value) -> str:
+    if value is None:
+        return _ABSENT_TEXT
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    return str(value)
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One report figure and where each report format puts it.
+
+    `path` holds its keys inside a JSON block, `source` the dotted attribute
+    of the report object it is read from, `cast` its JSON type, and `label`
+    and `text` its name and format on a text line.
+    """
+
+    path: tuple[str, ...]
+    column: str
+    label: str
+    source: str
+    cast: Callable[[object], object]
+    text: Callable[[object], str]
+
+
+def _field(*path, column=None, label=None, source=None, cast=float, text=_text_value):
+    key = path[-1]
+    return _Field(path, column or key, label or key, source or ".".join(path), cast, text)
+
+
+def _group(block, keys, prefix, source=None, cast=float) -> tuple[_Field, ...]:
+    """Fields `block.key` with CSV column `prefix + key`, read from `source + key`."""
+    return tuple(
+        _field(block, key, column=prefix + key, source=source and source + key, cast=cast)
+        for key in keys
+    )
+
+
+_REGION_KINDS = ("correct_single", "false_single", "both", "empty")
+_RATES = ("accuracy", "sensitivity", "specificity", "auroc")
+
+# Every figure of a result row, as (text line heading, fields on that line).
+# The JSON result row, the CSV columns and the text lines all come from this
+# table, in this order.
+_RESULT_LINES = (
+    ("", (
+        _field("epsilon", text=str),
+        _field("confidence_percent", label="confidence", text="{}%".format),
+        _field("n", cast=int, text=str),
+    )),
+    ("  ", (_field("validity"), _field("efficiency"))),
+    ("  regions  ", _group(
+        "distribution", _REGION_KINDS, "frac_", "distribution.frac_"
+    )),
+    ("  scored_accuracy  ", _group(
+        "scored_accuracy", SCORED_ACCURACY_MODES, "scored_accuracy_", "scored_accuracy_"
+    )),
+    ("  binary  ", _group("binary", _RATES, "binary_", cast=_opt)),
+    ("  singleton  ", _group("singleton_conditional", _RATES, "singleton_", cast=_opt) + (
+        _field("singleton_conditional", "n_singleton", cast=int, text=str),
+        _field(
+            "singleton_conditional", "false_positives_in_singletons",
+            label="false_positives", cast=int, text=str,
+        ),
+    )),
+)
+_RESULT_FIELDS = tuple(field for _, fields in _RESULT_LINES for field in fields)
+_CALIBRATION_FIELDS = (
+    _field("accuracy", column="calibration_accuracy", cast=_opt),
+    _field("auroc", column="calibration_auroc", cast=_opt),
+    _field("n", column="calibration_n", cast=int),
+)
+
+REPORT_CSV_COLUMNS = tuple(
+    field.column for field in _RESULT_FIELDS + _CALIBRATION_FIELDS
+)
+
+
+def _json_block(fields: tuple[_Field, ...], report) -> dict:
+    block: dict = {}
+    for field in fields:
+        *parents, key = field.path
+        node = block
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = field.cast(attrgetter(field.source)(report))
+    return block
+
+
+def _value(block: dict, path: tuple[str, ...]):
+    for key in path:
+        block = block[key]
+    return block
 
 
 class PipelineError(ValueError):
@@ -110,60 +209,11 @@ def _validate_config(config: RunConfig) -> None:
 def _calibration_block(calibration: Dataset, threshold: float) -> dict:
     if all(s.scores is not None and s.scores.probability for s in calibration):
         summary = calibration_report(calibration, threshold)
-        return {
-            "accuracy": float(summary.accuracy),
-            "auroc": float(summary.auroc),
-            "n": int(summary.n),
-        }
-    # Non-probability scores have no meaningful threshold, so only the size
-    # is reported.
-    return {"accuracy": None, "auroc": None, "n": len(calibration)}
-
-
-def _opt(value: float | None) -> float | None:
-    return None if value is None else float(value)
-
-
-def _panel_block(panel: MetricPanel) -> dict:
-    return {
-        "accuracy": _opt(panel.accuracy),
-        "sensitivity": _opt(panel.sensitivity),
-        "specificity": _opt(panel.specificity),
-        "auroc": _opt(panel.auroc),
-    }
-
-
-def _singleton_block(metrics: ConditionalSingletonMetrics) -> dict:
-    return {
-        "accuracy": _opt(metrics.accuracy),
-        "sensitivity": _opt(metrics.sensitivity),
-        "specificity": _opt(metrics.specificity),
-        "auroc": _opt(metrics.auroc),
-        "n_singleton": int(metrics.n_singleton),
-        "false_positives_in_singletons": int(metrics.false_positives_in_singletons),
-    }
-
-
-def _result_row(report: EvaluationReport) -> dict:
-    return {
-        "epsilon": float(report.epsilon),
-        "confidence_percent": SignificanceLevel(report.epsilon).confidence_percent,
-        "n": int(report.n),
-        "validity": float(report.validity),
-        "efficiency": float(report.efficiency),
-        "distribution": {
-            "correct_single": float(report.distribution.frac_correct_single),
-            "false_single": float(report.distribution.frac_false_single),
-            "both": float(report.distribution.frac_both),
-            "empty": float(report.distribution.frac_empty),
-        },
-        "scored_accuracy": {
-            "both_correct": float(report.scored_accuracy_both_correct),
-            "both_wrong": float(report.scored_accuracy_both_wrong),
-        },
-        "binary": _panel_block(report.binary),
-        "singleton_conditional": _singleton_block(report.singleton_conditional),
-    }
+    else:
+        # Non-probability scores have no meaningful threshold, so only the
+        # size is reported.
+        summary = CalibrationReport(auroc=None, accuracy=None, n=len(calibration))
+    return _json_block(_CALIBRATION_FIELDS, summary)
 
 
 def _config_block(config: RunConfig) -> dict:
@@ -192,19 +242,24 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         _validate_config(config)
 
     with _stage("load"):
+        # Class names are checked across the files of the run: a typo in a
+        # file holding one class would otherwise read as the negative class.
+        class_names: set[str] = set()
+
+        def load(path: Path) -> Dataset:
+            return load_dataset(
+                path, config.positive_class, config.schema, class_names=class_names
+            )
+
         proper = test = None
         if config.train_path is not None:
-            train = load_dataset(config.train_path, config.positive_class, config.schema)
+            train = load(config.train_path)
         else:
-            calibration = load_dataset(
-                config.calibration_path, config.positive_class, config.schema
-            )
+            calibration = load(config.calibration_path)
             if config.proper_path is not None:
-                proper = load_dataset(
-                    config.proper_path, config.positive_class, config.schema
-                )
+                proper = load(config.proper_path)
         if config.test_path is not None:
-            test = load_dataset(config.test_path, config.positive_class, config.schema)
+            test = load(config.test_path)
 
     if config.train_path is not None:
         with _stage("split"):
@@ -226,32 +281,31 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     predictions: dict[float, list[Prediction]] = {}
     results: list[dict] = []
-    seen: set[float] = set()
-    for value in config.epsilons:
-        if value in seen:
-            continue
-        seen.add(value)
-        eps = SignificanceLevel(value)
-        if test is None:
-            continue
-        # A fresh generator per epsilon gives every level the same tie draws,
-        # so smoothed regions nest across epsilon as the plain ones do.
-        rng = (
-            np.random.default_rng(config.smoothing_seed) if config.smoothed else None
-        )
-        with _stage("predict"):
-            preds = predict_set(table, test, eps, smoothed=config.smoothed, rng=rng)
-        predictions[value] = preds
-        if test.fully_labelled():
-            with _stage("evaluate"):
-                report = evaluate_predictions(
-                    regions=[p.region for p in preds],
-                    scores=[s.scores for s in test],
-                    truths=[s.true_label for s in test],
-                    threshold=config.threshold,
-                    epsilon=value,
-                )
-            results.append(_result_row(report))
+    if test is not None:
+        scores = [s.scores for s in test]
+        truths = [s.true_label for s in test]
+        labelled = test.fully_labelled()
+        for value in dict.fromkeys(config.epsilons):
+            # A fresh generator per epsilon gives every level the same tie
+            # draws, so smoothed regions nest across epsilon as the plain
+            # ones do.
+            rng = None
+            if config.smoothed:
+                rng = np.random.default_rng(config.smoothing_seed)
+            eps = SignificanceLevel(value)
+            with _stage("predict"):
+                preds = predict_set(table, test, eps, smoothed=config.smoothed, rng=rng)
+            predictions[value] = preds
+            if labelled:
+                with _stage("evaluate"):
+                    report = evaluate_predictions(
+                        regions=[p.region for p in preds],
+                        scores=scores,
+                        truths=truths,
+                        threshold=config.threshold,
+                        epsilon=value,
+                    )
+                results.append(_json_block(_RESULT_FIELDS, report))
 
     document = {
         "config": _config_block(config),
@@ -301,34 +355,6 @@ def simulate_online(config: OnlineConfig) -> list[OnlineRound]:
         return run_online(initial, stream, eps, config.k)
 
 
-REPORT_CSV_COLUMNS = (
-    "epsilon",
-    "confidence_percent",
-    "n",
-    "validity",
-    "efficiency",
-    "frac_correct_single",
-    "frac_false_single",
-    "frac_both",
-    "frac_empty",
-    "scored_accuracy_both_correct",
-    "scored_accuracy_both_wrong",
-    "binary_accuracy",
-    "binary_sensitivity",
-    "binary_specificity",
-    "binary_auroc",
-    "singleton_accuracy",
-    "singleton_sensitivity",
-    "singleton_specificity",
-    "singleton_auroc",
-    "n_singleton",
-    "false_positives_in_singletons",
-    "calibration_accuracy",
-    "calibration_auroc",
-    "calibration_n",
-)
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -339,59 +365,22 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _flat_rows(document: dict) -> list[dict]:
+def _flat_rows(document: dict) -> list[list]:
     calibration = document.get("calibration", {})
-    shared = {
-        "calibration_accuracy": calibration.get("accuracy"),
-        "calibration_auroc": calibration.get("auroc"),
-        "calibration_n": calibration.get("n"),
-    }
+    shared = [calibration.get(field.path[0]) for field in _CALIBRATION_FIELDS]
     results = document.get("results", [])
     if not results:
-        return [dict.fromkeys(REPORT_CSV_COLUMNS) | shared]
-    rows = []
-    for result in results:
-        dist = result["distribution"]
-        scored = result["scored_accuracy"]
-        binary = result["binary"]
-        singleton = result["singleton_conditional"]
-        rows.append(
-            {
-                "epsilon": result["epsilon"],
-                "confidence_percent": result["confidence_percent"],
-                "n": result["n"],
-                "validity": result["validity"],
-                "efficiency": result["efficiency"],
-                "frac_correct_single": dist["correct_single"],
-                "frac_false_single": dist["false_single"],
-                "frac_both": dist["both"],
-                "frac_empty": dist["empty"],
-                "scored_accuracy_both_correct": scored["both_correct"],
-                "scored_accuracy_both_wrong": scored["both_wrong"],
-                "binary_accuracy": binary["accuracy"],
-                "binary_sensitivity": binary["sensitivity"],
-                "binary_specificity": binary["specificity"],
-                "binary_auroc": binary["auroc"],
-                "singleton_accuracy": singleton["accuracy"],
-                "singleton_sensitivity": singleton["sensitivity"],
-                "singleton_specificity": singleton["specificity"],
-                "singleton_auroc": singleton["auroc"],
-                "n_singleton": singleton["n_singleton"],
-                "false_positives_in_singletons": singleton[
-                    "false_positives_in_singletons"
-                ],
-            }
-            | shared
-        )
-    return rows
+        return [[None] * len(_RESULT_FIELDS) + shared]
+    return [
+        [_value(result, field.path) for field in _RESULT_FIELDS] + shared
+        for result in results
+    ]
 
 
-def _text_value(value) -> str:
-    if value is None:
-        return _ABSENT_TEXT
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
+def _text_line(heading: str, fields: tuple[_Field, ...], values: list) -> str:
+    return heading + "  ".join(
+        f"{field.label}={field.text(value)}" for field, value in zip(fields, values)
+    )
 
 
 def _render_text(document: dict) -> str:
@@ -408,62 +397,20 @@ def _render_text(document: dict) -> str:
             )
         )
     calibration = document.get("calibration", {})
+    # The text line leads with the calibration size.
+    *rates, size = _CALIBRATION_FIELDS
+    fields = (size, *rates)
     lines.append(
-        "calibration  n={}  accuracy={}  auroc={}".format(
-            _text_value(calibration.get("n")),
-            _text_value(calibration.get("accuracy")),
-            _text_value(calibration.get("auroc")),
+        _text_line(
+            "calibration  ", fields, [calibration.get(f.path[0]) for f in fields]
         )
     )
     for result in document.get("results", []):
-        dist = result["distribution"]
-        scored = result["scored_accuracy"]
-        binary = result["binary"]
-        singleton = result["singleton_conditional"]
         lines.append("")
-        lines.append(
-            "epsilon={}  confidence={}%  n={}".format(
-                result["epsilon"], result["confidence_percent"], result["n"]
+        for heading, fields in _RESULT_LINES:
+            lines.append(
+                _text_line(heading, fields, [_value(result, f.path) for f in fields])
             )
-        )
-        lines.append(
-            "  validity={}  efficiency={}".format(
-                _text_value(result["validity"]), _text_value(result["efficiency"])
-            )
-        )
-        lines.append(
-            "  regions  correct_single={}  false_single={}  both={}  empty={}".format(
-                _text_value(dist["correct_single"]),
-                _text_value(dist["false_single"]),
-                _text_value(dist["both"]),
-                _text_value(dist["empty"]),
-            )
-        )
-        lines.append(
-            "  scored_accuracy  both_correct={}  both_wrong={}".format(
-                _text_value(scored["both_correct"]),
-                _text_value(scored["both_wrong"]),
-            )
-        )
-        lines.append(
-            "  binary  accuracy={}  sensitivity={}  specificity={}  auroc={}".format(
-                _text_value(binary["accuracy"]),
-                _text_value(binary["sensitivity"]),
-                _text_value(binary["specificity"]),
-                _text_value(binary["auroc"]),
-            )
-        )
-        lines.append(
-            "  singleton  accuracy={}  sensitivity={}  specificity={}  auroc={}"
-            "  n_singleton={}  false_positives={}".format(
-                _text_value(singleton["accuracy"]),
-                _text_value(singleton["sensitivity"]),
-                _text_value(singleton["specificity"]),
-                _text_value(singleton["auroc"]),
-                singleton["n_singleton"],
-                singleton["false_positives_in_singletons"],
-            )
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -478,7 +425,7 @@ def emit_report(document: dict, fmt: str) -> bytes:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(REPORT_CSV_COLUMNS)
         for row in _flat_rows(document):
-            writer.writerow([_cell(row[column]) for column in REPORT_CSV_COLUMNS])
+            writer.writerow(map(_cell, row))
         text = buffer.getvalue()
     else:
         text = _render_text(document)

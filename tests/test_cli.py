@@ -102,6 +102,53 @@ class TestEvaluateCommand:
         assert code == 1
         assert "labels" in err
 
+    def test_regions_out_without_test_writes_nothing(self, capsys, tmp_path):
+        report = tmp_path / "rep.txt"
+        code, _, err = run(
+            capsys,
+            "evaluate",
+            "--calibration", FIG,
+            "--positive-class", "B",
+            "--out", str(report),
+            "--regions-out", str(tmp_path / "regions.csv"),
+        )
+        assert code == 1
+        assert "--test" in err
+        assert not report.exists()
+
+    def test_class_name_typo_across_files_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "typo.csv"
+        path.write_text("id,label,s_pos,s_neg\nu1,b,0.9,0.1\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            "--calibration", FIG,
+            "--test", str(path),
+            "--positive-class", "B",
+        )
+        assert code == 1
+        assert out == ""
+        assert str(path) in err
+        assert "more than two classes" in err
+
+    def test_test_file_of_the_negative_class_alone_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "negatives.csv"
+        path.write_text(
+            "id,label,s_pos,s_neg\nu1,A,0.9,0.1\nu2,A,0.2,0.8\n", encoding="utf-8"
+        )
+        code, out, _ = run(
+            capsys,
+            "evaluate",
+            "--calibration", FIG,
+            "--test", str(path),
+            "--positive-class", "B",
+            "--format", "json",
+        )
+        assert code == 0
+        row = json.loads(out)["results"][0]
+        assert row["n"] == 2
+        assert row["binary"]["sensitivity"] is None
+
     def test_smoothed_runs_are_seed_reproducible(self, capsys):
         args = demo_args("--smoothed", "--smoothing-seed", "5", "--format", "json")
         code_a, out_a, _ = run(capsys, *args)

@@ -11,19 +11,17 @@ from bincp.core import (
     Sample,
     ScorePair,
     SignificanceLevel,
-    confidence_to_epsilon,
-    region_contains,
 )
 
 
 class TestPredictionRegion:
     def test_both_contains_either_label(self):
-        assert region_contains(PredictionRegion.BOTH, Label.POSITIVE)
-        assert region_contains(PredictionRegion.BOTH, Label.NEGATIVE)
+        assert PredictionRegion.BOTH.contains(Label.POSITIVE)
+        assert PredictionRegion.BOTH.contains(Label.NEGATIVE)
 
     def test_empty_contains_nothing(self):
-        assert not region_contains(PredictionRegion.EMPTY, Label.POSITIVE)
-        assert not region_contains(PredictionRegion.EMPTY, Label.NEGATIVE)
+        assert not PredictionRegion.EMPTY.contains(Label.POSITIVE)
+        assert not PredictionRegion.EMPTY.contains(Label.NEGATIVE)
 
     @pytest.mark.parametrize(
         "region,label,expected",
@@ -35,7 +33,7 @@ class TestPredictionRegion:
         ],
     )
     def test_singleton_contains_only_its_label(self, region, label, expected):
-        assert region_contains(region, label) is expected
+        assert region.contains(label) is expected
 
     def test_from_membership_covers_all_four_kinds(self):
         assert PredictionRegion.from_membership(True, True) is PredictionRegion.BOTH
@@ -60,18 +58,18 @@ class TestPredictionRegion:
 
 class TestSignificanceLevel:
     def test_confidence_95_becomes_epsilon_005(self):
-        assert confidence_to_epsilon(95.0).epsilon == 0.05
+        assert SignificanceLevel.from_confidence(95.0).epsilon == 0.05
 
     def test_confidence_86_becomes_epsilon_014(self):
-        assert confidence_to_epsilon(86.0).epsilon == 0.14
+        assert SignificanceLevel.from_confidence(86.0).epsilon == 0.14
 
     def test_confidence_100_becomes_zero(self):
-        assert confidence_to_epsilon(100.0).epsilon == 0.0
+        assert SignificanceLevel.from_confidence(100.0).epsilon == 0.0
 
     @pytest.mark.parametrize("bad", [-1.0, 100.5, math.nan, math.inf])
     def test_confidence_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
-            confidence_to_epsilon(bad)
+            SignificanceLevel.from_confidence(bad)
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan])
     def test_epsilon_out_of_range_rejected(self, bad):

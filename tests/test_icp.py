@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ from conftest import FIGURE1_NEG, FIGURE1_POS
 def oracle_p(calibration, score):
     """Rank-count definition, written independently of the engine."""
     return (sum(1 for c in calibration if c <= score) + 1) / (len(calibration) + 1)
+
+
+# Few distinct values, so calibration and test scores tie often.
+TIED_SCORES = st.sampled_from(
+    [-math.inf, -1.0, 0.0, 0.25, 0.5, 1.0, math.inf]
+) | st.floats(allow_nan=False, width=32)
 
 
 def labelled(n_neg, n_pos, seed=0):
@@ -166,6 +173,17 @@ class TestCalibrationTable:
             CalibrationTable(np.array([0.1]), np.array([math.nan]))
         with pytest.raises(ValueError):
             CalibrationTable(np.array([]), np.array([0.1]))
+        with pytest.raises(ValueError):
+            CalibrationTable(np.array([math.inf, -math.inf]), np.array([0.1]))
+
+    def test_repeated_infinite_scores_are_sorted_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = CalibrationTable(
+                np.array([-math.inf, -math.inf, 0.2, math.inf, math.inf]),
+                np.array([-math.inf, -math.inf]),
+            )
+        assert table.n_pos == 5
 
     def test_table_arrays_are_read_only(self, figure1_table):
         with pytest.raises(ValueError):
@@ -325,6 +343,49 @@ class TestPredictSet:
         tests = Dataset((Sample(id="bad", features=(1.0, 2.0)),))
         with pytest.raises(ValueError, match="bad"):
             predict_set(figure1_table, tests, SignificanceLevel(0.2))
+
+    @given(
+        pos=st.lists(TIED_SCORES, min_size=1, max_size=30),
+        neg=st.lists(TIED_SCORES, min_size=1, max_size=30),
+        rows=st.lists(st.tuples(TIED_SCORES, TIED_SCORES), min_size=1, max_size=200),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_the_rank_count_oracle_row_by_row(
+        self, pos, neg, rows, pooled
+    ):
+        if pooled:
+            pos = neg = pos + neg
+        table = CalibrationTable(np.sort(pos), np.sort(neg), mondrian=not pooled)
+        tests = Dataset(tuple(
+            Sample(id=f"t{i}", scores=ScorePair(a, b)) for i, (a, b) in enumerate(rows)
+        ))
+        predictions = predict_set(table, tests, SignificanceLevel(0.2))
+        for prediction, (a, b) in zip(predictions, rows, strict=True):
+            assert prediction.p.p_pos == oracle_p(pos, a)
+            assert prediction.p.p_neg == oracle_p(neg, b)
+            assert prediction.region is PredictionRegion.from_membership(
+                prediction.p.p_pos > 0.2, prediction.p.p_neg > 0.2
+            )
+
+    @pytest.mark.parametrize("mondrian", [True, False])
+    def test_smoothed_batch_equals_successive_single_rows(self, figure1, mondrian):
+        table = build_calibration_table(figure1, mondrian=mondrian)
+        values = FIGURE1_POS + FIGURE1_NEG + [-math.inf, 0.5, math.inf]
+        rng = np.random.default_rng(3)
+        tests = Dataset(tuple(
+            Sample(id=f"t{i}", scores=ScorePair(*rng.choice(values, size=2)))
+            for i in range(300)
+        ))
+        batch = predict_set(
+            table, tests, SignificanceLevel(0.2),
+            smoothed=True, rng=np.random.default_rng(8),
+        )
+        single_rng = np.random.default_rng(8)
+        singles = [
+            p_values(table, s.scores, smoothed=True, rng=single_rng) for s in tests
+        ]
+        assert [prediction.p for prediction in batch] == singles
 
     def test_smoothed_predictions_are_reproducible_by_seed(self, figure1_table):
         tests = Dataset((

@@ -9,10 +9,8 @@ from bincp.nonconformity import (
     MeasureSpec,
     NonconformityValue,
     TrainingBag,
-    conformity_from_ratio,
     knn_distance_ratio,
     knn_probability_scores,
-    probability_conformity,
     score_dataset,
 )
 
@@ -154,12 +152,21 @@ class TestKnnDistanceRatio:
 
 
 class TestConformityFromRatio:
+    # score_dataset negates the distance ratio into the shared
+    # higher-is-more-conforming direction.
     def test_direction_flip(self):
-        assert conformity_from_ratio(NonconformityValue(0.0)) == 0.0
-        assert conformity_from_ratio(NonconformityValue(2.0)) == -2.0
+        bag = bag_of(((0.0,), Label.NEGATIVE), ((3.0,), Label.POSITIVE))
+        data = Dataset((Sample(id="q", features=(1.0,)),))
+        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, data)
+        assert knn_distance_ratio(bag, (1.0,), Label.POSITIVE).alpha == 2.0
+        assert out[0].scores == ScorePair(-2.0, -0.5)
 
     def test_infinite_strangeness_maps_to_minus_infinity(self):
-        assert conformity_from_ratio(NonconformityValue(math.inf)) == -math.inf
+        bag = bag_of(((0.0,), Label.NEGATIVE), ((3.0,), Label.POSITIVE))
+        data = Dataset((Sample(id="q", features=(0.0,)),))
+        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, data)
+        assert knn_distance_ratio(bag, (0.0,), Label.POSITIVE).alpha == math.inf
+        assert out[0].scores.s_pos == -math.inf
 
     def test_nonconformity_value_rejects_negative_and_nan(self):
         with pytest.raises(ValueError):
@@ -171,19 +178,13 @@ class TestConformityFromRatio:
 class TestProbabilityConformity:
     def test_selects_the_hypothesized_side(self):
         pair = ScorePair(0.48, 0.52, probability=True)
-        assert probability_conformity(pair, Label.NEGATIVE) == 0.52
-        assert probability_conformity(pair, Label.POSITIVE) == 0.48
+        assert pair.for_label(Label.NEGATIVE) == 0.52
+        assert pair.for_label(Label.POSITIVE) == 0.48
 
     def test_symmetry_under_swap_and_flip(self):
         pair = ScorePair(0.3, 0.7, probability=True)
         for label in (Label.POSITIVE, Label.NEGATIVE):
-            assert probability_conformity(pair, label) == probability_conformity(
-                pair.swapped(), label.flipped()
-            )
-
-    def test_rejects_generic_scores(self):
-        with pytest.raises(ValueError):
-            probability_conformity(ScorePair(-2.0, -0.5), Label.POSITIVE)
+            assert pair.for_label(label) == pair.swapped().for_label(label.flipped())
 
 
 class TestKnnProbabilityScores:
@@ -319,9 +320,7 @@ class TestScoreDataset:
                 else:
                     a_pos = knn_distance_ratio(bag, sample.features, Label.POSITIVE, k)
                     a_neg = knn_distance_ratio(bag, sample.features, Label.NEGATIVE, k)
-                    expected = ScorePair(
-                        conformity_from_ratio(a_pos), conformity_from_ratio(a_neg)
-                    )
+                    expected = ScorePair(-a_pos.alpha, -a_neg.alpha)
                 assert sample.scores == expected, (layout, sample.id)
 
     def test_duplicate_points_across_classes_score_to_negative_infinity(self):

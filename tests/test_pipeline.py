@@ -26,6 +26,38 @@ from bincp.pipeline import (
 )
 
 
+# Report bytes for figure1 calibration plus the demo test set at epsilon 0.1
+# and 0.2, written out literally so that any change to a renderer shows.
+SINGLE_ROW_TEXT = """\
+  validity=1.0000  efficiency=0.3333
+  regions  correct_single=0.3333  false_single=0.0000  both=0.6667  empty=0.0000
+  scored_accuracy  both_correct=1.0000  both_wrong=0.3333
+  binary  accuracy=0.6667  sensitivity=1.0000  specificity=0.0000  auroc=0.7500
+  singleton  accuracy=1.0000  sensitivity=1.0000  specificity=—  auroc=—  n_singleton=1  false_positives=0
+"""
+DEMO_TEXT = (
+    "run  positive_class=B measure=passthrough k=1 mondrian=True\n"
+    "calibration  n=21  accuracy=0.5238  auroc=0.5273\n"
+    "\nepsilon=0.1  confidence=90.0%  n=3\n" + SINGLE_ROW_TEXT
+    + "\nepsilon=0.2  confidence=80.0%  n=3\n" + SINGLE_ROW_TEXT
+)
+CSV_HEADER = (
+    "epsilon,confidence_percent,n,validity,efficiency,frac_correct_single,"
+    "frac_false_single,frac_both,frac_empty,scored_accuracy_both_correct,"
+    "scored_accuracy_both_wrong,binary_accuracy,binary_sensitivity,"
+    "binary_specificity,binary_auroc,singleton_accuracy,singleton_sensitivity,"
+    "singleton_specificity,singleton_auroc,n_singleton,"
+    "false_positives_in_singletons,calibration_accuracy,calibration_auroc,"
+    "calibration_n\n"
+)
+CSV_ROW_TAIL = (
+    ",3,1.0,0.3333333333333333,0.3333333333333333,0.0,0.6666666666666666,0.0,"
+    "1.0,0.3333333333333333,0.6666666666666666,1.0,0.0,0.75,1.0,1.0,,,1,0,"
+    "0.5238095238095238,0.5272727272727272,21\n"
+)
+DEMO_CSV = CSV_HEADER + "0.1,90.0" + CSV_ROW_TAIL + "0.2,80.0" + CSV_ROW_TAIL
+
+
 def demo_config(**overrides):
     base = dict(
         positive_class="B",
@@ -326,6 +358,23 @@ class TestReportRendering:
         text = emit_report(document, "text").decode("utf-8")
         assert "accuracy=—" in text
         assert "epsilon=" not in text
+
+    def test_text_and_csv_bytes_are_pinned(self):
+        document = run_pipeline(demo_config(epsilons=(0.1, 0.2))).document
+        assert emit_report(document, "text").decode("utf-8") == DEMO_TEXT
+        assert emit_report(document, "csv").decode("utf-8") == DEMO_CSV
+
+    def test_absent_values_bytes_are_pinned(self):
+        document = {
+            "calibration": {"accuracy": None, "auroc": None, "n": 5},
+            "results": [],
+        }
+        assert emit_report(document, "text").decode("utf-8") == (
+            "calibration  n=5  accuracy=—  auroc=—\n"
+        )
+        assert emit_report(document, "csv").decode("utf-8") == (
+            CSV_HEADER + ",,,,,,,,,,,,,,,,,,,,,,,5\n"
+        )
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
