@@ -37,7 +37,7 @@ from .nonconformity import (
     knn_probability_scores,
     score_dataset,
 )
-from .online import OnlineState, full_cp_pvalue, online_round, run_online
+from .online import full_cp_pvalue, run_online
 from .pipeline import OnlineConfig, RunConfig, emit_report, run_pipeline, simulate_online
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "MeasureSpec",
     "NonconformityValue",
     "OnlineConfig",
-    "OnlineState",
     "PValuePair",
     "PredictionRegion",
     "RunConfig",
@@ -72,7 +71,6 @@ __all__ = [
     "knn_distance_ratio",
     "knn_probability_scores",
     "load_dataset",
-    "online_round",
     "p_values",
     "predict_set",
     "region",

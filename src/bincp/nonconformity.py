@@ -56,7 +56,7 @@ class NonconformityValue:
 class TrainingBag:
     """Labelled reference points that nearest-neighbour measures score against.
 
-    Arrays are stored read-only; `with_sample` returns a grown copy.
+    Arrays are stored read-only.
     """
 
     points: np.ndarray
@@ -95,15 +95,6 @@ class TrainingBag:
                 f"bag samples need features and labels, missing for {missing[:5]}"
             )
         return cls.from_pairs((s.features, s.true_label) for s in data)
-
-    def with_sample(self, features: Sequence[float], label: Label) -> "TrainingBag":
-        point = np.asarray(list(features), dtype=float)
-        if point.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} features, got {point.shape}")
-        return TrainingBag(
-            np.vstack([self.points, point[None, :]]),
-            np.append(self.is_positive, label is Label.POSITIVE),
-        )
 
     def __len__(self) -> int:
         return int(self.points.shape[0])

@@ -6,133 +6,117 @@ the true label and absorb the candidate into the bag.  The p-value of a
 hypothesis comes from the augmented bag itself: every member (candidate
 included) is scored leave-one-out, and the p-value is the fraction of members
 at least as strange as the candidate.  No separate calibration set exists.
+
+One engine, `_OnlineSession`, implements this.  It keeps every member's k
+nearest same-label and other-label distances, so a round computes the
+candidate's distances to the bag once and inserts them into those lists:
+O(n * (d + k)) for a bag of n points in d dimensions.  `run_online` drives
+it over a stream; `full_cp_pvalue` is the p-value of a single candidate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FeatureVector, Label, PredictionRegion, SignificanceLevel
-from .nonconformity import TrainingBag, _distances, _ratio, _ratio_array
+from .core import Label, PredictionRegion, SignificanceLevel
+from .nonconformity import TrainingBag, _distances, _k_nearest, _ratio_array
+
+# Row 0 is the positive hypothesis, row 1 the negative one.
+_HYPOTHESES = np.array([[True], [False]])
 
 
-def _pad_sorted(values: np.ndarray, k: int) -> np.ndarray:
-    """Sorted ascending, truncated or inf-padded to width k."""
-    kept = np.sort(values)[:k]
-    if kept.size < k:
-        kept = np.concatenate([kept, np.full(k - kept.size, np.inf)])
-    return kept
+def _insert(block: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each sorted column of `block` with its value inserted and its largest dropped."""
+    before = np.empty_like(block)
+    before[0] = -np.inf
+    before[1:] = block[:-1]
+    return np.minimum(block, np.maximum(before, values))
 
 
-class _NeighborCache:
-    """k smallest same/other-label distances for every bag member, kept incrementally.
+def _pool_means(block: np.ndarray) -> np.ndarray:
+    """Mean of each column's finite entries, summed top down; +inf if none.
 
-    Rows stay sorted ascending with inf padding, so the mean over the finite
-    prefix equals the mean of the up-to-k smallest pool distances.
+    Columns are sorted, so the +inf padding of a pool smaller than k comes
+    last, and the sum runs smallest first, as in batch scoring.
+    """
+    finite = np.isfinite(block)
+    sums = np.zeros(block.shape[1])
+    for row in np.where(finite, block, 0.0):
+        sums += row
+    counts = finite.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, sums / counts, np.inf)
+
+
+class _OnlineSession:
+    """A bag with, per member, its k nearest same- and other-label distances.
+
+    Column i of `same` and of `diff` belongs to bag member i; it is sorted
+    ascending and padded with +inf when the pool holds fewer than k points.
+    `p_values` scores a candidate under both hypotheses; `absorb` then adds
+    it to the bag with its revealed label.
     """
 
     def __init__(self, bag: TrainingBag, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self.points = np.array(bag.points)
-        self.is_positive = np.array(bag.is_positive)
-        n = len(bag)
-        pair = np.sqrt(
-            ((self.points[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
-        )
-        np.fill_diagonal(pair, np.inf)
-        same = self.is_positive[:, None] == self.is_positive[None, :]
-        self.d_same = np.vstack(
-            [_pad_sorted(pair[i][same[i]], k) for i in range(n)]
-        )
-        self.d_diff = np.vstack(
-            [_pad_sorted(pair[i][~same[i]], k) for i in range(n)]
-        )
+        self.points = bag.points
+        self.is_positive = bag.is_positive
+        self.same = np.full((k, len(bag)), np.inf)
+        self.diff = np.full((k, len(bag)), np.inf)
+        for label in (True, False):
+            rows = self.is_positive == label
+            members = self.points[rows]
+            # Every member is its own nearest point, at distance 0.
+            same = _k_nearest(members, members, k + 1)[1][:, 1:]
+            diff = _k_nearest(members, self.points[~rows], k)[1]
+            self.same[: same.shape[1], rows] = same.T
+            self.diff[: diff.shape[1], rows] = diff.T
 
-    def __len__(self) -> int:
-        return int(self.points.shape[0])
-
-    @staticmethod
-    def _row_means(block: np.ndarray) -> np.ndarray:
-        finite = np.isfinite(block)
-        counts = finite.sum(axis=1)
-        sums = np.where(finite, block, 0.0).sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            means = sums / counts
-        return np.where(counts == 0, np.inf, means)
-
-    @staticmethod
-    def _insert_rowwise(block: np.ndarray, values: np.ndarray) -> np.ndarray:
-        grown = np.concatenate([block, values[:, None]], axis=1)
-        grown.sort(axis=1)
-        return grown[:, :-1]
-
-    def _candidate_pools(
-        self, d: np.ndarray, hyp_positive: bool
-    ) -> tuple[float, float]:
-        same = d[self.is_positive == hyp_positive]
-        diff = d[self.is_positive != hyp_positive]
-        d_same = float(np.sort(same)[: self.k].mean()) if same.size else math.inf
-        d_diff = float(np.sort(diff)[: self.k].mean()) if diff.size else math.inf
-        return d_same, d_diff
-
-    def query(self, point: np.ndarray, hypothesized: Label) -> float:
-        """p-value of the candidate under the hypothesized label."""
+    def p_values(self, features: Sequence[float]) -> tuple[float, float]:
+        """Leave-one-out p-values of a candidate labelled positive and negative."""
+        point = np.asarray(list(features), dtype=float)
+        if point.shape != (self.points.shape[1],):
+            raise ValueError(
+                f"expected {self.points.shape[1]} features, got {point.shape}"
+            )
+        if not np.isfinite(point).all():
+            raise ValueError("candidate features must be finite")
         d = _distances(self.points, point)
-        hyp_positive = hypothesized is Label.POSITIVE
-        match = self.is_positive == hyp_positive
-
-        same_means = np.empty(len(self))
-        diff_means = np.empty(len(self))
-        # Members sharing the hypothesized label gain the candidate in their
-        # same-label pool; the others gain it in their other-label pool.
-        same_means[match] = self._row_means(
-            np.sort(
-                np.concatenate([self.d_same[match], d[match][:, None]], axis=1),
-                axis=1,
-            )[:, : self.k]
+        match = self.is_positive == _HYPOTHESES
+        self._point = point
+        self._same_in = _insert(self.same, d)
+        self._diff_in = _insert(self.diff, d)
+        # The candidate's k nearest of each class, positive pool first.
+        pools = np.hstack([np.where(match, d, np.inf), np.full((2, self.k), np.inf)])
+        nearest = np.partition(pools, self.k - 1, axis=1)[:, : self.k]
+        self._pools = np.sort(nearest, axis=1)
+        # Members of the hypothesized label gain the candidate as a same-label
+        # neighbour, the others as an other-label one.
+        same = np.where(match, _pool_means(self._same_in), _pool_means(self.same))
+        diff = np.where(match, _pool_means(self.diff), _pool_means(self._diff_in))
+        candidate = _pool_means(self._pools.T)
+        alphas = _ratio_array(
+            np.column_stack([same, candidate]),
+            np.column_stack([diff, candidate[::-1]]),
         )
-        same_means[~match] = self._row_means(self.d_same[~match])
-        diff_means[~match] = self._row_means(
-            np.sort(
-                np.concatenate([self.d_diff[~match], d[~match][:, None]], axis=1),
-                axis=1,
-            )[:, : self.k]
-        )
-        diff_means[match] = self._row_means(self.d_diff[match])
+        # The last column is the candidate, which counts for itself.
+        p = (alphas >= alphas[:, -1:]).sum(axis=1) / alphas.shape[1]
+        return float(p[0]), float(p[1])
 
-        alphas = _ratio_array(same_means, diff_means)
-        cand_same, cand_diff = self._candidate_pools(d, hyp_positive)
-        alpha_candidate = _ratio(cand_same, cand_diff)
-        at_least = int((alphas >= alpha_candidate).sum()) + 1
-        return at_least / (len(self) + 1)
-
-    def absorb(self, point: np.ndarray, label: Label) -> None:
-        d = _distances(self.points, point)
+    def absorb(self, label: Label) -> None:
+        """Add the candidate of the last `p_values` call with its revealed label."""
         is_pos = label is Label.POSITIVE
         match = self.is_positive == is_pos
-        if match.any():
-            self.d_same[match] = self._insert_rowwise(self.d_same[match], d[match])
-        if (~match).any():
-            self.d_diff[~match] = self._insert_rowwise(self.d_diff[~match], d[~match])
-        self.d_same = np.vstack([self.d_same, _pad_sorted(d[match], self.k)])
-        self.d_diff = np.vstack([self.d_diff, _pad_sorted(d[~match], self.k)])
-        self.points = np.vstack([self.points, point[None, :]])
+        own, other = self._pools if is_pos else self._pools[::-1]
+        self.same = np.column_stack([np.where(match, self._same_in, self.same), own])
+        self.diff = np.column_stack([np.where(match, self.diff, self._diff_in), other])
+        self.points = np.vstack([self.points, self._point])
         self.is_positive = np.append(self.is_positive, is_pos)
-
-
-def _as_point(bag_dim: int, features: Sequence[float]) -> np.ndarray:
-    point = np.asarray(list(features), dtype=float)
-    if point.shape != (bag_dim,):
-        raise ValueError(f"expected {bag_dim} features, got {point.shape}")
-    if not np.isfinite(point).all():
-        raise ValueError("candidate features must be finite")
-    return point
 
 
 def full_cp_pvalue(
@@ -146,27 +130,8 @@ def full_cp_pvalue(
     over n + 1, the candidate counting for itself.
     """
     features, label = candidate
-    point = _as_point(bag.dim, features)
-    cache = _NeighborCache(bag, k)
-    return cache.query(point, label)
-
-
-@dataclass(frozen=True)
-class OnlineState:
-    """Everything accumulated so far: the bag, the round count, errors, history."""
-
-    bag: TrainingBag
-    round_index: int = 0
-    errors_so_far: int = 0
-    history: tuple[tuple[PredictionRegion, Label], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.round_index < 0 or self.errors_so_far < 0:
-            raise ValueError("round_index and errors_so_far must be >= 0")
-        if self.errors_so_far > self.round_index:
-            raise ValueError("cannot have more errors than rounds")
-        if len(self.history) != self.round_index:
-            raise ValueError("history length must equal round_index")
+    p_pos, p_neg = _OnlineSession(bag, k).p_values(features)
+    return p_pos if label is Label.POSITIVE else p_neg
 
 
 @dataclass(frozen=True)
@@ -179,57 +144,25 @@ class OnlineRound:
     cumulative_error_rate: float
 
 
-def _region_for(
-    cache: _NeighborCache, point: np.ndarray, eps: SignificanceLevel
-) -> PredictionRegion:
-    return PredictionRegion.from_membership(
-        cache.query(point, Label.POSITIVE) > eps.epsilon,
-        cache.query(point, Label.NEGATIVE) > eps.epsilon,
-    )
-
-
-def online_round(
-    state: OnlineState,
-    sample: tuple[Sequence[float], Label],
-    eps: SignificanceLevel,
-    k: int = 1,
-) -> tuple[PredictionRegion, OnlineState]:
-    """Predict a region for one candidate, then absorb its revealed label."""
-    features, label = sample
-    point = _as_point(state.bag.dim, features)
-    cache = _NeighborCache(state.bag, k)
-    predicted = _region_for(cache, point, eps)
-    error = 0 if predicted.contains(label) else 1
-    next_state = OnlineState(
-        bag=state.bag.with_sample(features, label),
-        round_index=state.round_index + 1,
-        errors_so_far=state.errors_so_far + error,
-        history=state.history + ((predicted, label),),
-    )
-    return predicted, next_state
-
-
 def run_online(
     initial: TrainingBag,
     stream: Iterable[tuple[Sequence[float], Label]],
     eps: SignificanceLevel,
     k: int = 1,
 ) -> list[OnlineRound]:
-    """Run the full predict-reveal-absorb protocol over a stream.
-
-    Equivalent to folding `online_round`, but the neighbour pools are carried
-    across rounds instead of being rebuilt, so long streams stay cheap.
-    """
+    """Run the full predict-reveal-absorb protocol over a stream, one item a round."""
+    session = _OnlineSession(initial, k)
     rounds: list[OnlineRound] = []
-    cache = _NeighborCache(initial, k)
     errors = 0
     for index, (features, label) in enumerate(stream, start=1):
-        point = _as_point(initial.dim, features)
-        predicted = _region_for(cache, point, eps)
+        p_pos, p_neg = session.p_values(features)
+        predicted = PredictionRegion.from_membership(
+            p_pos > eps.epsilon, p_neg > eps.epsilon
+        )
         if not predicted.contains(label):
             errors += 1
         rounds.append(OnlineRound(index, predicted, label, errors / index))
-        cache.absorb(point, label)
+        session.absorb(label)
     if not rounds:
         raise ValueError("stream must not be empty")
     return rounds

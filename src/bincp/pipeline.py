@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, Label, SignificanceLevel
+from .core import Dataset, SignificanceLevel
 from .data import load_dataset
 from .evaluate import (
     SCORED_ACCURACY_MODES,
@@ -440,20 +440,31 @@ def parse_report(data: bytes) -> dict:
         raise ValueError(f"not a report document: {err}") from None
     if not isinstance(document, dict) or "results" not in document:
         raise ValueError("not a report document: missing 'results'")
+    if not isinstance(document["results"], list):
+        raise ValueError("not a report document: 'results' is not a list")
+    for number, result in enumerate(document["results"], start=1):
+        for field in _RESULT_FIELDS:
+            try:
+                _value(result, field.path)
+            except (KeyError, TypeError):
+                raise ValueError(
+                    f"not a report document: result {number} has no "
+                    f"{'.'.join(field.path)!r}"
+                ) from None
     return document
 
 
 def regions_csv(result: PipelineResult) -> bytes:
     """Per-sample regions for every requested epsilon, in input order."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    # Rows are encoded as they are written, so no full-size str copy is made.
+    buffer = io.BytesIO()
+    text = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
+    writer = csv.writer(text, lineterminator="\n")
     writer.writerow(["epsilon", "id", "true_label", "p_pos", "p_neg", "region"])
-    truths: dict[str, Label | None] = {}
-    if result.test is not None:
-        truths = {s.id: s.true_label for s in result.test}
+    # Predictions exist only for a test set and keep its row order.
     for value, preds in result.predictions.items():
-        for pred in preds:
-            truth = truths.get(pred.sample_id)
+        for pred, sample in zip(preds, result.test):
+            truth = sample.true_label
             writer.writerow(
                 [
                     repr(float(value)),
@@ -464,7 +475,8 @@ def regions_csv(result: PipelineResult) -> bytes:
                     str(pred.region),
                 ]
             )
-    return buffer.getvalue().encode("utf-8")
+    text.flush()
+    return buffer.getvalue()
 
 
 def trajectory_csv(rounds: list[OnlineRound]) -> bytes:

@@ -25,6 +25,86 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# 24 rows at one decimal, so many distances tie; the first 4 seed the bag.
+PINNED_STREAM = """\
+id,label,x1,x2
+r0,neg,-1.4,-0.6
+r1,pos,0.1,0.5
+r2,pos,0.6,1.2
+r3,neg,-1.2,-0.5
+r4,neg,-0.7,-0.4
+r5,pos,1.0,2.5
+r6,pos,0.1,2.0
+r7,pos,0.4,-0.2
+r8,pos,2.0,0.4
+r9,pos,0.4,-0.6
+r10,neg,-2.9,-0.2
+r11,neg,-2.0,-0.0
+r12,pos,2.6,0.7
+r13,neg,-1.9,-0.4
+r14,pos,1.6,0.5
+r15,pos,0.8,2.1
+r16,neg,0.5,-0.1
+r17,neg,-1.7,-0.9
+r18,neg,-0.2,-1.0
+r19,pos,0.2,0.0
+r20,pos,0.2,0.1
+r21,pos,0.3,1.9
+r22,pos,-0.0,1.7
+r23,neg,-0.4,-0.7
+"""
+
+# `simulate-online --epsilon 0.15` on PINNED_STREAM, byte for byte.
+PINNED_TRAJECTORIES = {
+    1: """\
+round,region,true_label,cumulative_error_rate
+1,both,negative,0.0
+2,both,positive,0.0
+3,positive,positive,0.0
+4,empty,positive,0.25
+5,positive,positive,0.2
+6,positive,positive,0.16666666666666666
+7,negative,negative,0.14285714285714285
+8,negative,negative,0.125
+9,positive,positive,0.1111111111111111
+10,negative,negative,0.1
+11,positive,positive,0.09090909090909091
+12,positive,positive,0.08333333333333333
+13,positive,negative,0.15384615384615385
+14,negative,negative,0.14285714285714285
+15,both,negative,0.13333333333333333
+16,both,positive,0.125
+17,positive,positive,0.11764705882352941
+18,positive,positive,0.1111111111111111
+19,positive,positive,0.10526315789473684
+20,negative,negative,0.1
+""",
+    5: """\
+round,region,true_label,cumulative_error_rate
+1,both,negative,0.0
+2,both,positive,0.0
+3,positive,positive,0.0
+4,negative,positive,0.25
+5,positive,positive,0.2
+6,negative,positive,0.3333333333333333
+7,negative,negative,0.2857142857142857
+8,negative,negative,0.25
+9,positive,positive,0.2222222222222222
+10,negative,negative,0.2
+11,positive,positive,0.18181818181818182
+12,positive,positive,0.16666666666666666
+13,positive,negative,0.23076923076923078
+14,negative,negative,0.21428571428571427
+15,negative,negative,0.2
+16,both,positive,0.1875
+17,positive,positive,0.17647058823529413
+18,positive,positive,0.16666666666666666
+19,positive,positive,0.15789473684210525
+20,negative,negative,0.15
+""",
+}
+
+
 class TestEvaluateCommand:
     def test_text_report_to_stdout(self, capsys):
         code, out, err = run(capsys, *demo_args())
@@ -239,6 +319,22 @@ class TestSimulateOnlineCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+    @pytest.mark.parametrize("k", sorted(PINNED_TRAJECTORIES))
+    def test_trajectory_bytes_are_pinned(self, capsys, tmp_path, k):
+        path = tmp_path / "pinned.csv"
+        path.write_text(PINNED_STREAM, encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "simulate-online",
+            "--data", str(path),
+            "--positive-class", "pos",
+            "--initial-size", "4",
+            "--epsilon", "0.15",
+            "--k", str(k),
+        )
+        assert (code, err) == (0, "")
+        assert out == PINNED_TRAJECTORIES[k]
+
 class TestSynthCommand:
     def test_same_seed_writes_identical_files(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
@@ -294,6 +390,35 @@ class TestReportCommand:
         code, _, err = run(capsys, "report", "--in", str(junk))
         assert code == 1
         assert "report" in err
+
+    @pytest.mark.parametrize(
+        "results, missing",
+        [
+            ('[{"epsilon": 0.1}]', "result 1 has no 'confidence_percent'"),
+            ("[7]", "result 1 has no 'epsilon'"),
+            ('{"epsilon": 0.1}', "'results' is not a list"),
+        ],
+        ids=["missing-field", "row-not-an-object", "not-a-list"],
+    )
+    def test_incomplete_result_rows_are_a_validation_error(
+        self, capsys, tmp_path, results, missing
+    ):
+        partial = tmp_path / "partial.json"
+        partial.write_text(f'{{"results": {results}}}', encoding="utf-8")
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(capsys, "report", "--in", str(partial), "--format", fmt)
+            assert (code, out) == (1, "")
+            assert missing in err
+
+    def test_a_row_missing_a_nested_figure_is_named(self, capsys, tmp_path):
+        saved = tmp_path / "r.json"
+        run(capsys, *demo_args("--format", "json", "--out", str(saved)))
+        document = json.loads(saved.read_text(encoding="utf-8"))
+        del document["results"][0]["binary"]["auroc"]
+        saved.write_text(json.dumps(document), encoding="utf-8")
+        code, _, err = run(capsys, "report", "--in", str(saved))
+        assert code == 1
+        assert "result 1 has no 'binary.auroc'" in err
 
 
 class TestExitCodes:

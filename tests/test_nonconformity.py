@@ -233,13 +233,6 @@ class TestTrainingBag:
         with pytest.raises(ValueError):
             bag.points[0, 0] = 5.0
 
-    def test_with_sample_grows_a_copy(self):
-        bag = bag_of(((0.0,), Label.NEGATIVE))
-        grown = bag.with_sample((1.0,), Label.POSITIVE)
-        assert len(bag) == 1
-        assert len(grown) == 2
-        assert bool(grown.is_positive[1])
-
     def test_from_dataset_requires_features_and_labels(self):
         data = Dataset((Sample(id="a", scores=ScorePair(0.5, 0.5, probability=True)),))
         with pytest.raises(ValueError):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from bincp.core import Label, PredictionRegion, SignificanceLevel
-from bincp.nonconformity import TrainingBag, knn_distance_ratio
+from bincp.nonconformity import TrainingBag, _mean_smallest, knn_distance_ratio
 from bincp.online import (
     OnlineRound,
-    OnlineState,
+    _OnlineSession,
+    _pool_means,
     full_cp_pvalue,
-    online_round,
     run_online,
 )
 
@@ -36,14 +36,26 @@ def two_point_bag():
     return TrainingBag.from_pairs([((0.0,), Label.NEGATIVE), ((10.0,), Label.POSITIVE)])
 
 
-def random_stream(n, dim, seed):
+def random_stream(n, dim, seed, decimals=None):
     rng = np.random.default_rng(seed)
     labels = rng.random(n) < 0.5
     points = rng.normal(size=(n, dim)) + np.where(labels, 1.0, -1.0)[:, None]
+    if decimals is not None:
+        points = np.round(points, decimals)
     return [
         (tuple(points[i]), Label.POSITIVE if labels[i] else Label.NEGATIVE)
         for i in range(n)
     ]
+
+
+def test_pool_means_sum_each_column_smallest_first():
+    # Nine 0.1s sum to 0.8999999999999999 in order but to 0.9 pairwise.
+    columns = [[0.1] * 9, [1.0, 2.0] + [math.inf] * 7, [math.inf] * 9]
+    means = _pool_means(np.array(columns).T)
+    finite = [[d for d in column if math.isfinite(d)] for column in columns]
+    expected = [_mean_smallest(np.array(pool), 9) for pool in finite]
+    assert means.tolist() == expected
+    assert means[0] != np.mean(columns[0])
 
 
 class TestFullCpPValue:
@@ -67,7 +79,7 @@ class TestFullCpPValue:
         bag = TrainingBag.from_pairs([((0.0,), Label.NEGATIVE)])
         assert full_cp_pvalue(bag, ((0.0,), Label.POSITIVE)) == 1.0
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_leave_one_out_oracle(self, k, seed):
         rng = np.random.default_rng(seed)
@@ -108,42 +120,30 @@ class TestFullCpPValue:
 
 
 class TestOnlineRound:
+    """One round of the protocol: a one-item stream."""
+
+    @staticmethod
+    def one_round(epsilon):
+        stream = [((1.0,), Label.NEGATIVE)]
+        [only] = run_online(two_point_bag(), stream, SignificanceLevel(epsilon))
+        return only
+
     def test_epsilon_zero_always_predicts_both(self):
-        state = OnlineState(two_point_bag())
-        region, after = online_round(state, ((1.0,), Label.NEGATIVE), SignificanceLevel(0.0))
-        assert region is PredictionRegion.BOTH
-        assert after.errors_so_far == 0
+        only = self.one_round(0.0)
+        assert only.region is PredictionRegion.BOTH
+        assert only.cumulative_error_rate == 0.0
 
     def test_epsilon_one_always_predicts_empty(self):
-        state = OnlineState(two_point_bag())
-        region, after = online_round(state, ((1.0,), Label.NEGATIVE), SignificanceLevel(1.0))
-        assert region is PredictionRegion.EMPTY
-        assert after.errors_so_far == 1
+        only = self.one_round(1.0)
+        assert only.region is PredictionRegion.EMPTY
+        assert only.cumulative_error_rate == 1.0
 
     def test_two_point_bag_at_one_half(self):
-        state = OnlineState(two_point_bag())
-        region, after = online_round(state, ((1.0,), Label.NEGATIVE), SignificanceLevel(0.5))
+        only = self.one_round(0.5)
         # both hypotheses reach p = 2/3 > 0.5
-        assert region is PredictionRegion.BOTH
-        assert region.contains(Label.NEGATIVE)
-        assert after.errors_so_far == 0
-
-    def test_state_bookkeeping(self):
-        state = OnlineState(two_point_bag())
-        region, after = online_round(state, ((1.0,), Label.NEGATIVE), SignificanceLevel(0.2))
-        assert after.round_index == 1
-        assert len(after.bag) == 3
-        assert after.history == ((region, Label.NEGATIVE),)
-        assert len(state.bag) == 2
-
-    def test_state_invariants_are_validated(self):
-        bag = two_point_bag()
-        with pytest.raises(ValueError):
-            OnlineState(bag, round_index=1, errors_so_far=2,
-                        history=((PredictionRegion.BOTH, Label.POSITIVE),))
-        with pytest.raises(ValueError):
-            OnlineState(bag, round_index=2, errors_so_far=0,
-                        history=((PredictionRegion.BOTH, Label.POSITIVE),))
+        assert only.region is PredictionRegion.BOTH
+        assert only.region.contains(Label.NEGATIVE)
+        assert only.cumulative_error_rate == 0.0
 
 
 class TestRunOnline:
@@ -171,20 +171,21 @@ class TestRunOnline:
         assert all(b - a in (0, 1) for a, b in zip(errors, errors[1:]))
         assert all(0 <= e <= r.round_index for e, r in zip(errors, rounds))
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_matches_folding_single_rounds(self, k):
-        initial = TrainingBag.from_pairs(
-            [(p, lab) for p, lab in random_stream(6, 2, 7)]
-        )
-        stream = random_stream(30, 2, 8)
-        eps = SignificanceLevel(0.25)
-        fast = run_online(initial, stream, eps, k=k)
-
-        state = OnlineState(initial)
-        for r, sample in zip(fast, stream):
-            region, state = online_round(state, sample, eps, k=k)
-            assert region is r.region
-            assert state.errors_so_far / state.round_index == r.cumulative_error_rate
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_every_round_matches_leave_one_out_oracle(self, k):
+        # Coordinates at one decimal make distances, means and alphas tie.
+        initial = random_stream(6, 2, 7, decimals=1)
+        stream = random_stream(30, 2, 8, decimals=1)
+        session = _OnlineSession(TrainingBag.from_pairs(initial), k)
+        seen = list(initial)
+        for features, label in stream:
+            bag = TrainingBag.from_pairs(seen)
+            assert session.p_values(features) == (
+                oracle_full_cp(bag, features, Label.POSITIVE, k),
+                oracle_full_cp(bag, features, Label.NEGATIVE, k),
+            )
+            session.absorb(label)
+            seen.append((features, label))
 
     def test_trajectory_is_reproducible(self):
         stream = random_stream(20, 2, 9)
