@@ -21,7 +21,6 @@ from .evaluate import (
 )
 from .icp import (
     CalibrationTable,
-    PValuePair,
     SplitConfig,
     build_calibration_table,
     p_values,
@@ -29,14 +28,7 @@ from .icp import (
     region,
     split_dataset,
 )
-from .nonconformity import (
-    MeasureSpec,
-    NonconformityValue,
-    TrainingBag,
-    knn_distance_ratio,
-    knn_probability_scores,
-    score_dataset,
-)
+from .nonconformity import MeasureSpec, TrainingBag, score_dataset
 from .online import full_cp_pvalue, run_online
 from .pipeline import OnlineConfig, RunConfig, emit_report, run_pipeline, simulate_online
 
@@ -48,9 +40,7 @@ __all__ = [
     "Dataset",
     "Label",
     "MeasureSpec",
-    "NonconformityValue",
     "OnlineConfig",
-    "PValuePair",
     "PredictionRegion",
     "RunConfig",
     "Sample",
@@ -68,8 +58,6 @@ __all__ = [
     "emit_report",
     "full_cp_pvalue",
     "generate_synthetic",
-    "knn_distance_ratio",
-    "knn_probability_scores",
     "load_dataset",
     "p_values",
     "predict_set",

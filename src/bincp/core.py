@@ -1,11 +1,22 @@
-"""Shared domain types for set-valued binary classification."""
+"""Shared domain types for set-valued binary classification.
+
+A dataset is a set of columns, and `Dataset` is the one place that knows
+their layout and checks them: ids, an int8 label column (`POSITIVE`,
+`NEGATIVE`, or `UNKNOWN` for a missing label), features as an (n, m) float
+array and scores as an (n, 2) float array, either absent for every row,
+and one `probability` flag for the whole dataset.  Region kinds are coded
+by their index in `REGIONS`.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterable
+
+import numpy as np
 
 PROBABILITY_SUM_TOL = 1e-9
 
@@ -14,6 +25,9 @@ PROBABILITY_SUM_TOL = 1e-9
 _ROUND_DIGITS = 12
 
 FeatureVector = tuple[float, ...]
+
+# Codes of the label column.
+UNKNOWN, NEGATIVE, POSITIVE = -1, 0, 1
 
 
 class Label(Enum):
@@ -29,6 +43,67 @@ class Label(Enum):
         return self.value
 
 
+def label_names(labels: np.ndarray) -> list[str]:
+    """The file text of each label code: a class name, or '' when unknown."""
+    return np.array(["", str(Label.NEGATIVE), str(Label.POSITIVE)])[labels + 1].tolist()
+
+
+class RowError(ValueError):
+    """A column check failed at row `row` (zero-based).
+
+    `first` is the earlier row that a duplicate id repeats.
+    """
+
+    def __init__(self, message: str, row: int, first: int | None = None):
+        super().__init__(message)
+        self.row = row
+        self.first = first
+
+
+def _check_rows(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+    """Raise for the first row failing any check, naming the first check it fails.
+
+    Each check is a mask of failing rows and the message for a row.
+    """
+    failing = [
+        (int(np.argmax(bad)), order) for order, (bad, _) in enumerate(checks) if bad.any()
+    ]
+    if failing:
+        row, order = min(failing)
+        raise RowError(checks[order][1](row), row)
+
+
+def _score_checks(scores: np.ndarray, probability: bool) -> list:
+    s_pos, s_neg = scores[:, 0], scores[:, 1]
+    checks = [(np.isnan(scores).any(axis=1), lambda row: "scores must not be NaN")]
+    if probability:
+        with np.errstate(invalid="ignore"):  # inf + -inf fails the finite check
+            total = s_pos + s_neg
+        checks += [
+            (
+                ~np.isfinite(scores).all(axis=1),
+                lambda row: "probability scores must be finite",
+            ),
+            (
+                ((scores < 0.0) | (scores > 1.0)).any(axis=1),
+                lambda row: "probability scores must be in [0, 1], got "
+                f"({s_pos[row].item()}, {s_neg[row].item()})",
+            ),
+            (
+                np.abs(total - 1.0) > PROBABILITY_SUM_TOL,
+                lambda row: "probability scores must sum to 1, got "
+                f"{s_pos[row].item()} + {s_neg[row].item()} = {total[row].item()}",
+            ),
+        ]
+    return checks
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype, order="C")
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class ScorePair:
     """Conformity scores for the two hypothesized labels of one sample.
@@ -37,7 +112,8 @@ class ScorePair:
     class probabilities (for example vote fractions of a tree ensemble) and
     must lie in [0, 1] with s_pos + s_neg = 1.  Untagged pairs are generic
     conformity scores and may be infinite (a maximally nonconforming label
-    hypothesis maps to -inf), but never NaN.
+    hypothesis maps to -inf), but never NaN.  A pair is checked as a score
+    column of one row.
     """
 
     s_pos: float
@@ -45,21 +121,7 @@ class ScorePair:
     probability: bool = False
 
     def __post_init__(self) -> None:
-        if math.isnan(self.s_pos) or math.isnan(self.s_neg):
-            raise ValueError("scores must not be NaN")
-        if self.probability:
-            if not (math.isfinite(self.s_pos) and math.isfinite(self.s_neg)):
-                raise ValueError("probability scores must be finite")
-            if not (0.0 <= self.s_pos <= 1.0 and 0.0 <= self.s_neg <= 1.0):
-                raise ValueError(
-                    f"probability scores must be in [0, 1], got "
-                    f"({self.s_pos}, {self.s_neg})"
-                )
-            if abs(self.s_pos + self.s_neg - 1.0) > PROBABILITY_SUM_TOL:
-                raise ValueError(
-                    f"probability scores must sum to 1, got "
-                    f"{self.s_pos} + {self.s_neg} = {self.s_pos + self.s_neg}"
-                )
+        _check_rows(_score_checks(np.array([[self.s_pos, self.s_neg]]), self.probability))
 
     def for_label(self, label: Label) -> float:
         return self.s_pos if label is Label.POSITIVE else self.s_neg
@@ -70,7 +132,10 @@ class ScorePair:
 
 @dataclass(frozen=True)
 class Sample:
-    """One data point: features and/or precomputed scores, optional label."""
+    """One row of a dataset, for callers that build or read datasets row by row.
+
+    A sample is checked as a dataset of one row.
+    """
 
     id: str
     features: FeatureVector | None = None
@@ -78,57 +143,148 @@ class Sample:
     true_label: Label | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("sample id must be nonempty")
-        if self.features is None and self.scores is None:
-            raise ValueError(f"sample {self.id!r} needs features or scores")
         if self.features is not None:
-            values = tuple(float(v) for v in self.features)
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"sample {self.id!r} has non-finite features")
-            object.__setattr__(self, "features", values)
+            object.__setattr__(self, "features", tuple(float(v) for v in self.features))
+        Dataset((self,))
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An ordered, id-unique collection of samples with a common feature dimension."""
+    """Rows held as columns; every row has a column or none has it.
 
-    samples: tuple[Sample, ...]
-    feature_dim: int | None = None
+    Build one from columns with `from_columns`.  Arrays are stored
+    read-only.  `Dataset(samples, feature_dim)` and `samples` convert from
+    and to `Sample` rows.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        seen: set[str] = set()
-        for sample in self.samples:
-            if sample.id in seen:
-                raise ValueError(f"duplicate sample id {sample.id!r}")
-            seen.add(sample.id)
-        dims = {len(s.features) for s in self.samples if s.features is not None}
-        if len(dims) > 1:
-            raise ValueError(f"inconsistent feature dimensions: {sorted(dims)}")
-        if dims:
-            dim = dims.pop()
-            if self.feature_dim is None:
-                object.__setattr__(self, "feature_dim", dim)
-            elif self.feature_dim != dim:
-                raise ValueError(
-                    f"feature_dim {self.feature_dim} does not match data ({dim})"
-                )
+    ids: np.ndarray
+    labels: np.ndarray
+    features: np.ndarray | None
+    scores: np.ndarray | None
+    probability: bool
+
+    def __init__(self, samples: Iterable[Sample] = (), feature_dim: int | None = None):
+        rows = tuple(samples)
+        for name in ("features", "scores"):
+            if len({getattr(s, name) is None for s in rows}) > 1:
+                raise ValueError(f"only some samples have {name}")
+        dims = sorted({len(s.features) for s in rows if s.features is not None})
+        if len(dims) > 1 or dims and feature_dim not in (None, *dims):
+            raise ValueError(
+                f"inconsistent feature dimensions: {dims}, feature_dim {feature_dim}"
+            )
+        flags = {s.scores.probability for s in rows if s.scores is not None}
+        if len(flags) > 1:
+            raise ValueError("samples mix probability and generic scores")
+        codes = {None: UNKNOWN, Label.NEGATIVE: NEGATIVE, Label.POSITIVE: POSITIVE}
+        self._set_columns(
+            [s.id for s in rows],
+            [codes[s.true_label] for s in rows],
+            [s.features for s in rows] if dims else None,
+            [(s.scores.s_pos, s.scores.s_neg) for s in rows] if flags else None,
+            flags == {True},
+        )
+
+    @classmethod
+    def from_columns(cls, ids, labels, features=None, scores=None, probability=False):
+        """A dataset of the given columns, checked; `features`/`scores` may be None."""
+        data = cls.__new__(cls)
+        data._set_columns(ids, labels, features, scores, probability)
+        return data
+
+    def _set_columns(self, ids, labels, features, scores, probability) -> None:
+        self.ids = _frozen(ids, object)
+        self.labels = _frozen(labels, np.int8)
+        self.features = None if features is None else _frozen(features, float)
+        self.scores = None if scores is None else _frozen(scores, float)
+        self.probability = bool(probability)
+        n = self.ids.size
+        if self.ids.shape != (n,) or self.labels.shape != (n,):
+            raise ValueError("ids and labels must be 1-d columns of one length")
+        if ((self.labels < UNKNOWN) | (self.labels > POSITIVE)).any():
+            raise ValueError("label codes must be -1, 0 or 1")
+        if self.features is not None and (
+            self.features.ndim != 2 or len(self.features) != n
+        ):
+            raise ValueError(f"features must be an ({n}, m) array")
+        if self.scores is not None and self.scores.shape != (n, 2):
+            raise ValueError(f"scores must be an ({n}, 2) array")
+        if n and self.features is None and self.scores is None:
+            raise ValueError("samples need features or scores")
+        checks = [] if self.scores is None else _score_checks(self.scores, self.probability)
+        checks.append((self.ids == "", lambda row: "sample id must be nonempty"))
+        if self.features is not None:
+            checks.append((
+                ~np.isfinite(self.features).all(axis=1),
+                lambda row: f"sample {self.ids[row]!r} has non-finite features",
+            ))
+        _check_rows(checks)
+        unique, first = np.unique(self.ids, return_index=True)
+        if unique.size < n:
+            repeats = np.ones(n, dtype=bool)
+            repeats[first] = False
+            row = int(np.argmax(repeats))
+            raise RowError(
+                f"duplicate sample id {self.ids[row]!r}",
+                row,
+                int(first[np.searchsorted(unique, self.ids[row])]),
+            )
+
+    def take(self, rows) -> "Dataset":
+        """The dataset of the rows an index array, slice or mask selects."""
+        features, scores = (
+            None if column is None else column[rows] for column in (self.features, self.scores)
+        )
+        return Dataset.from_columns(
+            self.ids[rows], self.labels[rows], features, scores, self.probability
+        )
+
+    def with_scores(self, scores: np.ndarray, probability: bool) -> "Dataset":
+        """The same rows carrying the given (n, 2) score column."""
+        return Dataset.from_columns(self.ids, self.labels, self.features, scores, probability)
+
+    def missing(self, *columns: str) -> list[str]:
+        """Ids of up to five rows lacking one of the named columns.
+
+        Names are "features", "scores" and "labels" (a label is missing
+        where it is unknown).
+        """
+        lacking = np.zeros(len(self), dtype=bool)
+        for name in columns:
+            if name == "labels":
+                lacking |= self.labels == UNKNOWN
+            elif getattr(self, name) is None:
+                lacking[:] = True
+        return self.ids[lacking][:5].tolist()
+
+    @property
+    def positive(self) -> np.ndarray:
+        """Mask of the rows labelled positive."""
+        return self.labels == POSITIVE
+
+    @property
+    def feature_dim(self) -> int | None:
+        return None if self.features is None else int(self.features.shape[1])
+
+    @functools.cached_property
+    def samples(self) -> tuple[Sample, ...]:
+        """The rows as `Sample`s."""
+        n = len(self)
+        features = [None] * n if self.features is None else self.features.tolist()
+        scores = [None] * n
+        if self.scores is not None:
+            scores = [ScorePair(a, b, self.probability) for a, b in self.scores.tolist()]
+        labels = [(Label.NEGATIVE, Label.POSITIVE, None)[c] for c in self.labels.tolist()]
+        return tuple(map(Sample, self.ids.tolist(), features, scores, labels))
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def __iter__(self) -> Iterator[Sample]:
-        return iter(self.samples)
-
-    def __getitem__(self, index: int) -> Sample:
-        return self.samples[index]
+        return int(self.ids.size)
 
     def fully_labelled(self) -> bool:
-        return all(s.true_label is not None for s in self.samples)
+        return not (self.labels == UNKNOWN).any()
 
     def count(self, label: Label) -> int:
-        return sum(1 for s in self.samples if s.true_label is label)
+        code = POSITIVE if label is Label.POSITIVE else NEGATIVE
+        return int((self.labels == code).sum())
 
 
 @dataclass(frozen=True)
@@ -168,13 +324,7 @@ class PredictionRegion(Enum):
     def from_membership(
         cls, include_positive: bool, include_negative: bool
     ) -> "PredictionRegion":
-        if include_positive and include_negative:
-            return cls.BOTH
-        if include_positive:
-            return cls.SINGLE_POSITIVE
-        if include_negative:
-            return cls.SINGLE_NEGATIVE
-        return cls.EMPTY
+        return REGIONS[region_codes(include_positive, include_negative)]
 
     def contains(self, label: Label) -> bool:
         if self is PredictionRegion.BOTH:
@@ -197,3 +347,33 @@ class PredictionRegion(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# Region codes are indices into REGIONS; the codes below REGION_BOTH are the
+# singletons.
+REGIONS = (
+    PredictionRegion.SINGLE_POSITIVE,
+    PredictionRegion.SINGLE_NEGATIVE,
+    PredictionRegion.BOTH,
+    PredictionRegion.EMPTY,
+)
+REGION_BOTH = REGIONS.index(PredictionRegion.BOTH)
+
+# Region code by [keeps positive, keeps negative].
+_MEMBERSHIP = np.array(
+    [
+        [REGIONS.index(kind) for kind in row]
+        for row in (
+            (PredictionRegion.EMPTY, PredictionRegion.SINGLE_NEGATIVE),
+            (PredictionRegion.SINGLE_POSITIVE, PredictionRegion.BOTH),
+        )
+    ],
+    dtype=np.int8,
+)
+
+
+def region_codes(keep_positive, keep_negative) -> np.ndarray:
+    """Region code of each row from whether its region keeps each label."""
+    return _MEMBERSHIP[
+        np.asarray(keep_positive, dtype=np.intp), np.asarray(keep_negative, dtype=np.intp)
+    ]

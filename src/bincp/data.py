@@ -13,11 +13,10 @@ import importlib.resources
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, Label, Sample, ScorePair
+from .core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, RowError, label_names
 
 SCHEMAS = ("auto", "features", "scores", "both")
 
@@ -55,16 +54,35 @@ def _parse_header(columns: list[str], path: Path) -> tuple[int, bool]:
     return len(features), has_scores
 
 
-def _parse_float(raw: str, path: Path, line: int, column: str) -> float:
+def _parse_floats(
+    columns: list[tuple[str, ...]], names: list[str]
+) -> tuple[np.ndarray, int, str | None]:
+    """The values of numeric columns up to their first field that is not a number.
+
+    Returns the (rows, len(names)) values of the rows before that field, its
+    row and why it is bad; with no bad field, the row count and None.
+    """
+    rows = len(columns[0]) if columns else 0
     try:
-        value = float(raw)
+        values = np.column_stack(
+            [np.fromiter(map(float, column), float, rows) for column in columns]
+        )
+        if not np.isnan(values).any():
+            return values, rows, None
     except ValueError:
-        raise DataFormatError(
-            f"{path}:{line}: column {column!r} is not a number: {raw!r}"
-        ) from None
-    if math.isnan(value):
-        raise DataFormatError(f"{path}:{line}: column {column!r} is NaN")
-    return value
+        pass
+    for row, fields in enumerate(zip(*columns)):
+        for raw, name in zip(fields, names):
+            try:
+                value = float(raw)
+            except ValueError:
+                reason = f"column {name!r} is not a number: {raw!r}"
+            else:
+                if not math.isnan(value):
+                    continue
+                reason = f"column {name!r} is NaN"
+            before = _parse_floats([column[:row] for column in columns], names)[0]
+            return before, row, reason
 
 
 def load_dataset(
@@ -89,7 +107,8 @@ def load_dataset(
         rows = list(csv.reader(handle))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    n_features, has_scores = _parse_header(rows[0], path)
+    header, rows = rows[0], rows[1:]
+    n_features, has_scores = _parse_header(header, path)
     if schema == "features" and has_scores:
         raise DataFormatError(f"{path}: schema 'features' forbids score columns")
     if schema == "scores" and n_features:
@@ -99,48 +118,39 @@ def load_dataset(
     if schema == "both" and not n_features:
         raise DataFormatError(f"{path}: schema 'both' requires feature columns")
 
-    width = 2 + n_features + (2 if has_scores else 0)
-    names = set() if class_names is None else class_names
-    samples: list[Sample] = []
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise DataFormatError(
-                f"{path}:{line}: expected {width} columns, got {len(row)}"
-            )
-        sample_id = row[0]
-        raw_label = row[1]
-        if raw_label:
-            names.add(raw_label)
-        features = (
-            tuple(
-                _parse_float(row[2 + i], path, line, f"x{i + 1}")
-                for i in range(n_features)
-            )
-            if n_features
-            else None
-        )
-        scores = None
-        if has_scores:
-            s_pos = _parse_float(row[-2], path, line, "s_pos")
-            s_neg = _parse_float(row[-1], path, line, "s_neg")
-            try:
-                scores = ScorePair(s_pos, s_neg, probability=True)
-            except ValueError as err:
-                raise DataFormatError(f"{path}:{line}: {err}") from None
-        label = None
-        if raw_label:
-            label = (
-                Label.POSITIVE if raw_label == positive_class else Label.NEGATIVE
-            )
-        try:
-            samples.append(
-                Sample(id=sample_id, features=features, scores=scores, true_label=label)
-            )
-        except ValueError as err:
-            raise DataFormatError(f"{path}:{line}: {err}") from None
-
-    if not samples:
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    # The rows before the first bad line are checked too, so that the error
+    # reported is the one on the earliest line.
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    wrong = np.flatnonzero(widths != len(header))
+    stop, fault = len(rows), None
+    if wrong.size:
+        stop = int(wrong[0])
+        fault = f"expected {len(header)} columns, got {widths[stop]}"
+    ids, raw_labels, *numeric = list(zip(*rows[:stop])) or [()] * len(header)
+    values, parsed, reason = _parse_floats(numeric, header[2:])
+    if reason is not None:
+        stop, fault = parsed, reason
+    names = set() if class_names is None else class_names
+    names.update(set(raw_labels) - {""})
+    raw_labels = np.array(raw_labels[:stop], dtype=object)
+    labels = np.where(raw_labels == positive_class, POSITIVE, NEGATIVE)
+    labels[raw_labels == ""] = UNKNOWN
+    try:
+        data = Dataset.from_columns(
+            ids[:stop],
+            labels,
+            values[:, :n_features] if n_features else None,
+            values[:, n_features:] if has_scores else None,
+            probability=has_scores,
+        )
+    except RowError as err:
+        first = "" if err.first is None else f" (first on line {err.first + 2})"
+        raise DataFormatError(f"{path}:{err.row + 2}: {err}{first}") from None
+    if fault is not None:
+        raise DataFormatError(f"{path}:{stop + 2}: {fault}")
+
     if len(names) > 2:
         raise DataFormatError(
             f"{path}: more than two classes: {sorted(names)}"
@@ -150,34 +160,23 @@ def load_dataset(
             f"{path}: positive class {positive_class!r} not among "
             f"{sorted(names)}"
         )
-    try:
-        return Dataset(tuple(samples))
-    except ValueError as err:
-        raise DataFormatError(f"{path}: {err}") from None
+    return data
 
 
 def write_dataset(dataset: Dataset, path: Path | str) -> None:
     """Write a dataset back out; labels use the canonical positive/negative names."""
-    path = Path(path)
-    has_features = dataset.feature_dim is not None
-    has_scores = any(s.scores is not None for s in dataset)
-    if has_scores and not all(s.scores is not None for s in dataset):
-        raise ValueError("cannot write a dataset where only some samples have scores")
     header = ["id", "label"]
-    if has_features:
+    columns = [dataset.ids.tolist(), label_names(dataset.labels)]
+    if dataset.features is not None:
         header += [f"x{i}" for i in range(1, dataset.feature_dim + 1)]
-    if has_scores:
+        columns += [list(map(repr, column.tolist())) for column in dataset.features.T]
+    if dataset.scores is not None:
         header += ["s_pos", "s_neg"]
+        columns += [list(map(repr, column.tolist())) for column in dataset.scores.T]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for sample in dataset:
-            row = [sample.id, str(sample.true_label) if sample.true_label else ""]
-            if has_features:
-                row += [repr(v) for v in sample.features]
-            if has_scores:
-                row += [repr(sample.scores.s_pos), repr(sample.scores.s_neg)]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -210,19 +209,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """
     rng = np.random.default_rng(spec.seed)
     width = len(str(spec.n_per_class))
-    samples: list[Sample] = []
-    for label, prefix, offset in (
-        (Label.NEGATIVE, "n", 0.0),
-        (Label.POSITIVE, "p", spec.separation),
-    ):
+    blocks = []
+    for offset in (0.0, spec.separation):
         points = spec.noise * rng.standard_normal((spec.n_per_class, spec.dim))
         points[:, 0] += offset
-        for i, point in enumerate(points, start=1):
-            samples.append(
-                Sample(
-                    id=f"{prefix}{i:0{width}d}",
-                    features=tuple(float(v) for v in point),
-                    true_label=label,
-                )
-            )
-    return Dataset(tuple(samples), spec.dim)
+        blocks.append(points)
+    ids = [
+        f"{prefix}{i:0{width}d}"
+        for prefix in ("n", "p")
+        for i in range(1, spec.n_per_class + 1)
+    ]
+    labels = np.repeat([NEGATIVE, POSITIVE], spec.n_per_class)
+    return Dataset.from_columns(ids, labels, np.vstack(blocks))

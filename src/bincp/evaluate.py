@@ -13,27 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, Label, PredictionRegion, ScorePair, SignificanceLevel
+from .core import REGION_BOTH, REGIONS, Dataset, SignificanceLevel
 
 SCORED_ACCURACY_MODES = ("both_correct", "both_wrong")
 
-# Region kinds in the column order of the region-count table; the codes
-# below `_BOTH` are the singletons.
-_KINDS = (
-    PredictionRegion.SINGLE_POSITIVE,
-    PredictionRegion.SINGLE_NEGATIVE,
-    PredictionRegion.BOTH,
-    PredictionRegion.EMPTY,
-)
-_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
-_BOTH = _KIND_CODES[PredictionRegion.BOTH]
 
-
-def _check_paired(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
+def _check_paired(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) -> None:
     if len(a) == 0:
         raise ValueError(f"{name_a} must not be empty")
     if len(a) != len(b):
@@ -42,20 +31,13 @@ def _check_paired(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
         )
 
 
-def _kinds(regions: Sequence[PredictionRegion]) -> np.ndarray:
-    return np.fromiter(
-        map(_KIND_CODES.__getitem__, regions), dtype=np.intp, count=len(regions)
-    )
-
-
-def _positive(truths: Sequence[Label]) -> np.ndarray:
-    return np.fromiter(
-        (t is Label.POSITIVE for t in truths), dtype=bool, count=len(truths)
-    )
-
-
-def _s_pos(scores: Sequence[ScorePair]) -> np.ndarray:
-    return np.fromiter((s.s_pos for s in scores), dtype=float, count=len(scores))
+def _region_columns(regions, positive) -> tuple[np.ndarray, np.ndarray]:
+    """Region codes (see `core.REGIONS`) and the positive mask, as checked arrays."""
+    regions, positive = np.asarray(regions, dtype=np.intp), np.asarray(positive, dtype=bool)
+    _check_paired("regions", regions, "positive", positive)
+    if not (0 <= regions.min() and regions.max() < len(REGIONS)):
+        raise ValueError(f"region codes must be in [0, {len(REGIONS)})")
+    return regions, positive
 
 
 def _forced_choice(
@@ -123,9 +105,9 @@ class _RegionCounts(NamedTuple):
     empty: int
 
     @classmethod
-    def of(cls, kinds: np.ndarray, positive: np.ndarray) -> "_RegionCounts":
-        cells = np.where(positive, 0, len(_KINDS)) + kinds
-        counts = np.bincount(cells, minlength=2 * len(_KINDS)).reshape(2, -1)
+    def of(cls, regions: np.ndarray, positive: np.ndarray) -> "_RegionCounts":
+        cells = np.where(positive, 0, len(REGIONS)) + regions
+        counts = np.bincount(cells, minlength=2 * len(REGIONS)).reshape(2, -1)
         (tp, fn, pos_both, pos_empty), (fp, tn, neg_both, neg_empty) = counts.tolist()
         return cls(tp, fn, fp, tn, pos_both + neg_both, pos_empty + neg_empty)
 
@@ -151,38 +133,24 @@ class _RegionCounts(NamedTuple):
         return self.validity
 
 
-def _region_counts(
-    regions: Sequence[PredictionRegion], truths: Sequence[Label]
-) -> _RegionCounts:
-    _check_paired("regions", regions, "truths", truths)
-    return _RegionCounts.of(_kinds(regions), _positive(truths))
-
-
-def validity(
-    regions: Sequence[PredictionRegion], truths: Sequence[Label]
-) -> float:
+def validity(regions, positive) -> float:
     """Fraction of regions containing the true label."""
-    return _region_counts(regions, truths).validity
+    return _RegionCounts.of(*_region_columns(regions, positive)).validity
 
 
-def efficiency(regions: Sequence[PredictionRegion]) -> float:
+def efficiency(regions) -> float:
     """Fraction of single-label regions."""
-    if len(regions) == 0:
-        raise ValueError("regions must not be empty")
     # Efficiency ignores the truth, so every row may count as positive.
-    return _RegionCounts.of(_kinds(regions), np.ones(len(regions), bool)).efficiency
+    regions, positive = _region_columns(regions, np.ones(len(regions), dtype=bool))
+    return _RegionCounts.of(regions, positive).efficiency
 
 
-def region_distribution(
-    regions: Sequence[PredictionRegion], truths: Sequence[Label]
-) -> RegionDistribution:
+def region_distribution(regions, positive) -> RegionDistribution:
     """Split the predictions into correct singles, wrong singles, both, empty."""
-    return _region_counts(regions, truths).distribution()
+    return _RegionCounts.of(*_region_columns(regions, positive)).distribution()
 
 
-def scored_accuracy(
-    mode: str, regions: Sequence[PredictionRegion], truths: Sequence[Label]
-) -> float:
+def scored_accuracy(mode: str, regions, positive) -> float:
     """Single-number accuracy under an explicit convention for two-label regions.
 
     "both_correct" credits a two-label region as a hit (it does contain the
@@ -195,7 +163,7 @@ def scored_accuracy(
         raise ValueError(
             f"mode must be one of {SCORED_ACCURACY_MODES}, got {mode!r}"
         )
-    return _region_counts(regions, truths).scored_accuracy(mode)
+    return _RegionCounts.of(*_region_columns(regions, positive)).scored_accuracy(mode)
 
 
 @dataclass(frozen=True)
@@ -221,26 +189,19 @@ def _threshold_confusion(
     return tp, fn, fp, tn
 
 
-def binary_metrics(
-    scores: Sequence[ScorePair],
-    truths: Sequence[Label],
-    threshold: float = 0.5,
-) -> BinaryMetrics:
+def binary_metrics(s_pos, positive, threshold: float = 0.5) -> BinaryMetrics:
     """Threshold probability scores into forced-choice predictions and score them.
 
     A sample is called positive when s_pos >= threshold (ties go positive).
     Sensitivity is TP / (TP + FN), specificity TN / (TN + FP); a missing
     class leaves the corresponding rate undefined.
     """
-    _check_paired("scores", scores, "truths", truths)
-    if not all(s.probability for s in scores):
-        raise ValueError("binary metrics need probability-type scores")
+    s_pos, positive = np.asarray(s_pos, dtype=float), np.asarray(positive, dtype=bool)
+    _check_paired("s_pos", s_pos, "positive", positive)
+    if not ((s_pos >= 0.0) & (s_pos <= 1.0)).all():
+        raise ValueError("binary metrics need probability scores in [0, 1]")
     _check_threshold(threshold)
-    return BinaryMetrics(
-        *_forced_choice(
-            *_threshold_confusion(_s_pos(scores), _positive(truths), threshold)
-        )
-    )
+    return BinaryMetrics(*_forced_choice(*_threshold_confusion(s_pos, positive, threshold)))
 
 
 def _auroc(s_pos: np.ndarray, positive: np.ndarray) -> float:
@@ -255,15 +216,16 @@ def _auroc(s_pos: np.ndarray, positive: np.ndarray) -> float:
     return (wins + 0.5 * ties) / (pos.size * neg.size)
 
 
-def auroc(scores: Sequence[ScorePair], truths: Sequence[Label]) -> float:
+def auroc(s_pos, positive) -> float:
     """Rank-based area under the ROC curve on s_pos.
 
     Equals the win fraction over all positive/negative pairs with ties worth
     half, so all-tied scores give exactly 0.5 and no curve interpolation is
     involved.
     """
-    _check_paired("scores", scores, "truths", truths)
-    return _auroc(_s_pos(scores), _positive(truths))
+    s_pos, positive = np.asarray(s_pos, dtype=float), np.asarray(positive, dtype=bool)
+    _check_paired("s_pos", s_pos, "positive", positive)
+    return _auroc(s_pos, positive)
 
 
 @dataclass(frozen=True)
@@ -281,17 +243,16 @@ def calibration_report(calibration: Dataset, threshold: float = 0.5) -> Calibrat
     This is the health check that tells a reader whether downstream regions
     are built on an informative score or on noise.
     """
-    missing = [s.id for s in calibration if s.scores is None or s.true_label is None]
+    missing = calibration.missing("scores", "labels")
     if missing:
         raise ValueError(
-            f"calibration samples need scores and labels, missing for {missing[:5]}"
+            f"calibration samples need scores and labels, missing for {missing}"
         )
     if len(calibration) == 0:
         raise ValueError("calibration set must not be empty")
-    scores = [s.scores for s in calibration]
-    truths = [s.true_label for s in calibration]
-    rates = binary_metrics(scores, truths, threshold)
-    return CalibrationReport(auroc(scores, truths), rates.accuracy, len(calibration))
+    s_pos, positive = calibration.scores[:, 0], calibration.positive
+    rates = binary_metrics(s_pos, positive, threshold)
+    return CalibrationReport(auroc(s_pos, positive), rates.accuracy, len(calibration))
 
 
 @dataclass(frozen=True)
@@ -311,33 +272,30 @@ class ConditionalSingletonMetrics:
 
 
 def _singleton_metrics(
-    counts: _RegionCounts, kinds: np.ndarray, s_pos: np.ndarray, positive: np.ndarray
+    counts: _RegionCounts, regions: np.ndarray, s_pos: np.ndarray, positive: np.ndarray
 ) -> ConditionalSingletonMetrics:
     tp, fn, fp, tn = counts[:4]
     n_singleton = tp + fn + fp + tn
     if not n_singleton:
         return ConditionalSingletonMetrics(None, None, None, None, 0, 0)
-    single = kinds < _BOTH
+    single = regions < REGION_BOTH
     area = _auroc(s_pos[single], positive[single]) if tp + fn and fp + tn else None
     return ConditionalSingletonMetrics(
         *_forced_choice(tp, fn, fp, tn), area, n_singleton, fp
     )
 
 
-def conditional_singleton_metrics(
-    regions: Sequence[PredictionRegion],
-    scores: Sequence[ScorePair],
-    truths: Sequence[Label],
-) -> ConditionalSingletonMetrics:
+def conditional_singleton_metrics(regions, s_pos, positive) -> ConditionalSingletonMetrics:
     """Evaluate only the samples that received a single-label region.
 
     The singleton itself is the forced-choice prediction, so this answers
     "when the predictor commits, how often is it right", which is the
     fair companion number to overall validity.
     """
-    counts = _region_counts(regions, truths)
-    _check_paired("regions", regions, "scores", scores)
-    return _singleton_metrics(counts, _kinds(regions), _s_pos(scores), _positive(truths))
+    regions, positive = _region_columns(regions, positive)
+    s_pos = np.asarray(s_pos, dtype=float)
+    _check_paired("regions", regions, "s_pos", s_pos)
+    return _singleton_metrics(_RegionCounts.of(regions, positive), regions, s_pos, positive)
 
 
 @dataclass(frozen=True)
@@ -382,22 +340,26 @@ class EvaluationReport:
 
 
 def evaluate_predictions(
-    regions: Sequence[PredictionRegion],
-    scores: Sequence[ScorePair],
-    truths: Sequence[Label],
+    regions,
+    s_pos,
+    positive,
     threshold: float = 0.5,
     epsilon: float = 0.0,
+    *,
+    probability: bool,
 ) -> EvaluationReport:
     """Every metric this module defines for one significance level.
 
-    The region metrics all read one region-count table, so validity equals
-    the both_correct accuracy and the correct-single fraction the both_wrong
-    one, bit for bit.
+    Takes the region codes, the s_pos scores and the mask of positive rows
+    of a test set; `probability` says whether the scores are probabilities,
+    which the thresholded rates need.  The region metrics all read one
+    region-count table, so validity equals the both_correct accuracy and
+    the correct-single fraction the both_wrong one, bit for bit.
     """
-    _check_paired("regions", regions, "truths", truths)
-    _check_paired("regions", regions, "scores", scores)
-    kinds, positive, s_pos = _kinds(regions), _positive(truths), _s_pos(scores)
-    counts = _RegionCounts.of(kinds, positive)
+    regions, positive = _region_columns(regions, positive)
+    s_pos = np.asarray(s_pos, dtype=float)
+    _check_paired("regions", regions, "s_pos", s_pos)
+    counts = _RegionCounts.of(regions, positive)
     return EvaluationReport(
         epsilon=epsilon,
         n=len(regions),
@@ -406,8 +368,6 @@ def evaluate_predictions(
         distribution=counts.distribution(),
         scored_accuracy_both_correct=counts.scored_accuracy("both_correct"),
         scored_accuracy_both_wrong=counts.scored_accuracy("both_wrong"),
-        binary=_metric_panel(
-            s_pos, positive, all(s.probability for s in scores), threshold
-        ),
-        singleton_conditional=_singleton_metrics(counts, kinds, s_pos, positive),
+        binary=_metric_panel(s_pos, positive, probability, threshold),
+        singleton_conditional=_singleton_metrics(counts, regions, s_pos, positive),
     )

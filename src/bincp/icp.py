@@ -5,6 +5,10 @@ scores (of the matching class when Mondrian, pooled otherwise) that conform
 no better than the test sample, counting the test sample itself.  Ties are
 counted inclusively, which keeps the engine deterministic; smoothed p-values
 that randomize over ties are available behind an explicit generator.
+
+P-values do not depend on epsilon, so a run computes the two p-value
+columns of its test set once; the region at each epsilon is one comparison
+of those columns with it, so regions nest as epsilon grows.
 """
 
 from __future__ import annotations
@@ -14,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    Label,
-    PredictionRegion,
-    ScorePair,
-    SignificanceLevel,
-)
+from .core import Dataset, Label, SignificanceLevel, region_codes
 
 
 @dataclass(frozen=True)
@@ -57,35 +55,25 @@ def split_dataset(data: Dataset, config: SplitConfig) -> tuple[Dataset, Dataset]
     if not data.fully_labelled():
         raise ValueError("split requires labelled samples")
     rng = np.random.default_rng(config.seed)
-    proper_idx: list[int] = []
+    chosen = np.zeros(n, dtype=bool)
     if config.stratified:
-        for label in (Label.NEGATIVE, Label.POSITIVE):
-            class_idx = [i for i, s in enumerate(data) if s.true_label is label]
-            if not class_idx:
+        for label, rows in (
+            (Label.NEGATIVE, np.flatnonzero(~data.positive)),
+            (Label.POSITIVE, np.flatnonzero(data.positive)),
+        ):
+            if not rows.size:
                 raise ValueError(f"cannot stratify: no {label} samples")
-            perm = rng.permutation(len(class_idx))
-            take = _proper_count(len(class_idx), config.proper_fraction)
-            proper_idx.extend(class_idx[j] for j in perm[:take])
+            perm = rng.permutation(rows.size)
+            chosen[rows[perm[: _proper_count(rows.size, config.proper_fraction)]]] = True
     else:
-        perm = rng.permutation(n)
-        take = _proper_count(n, config.proper_fraction)
-        proper_idx.extend(int(j) for j in perm[:take])
+        chosen[rng.permutation(n)[: _proper_count(n, config.proper_fraction)]] = True
 
-    chosen = set(proper_idx)
-    if not chosen:
+    if not chosen.any():
         # Calibration holds everything; promote one sample into proper.
-        spare = [i for i in range(n) if i not in chosen]
-        chosen.add(spare[0])
-    elif len(chosen) == n:
-        chosen.remove(sorted(chosen)[-1])
-
-    proper = Dataset(
-        tuple(data[i] for i in range(n) if i in chosen), data.feature_dim
-    )
-    calibration = Dataset(
-        tuple(data[i] for i in range(n) if i not in chosen), data.feature_dim
-    )
-    return proper, calibration
+        chosen[0] = True
+    elif chosen.all():
+        chosen[-1] = False
+    return data.take(chosen), data.take(~chosen)
 
 
 @dataclass(frozen=True)
@@ -126,56 +114,50 @@ def build_calibration_table(
     calibration: Dataset, mondrian: bool = True
 ) -> CalibrationTable:
     """Collect calibration scores into the sorted per-class (or pooled) table."""
-    missing = [s.id for s in calibration if s.scores is None or s.true_label is None]
+    missing = calibration.missing("scores", "labels")
     if missing:
         raise ValueError(
-            f"calibration samples need scores and labels, missing for {missing[:5]}"
+            f"calibration samples need scores and labels, missing for {missing}"
         )
     if len(calibration) == 0:
         raise ValueError("calibration set must not be empty")
+    scores, positive = calibration.scores, calibration.positive
     if mondrian:
-        pos = sorted(s.scores.s_pos for s in calibration if s.true_label is Label.POSITIVE)
-        neg = sorted(s.scores.s_neg for s in calibration if s.true_label is Label.NEGATIVE)
-        if not pos or not neg:
-            empty = Label.POSITIVE if not pos else Label.NEGATIVE
+        pos = np.sort(scores[positive, 0])
+        neg = np.sort(scores[~positive, 1])
+        if not pos.size or not neg.size:
+            empty = Label.POSITIVE if not pos.size else Label.NEGATIVE
             raise ValueError(f"calibration has no {empty} samples")
-        return CalibrationTable(np.array(pos), np.array(neg), mondrian=True)
-    pooled = np.array(sorted(s.scores.for_label(s.true_label) for s in calibration))
+        return CalibrationTable(pos, neg, mondrian=True)
+    pooled = np.sort(np.where(positive, scores[:, 0], scores[:, 1]))
     return CalibrationTable(pooled, pooled, mondrian=False)
 
 
-@dataclass(frozen=True)
-class PValuePair:
-    """p-values for the two label hypotheses, each in (0, 1]."""
-
-    p_pos: float
-    p_neg: float
-
-    def __post_init__(self) -> None:
-        for name, p in (("p_pos", self.p_pos), ("p_neg", self.p_neg)):
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1], got {p}")
-
-
-def _p_value_columns(
+def p_values(
     table: CalibrationTable,
-    s_pos: np.ndarray,
-    s_neg: np.ndarray,
-    smoothed: bool,
-    rng: np.random.Generator | None,
+    s_pos,
+    s_neg,
+    *,
+    smoothed: bool = False,
+    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """p-value columns (positive, negative) for a batch of test score columns.
+    """p-values (positive, negative) of test score columns of any one shape.
 
     A p-value counts the calibration scores below the test score, plus tau
     times the ties and the test sample itself, over n + 1.  The deterministic
-    form takes tau = 1; the smoothed form draws tau in (0, 1] as one (n, 2)
-    block: row by row, the positive hypothesis first.
+    form takes tau = 1; the smoothed form needs `rng` and draws tau in (0, 1]
+    as one block with a trailing axis of two: row by row, the positive
+    hypothesis first.
     """
+    s_pos = np.asarray(s_pos, dtype=float)
+    s_neg = np.asarray(s_neg, dtype=float)
+    if s_pos.shape != s_neg.shape:
+        raise ValueError(f"score shapes differ: {s_pos.shape} and {s_neg.shape}")
     if np.isnan(s_pos).any() or np.isnan(s_neg).any():
         raise ValueError("test scores must not be NaN")
     if smoothed and rng is None:
         raise ValueError("smoothed p-values need an rng")
-    shape = (s_pos.size, 2)
+    shape = s_pos.shape + (2,)
     tau = 1.0 - rng.random(shape) if smoothed else np.ones(shape)
     columns = []
     for side, (calibration_scores, scores) in enumerate(
@@ -184,62 +166,26 @@ def _p_value_columns(
         below = np.searchsorted(calibration_scores, scores, side="left")
         tied = np.searchsorted(calibration_scores, scores, side="right") - below
         n = calibration_scores.size
-        columns.append((below + tau[:, side] * (tied + 1)) / (n + 1))
+        columns.append((below + tau[..., side] * (tied + 1)) / (n + 1))
     return columns[0], columns[1]
 
 
-def p_values(
-    table: CalibrationTable,
-    scores: ScorePair,
-    *,
-    smoothed: bool = False,
-    rng: np.random.Generator | None = None,
-) -> PValuePair:
-    """Rank one test score pair within the calibration table, one p per hypothesis.
-
-    A batch of one: the same counts and draws as one row of `predict_set`;
-    the smoothed form needs `rng` and the positive hypothesis draws first.
-    """
-    p_pos, p_neg = _p_value_columns(
-        table, np.array([scores.s_pos]), np.array([scores.s_neg]), smoothed, rng
-    )
-    return PValuePair(float(p_pos[0]), float(p_neg[0]))
-
-
-def region(p: PValuePair, eps: SignificanceLevel) -> PredictionRegion:
-    """Keep every label whose p-value strictly exceeds epsilon."""
-    return PredictionRegion.from_membership(
-        p.p_pos > eps.epsilon, p.p_neg > eps.epsilon
-    )
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Per-sample outcome: the p-value pair and the region it induces."""
-
-    sample_id: str
-    p: PValuePair
-    region: PredictionRegion
+def region(p_pos, p_neg, eps: SignificanceLevel) -> np.ndarray:
+    """Region codes (see `core.REGIONS`): keep every label whose p-value exceeds epsilon."""
+    return region_codes(np.greater(p_pos, eps.epsilon), np.greater(p_neg, eps.epsilon))
 
 
 def predict_set(
     table: CalibrationTable,
     tests: Dataset,
-    eps: SignificanceLevel,
     *,
     smoothed: bool = False,
     rng: np.random.Generator | None = None,
-) -> list[Prediction]:
-    """Predict a region for every test sample, preserving input order."""
-    missing = [s.id for s in tests if s.scores is None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The p-value columns (positive, negative) of every test sample, in input order."""
+    missing = tests.missing("scores")
     if missing:
-        raise ValueError(f"test samples need scores, missing for {missing[:5]}")
-    s_pos = np.array([s.scores.s_pos for s in tests], dtype=float)
-    s_neg = np.array([s.scores.s_neg for s in tests], dtype=float)
-    p_pos, p_neg = _p_value_columns(table, s_pos, s_neg, smoothed, rng)
-    return [
-        Prediction(sample.id, p, region(p, eps))
-        for sample, p in zip(
-            tests, map(PValuePair, p_pos.tolist(), p_neg.tolist())
-        )
-    ]
+        raise ValueError(f"test samples need scores, missing for {missing}")
+    return p_values(
+        table, tests.scores[:, 0], tests.scores[:, 1], smoothed=smoothed, rng=rng
+    )

@@ -7,16 +7,12 @@ grow with strangeness, so they are negated at the boundary of this module.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Dataset, FeatureVector, Label, ScorePair
+from .core import Dataset, Label
 
 MEASURE_KINDS = ("knn_ratio", "knn_prob", "passthrough")
 
@@ -39,17 +35,6 @@ class MeasureSpec:
     @property
     def needs_bag(self) -> bool:
         return self.kind != "passthrough"
-
-
-@dataclass(frozen=True)
-class NonconformityValue:
-    """How strange a sample looks under a label: 0 conforms best, +inf worst."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.alpha) or self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0 and not NaN, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +74,12 @@ class TrainingBag:
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "TrainingBag":
-        missing = [s.id for s in data if s.features is None or s.true_label is None]
+        missing = data.missing("features", "labels")
         if missing:
             raise ValueError(
-                f"bag samples need features and labels, missing for {missing[:5]}"
+                f"bag samples need features and labels, missing for {missing}"
             )
-        return cls.from_pairs((s.features, s.true_label) for s in data)
+        return cls(data.features, data.positive)
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -106,27 +91,6 @@ class TrainingBag:
 
 def _distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(((points - x) ** 2).sum(axis=1))
-
-
-def _mean_smallest(dists: np.ndarray, k: int) -> float:
-    """Mean of the up-to-k smallest values, summed smallest first; +inf if none."""
-    if dists.size == 0:
-        return math.inf
-    smallest = np.sort(dists)[:k].tolist()
-    return functools.reduce(operator.add, smallest) / len(smallest)
-
-
-def _ratio(d_same: float, d_diff: float) -> float:
-    # Degenerate cases are fixed as monotone limits of d_same / d_diff.
-    if d_same == 0.0 and d_diff == 0.0:
-        return 1.0
-    if math.isinf(d_same) and math.isinf(d_diff):
-        return 1.0
-    if d_diff == 0.0 or math.isinf(d_same):
-        return math.inf
-    if d_same == 0.0 or math.isinf(d_diff):
-        return 0.0
-    return d_same / d_diff
 
 
 def _ratio_array(d_same: np.ndarray, d_diff: np.ndarray) -> np.ndarray:
@@ -142,44 +106,6 @@ def _ratio_array(d_same: np.ndarray, d_diff: np.ndarray) -> np.ndarray:
         [1.0, np.inf, 0.0],
         default=quotient,
     )
-
-
-def knn_distance_ratio(
-    bag: TrainingBag, point: Sequence[float], hypothesized: Label, k: int = 1
-) -> NonconformityValue:
-    """Distance to nearest same-label points over distance to nearest other-label points.
-
-    With k > 1 each side is the mean of the k smallest distances (fewer when a
-    pool is smaller than k).  An empty same-label pool yields +inf, an empty
-    other-label pool yields 0.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    x = np.asarray(list(point), dtype=float)
-    if x.shape != (bag.dim,):
-        raise ValueError(f"expected {bag.dim} features, got {x.shape}")
-    same_mask = bag.is_positive == (hypothesized is Label.POSITIVE)
-    d = _distances(bag.points, x)
-    d_same = _mean_smallest(d[same_mask], k)
-    d_diff = _mean_smallest(d[~same_mask], k)
-    return NonconformityValue(_ratio(d_same, d_diff))
-
-
-def knn_probability_scores(bag: TrainingBag, point: Sequence[float], k: int) -> ScorePair:
-    """Fraction of positive labels among the k nearest bag points.
-
-    Distance ties are broken by bag index, ascending, so results do not
-    depend on any internal sort quirks.
-    """
-    if not 1 <= k <= len(bag):
-        raise ValueError(f"k must be in [1, {len(bag)}], got {k}")
-    x = np.asarray(list(point), dtype=float)
-    if x.shape != (bag.dim,):
-        raise ValueError(f"expected {bag.dim} features, got {x.shape}")
-    d = _distances(bag.points, x)
-    nearest = np.argsort(d, kind="stable")[:k]
-    frac_pos = float(bag.is_positive[nearest].mean())
-    return ScorePair(frac_pos, 1.0 - frac_pos, probability=True)
 
 
 def _row_means(sorted_block: np.ndarray) -> np.ndarray:
@@ -267,38 +193,32 @@ def _k_nearest(
     return index, dist
 
 
-def _query_matrix(data: Dataset, measure: MeasureSpec) -> np.ndarray:
-    missing = [s.id for s in data if s.features is None]
-    if missing:
-        raise ValueError(
-            f"measure {measure.kind!r} needs features, missing for {missing[:5]}"
-        )
-    return np.array([list(s.features) for s in data], dtype=float)
-
-
 def score_dataset(
     measure: MeasureSpec, bag: TrainingBag | None, data: Dataset
 ) -> Dataset:
-    """Return a copy of `data` whose samples carry scores from the chosen measure.
+    """Return `data` with the score column of the chosen measure.
 
-    The input dataset is never modified.  Passthrough requires precomputed
-    scores; the nearest-neighbour measures require features plus a bag.
-    Distance ties among bag points go to the lower bag index.  Scores do
-    not depend on the BLAS library or its thread count, and queries are
-    scored in blocks, so scratch memory stays near `_BLOCK_BYTES` per
-    block whatever the size of `data`.
+    Passthrough requires precomputed scores and returns `data` itself; the
+    nearest-neighbour measures require features plus a bag.  Distance ties
+    among bag points go to the lower bag index.  Scores do not depend on
+    the BLAS library or its thread count, and queries are scored in blocks,
+    so scratch memory stays near `_BLOCK_BYTES` per block whatever the size
+    of `data`.
     """
     if measure.kind == "passthrough":
-        missing = [s.id for s in data if s.scores is None]
+        missing = data.missing("scores")
         if missing:
-            raise ValueError(f"passthrough needs precomputed scores, missing for {missing[:5]}")
-        return Dataset(data.samples, data.feature_dim)
+            raise ValueError(f"passthrough needs precomputed scores, missing for {missing}")
+        return data
 
     if bag is None:
         raise ValueError(f"measure {measure.kind!r} needs a training bag")
     if len(data) == 0:
-        return Dataset((), data.feature_dim)
-    queries = _query_matrix(data, measure)
+        return data.with_scores(np.empty((0, 2)), measure.kind == "knn_prob")
+    missing = data.missing("features")
+    if missing:
+        raise ValueError(f"measure {measure.kind!r} needs features, missing for {missing}")
+    queries = data.features
     if queries.shape[1] != bag.dim:
         raise ValueError(
             f"data has {queries.shape[1]} features but bag has {bag.dim}"
@@ -309,23 +229,12 @@ def score_dataset(
             raise ValueError(f"k must be in [1, {len(bag)}], got {measure.k}")
         nearest, _ = _k_nearest(queries, bag.points, measure.k)
         frac_pos = bag.is_positive[nearest].mean(axis=1)
-        pairs = [
-            ScorePair(float(f), 1.0 - float(f), probability=True) for f in frac_pos
-        ]
-    else:
-        mean_pos, mean_neg = (
-            _row_means(_k_nearest(queries, bag.points[pool], measure.k)[1])
-            for pool in (bag.is_positive, ~bag.is_positive)
-        )
-        alpha_pos = _ratio_array(mean_pos, mean_neg)
-        alpha_neg = _ratio_array(mean_neg, mean_pos)
-        pairs = [
-            ScorePair(float(-ap), float(-an))
-            for ap, an in zip(alpha_pos, alpha_neg)
-        ]
-
-    samples = tuple(
-        dataclasses.replace(sample, scores=pair)
-        for sample, pair in zip(data.samples, pairs)
+        return data.with_scores(np.column_stack([frac_pos, 1.0 - frac_pos]), True)
+    mean_pos, mean_neg = (
+        _row_means(_k_nearest(queries, bag.points[pool], measure.k)[1])
+        for pool in (bag.is_positive, ~bag.is_positive)
     )
-    return Dataset(samples, data.feature_dim)
+    alphas = np.column_stack(
+        [_ratio_array(mean_pos, mean_neg), _ratio_array(mean_neg, mean_pos)]
+    )
+    return data.with_scores(-alphas, False)

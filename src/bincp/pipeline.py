@@ -2,7 +2,10 @@
 
 Every run is a pure function of its input files and configuration; reports
 carry no timestamps or environment details, so rerunning a configuration
-reproduces the output byte for byte.
+reproduces the output byte for byte.  Data moves between the stages as
+`Dataset` columns: a run computes the p-value columns of its test set once,
+derives the region codes of each epsilon from them, and the report and
+regions writers format whole columns.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, SignificanceLevel
+from .core import REGIONS, Dataset, Label, SignificanceLevel, label_names
 from .data import load_dataset
 from .evaluate import (
     SCORED_ACCURACY_MODES,
@@ -28,10 +32,10 @@ from .evaluate import (
     evaluate_predictions,
 )
 from .icp import (
-    Prediction,
     SplitConfig,
     build_calibration_table,
     predict_set,
+    region,
     split_dataset,
 )
 from .nonconformity import MeasureSpec, TrainingBag, score_dataset
@@ -176,8 +180,15 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """The report document plus, when a test set was given, its predictions.
+
+    `p_values` holds the (positive, negative) p-value columns of the test
+    rows, and `regions` their region codes per epsilon, in config order.
+    """
+
     document: dict
-    predictions: dict[float, list[Prediction]]
+    p_values: tuple[np.ndarray, np.ndarray] | None
+    regions: dict[float, np.ndarray]
     test: Dataset | None
 
 
@@ -207,7 +218,7 @@ def _validate_config(config: RunConfig) -> None:
 
 
 def _calibration_block(calibration: Dataset, threshold: float) -> dict:
-    if all(s.scores is not None and s.scores.probability for s in calibration):
+    if calibration.probability:
         summary = calibration_report(calibration, threshold)
     else:
         # Non-probability scores have no meaningful threshold, so only the
@@ -279,31 +290,29 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     with _stage("calibration-report"):
         calibration_block = _calibration_block(calibration, config.threshold)
 
-    predictions: dict[float, list[Prediction]] = {}
+    p_values = None
+    regions: dict[float, np.ndarray] = {}
     results: list[dict] = []
     if test is not None:
-        scores = [s.scores for s in test]
-        truths = [s.true_label for s in test]
+        # P-values do not depend on epsilon: one draw of smoothing ties
+        # serves every level, so regions nest across epsilon.
+        rng = None
+        if config.smoothed:
+            rng = np.random.default_rng(config.smoothing_seed)
+        with _stage("predict"):
+            p_values = predict_set(table, test, smoothed=config.smoothed, rng=rng)
         labelled = test.fully_labelled()
         for value in dict.fromkeys(config.epsilons):
-            # A fresh generator per epsilon gives every level the same tie
-            # draws, so smoothed regions nest across epsilon as the plain
-            # ones do.
-            rng = None
-            if config.smoothed:
-                rng = np.random.default_rng(config.smoothing_seed)
-            eps = SignificanceLevel(value)
-            with _stage("predict"):
-                preds = predict_set(table, test, eps, smoothed=config.smoothed, rng=rng)
-            predictions[value] = preds
+            regions[value] = region(*p_values, SignificanceLevel(value))
             if labelled:
                 with _stage("evaluate"):
                     report = evaluate_predictions(
-                        regions=[p.region for p in preds],
-                        scores=scores,
-                        truths=truths,
+                        regions=regions[value],
+                        s_pos=test.scores[:, 0],
+                        positive=test.positive,
                         threshold=config.threshold,
                         epsilon=value,
+                        probability=test.probability,
                     )
                 results.append(_json_block(_RESULT_FIELDS, report))
 
@@ -313,7 +322,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "n_test": None if test is None else len(test),
         "results": results,
     }
-    return PipelineResult(document, predictions, test)
+    return PipelineResult(document, p_values, regions, test)
 
 
 @dataclass(frozen=True)
@@ -346,13 +355,10 @@ def simulate_online(config: OnlineConfig) -> list[OnlineRound]:
                 f"(dataset has {len(data)} rows)"
             )
     with _stage("simulate"):
-        initial = TrainingBag.from_dataset(
-            Dataset(data.samples[: config.initial_size], data.feature_dim)
-        )
-        stream = [
-            (s.features, s.true_label) for s in data.samples[config.initial_size :]
-        ]
-        return run_online(initial, stream, eps, config.k)
+        initial = TrainingBag.from_dataset(data.take(slice(config.initial_size)))
+        rest = data.take(slice(config.initial_size, None))
+        labels = [Label.POSITIVE if p else Label.NEGATIVE for p in rest.positive.tolist()]
+        return run_online(initial, zip(rest.features, labels), eps, config.k)
 
 
 def _cell(value) -> str:
@@ -440,6 +446,13 @@ def parse_report(data: bytes) -> dict:
         raise ValueError(f"not a report document: {err}") from None
     if not isinstance(document, dict) or "results" not in document:
         raise ValueError("not a report document: missing 'results'")
+    # "config" is checked before its "measure" is looked up.
+    for name in ("calibration", "config", "config.measure"):
+        block = document
+        for key in name.split("."):
+            block = block.get(key, {})
+        if not isinstance(block, dict):
+            raise ValueError(f"not a report document: {name!r} is not an object")
     if not isinstance(document["results"], list):
         raise ValueError("not a report document: 'results' is not a list")
     for number, result in enumerate(document["results"], start=1):
@@ -456,27 +469,26 @@ def parse_report(data: bytes) -> dict:
 
 def regions_csv(result: PipelineResult) -> bytes:
     """Per-sample regions for every requested epsilon, in input order."""
-    # Rows are encoded as they are written, so no full-size str copy is made.
-    buffer = io.BytesIO()
-    text = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["epsilon", "id", "true_label", "p_pos", "p_neg", "region"])
-    # Predictions exist only for a test set and keep its row order.
-    for value, preds in result.predictions.items():
-        for pred, sample in zip(preds, result.test):
-            truth = sample.true_label
-            writer.writerow(
-                [
-                    repr(float(value)),
-                    pred.sample_id,
-                    str(truth) if truth is not None else "",
-                    repr(pred.p.p_pos),
-                    repr(pred.p.p_neg),
-                    str(pred.region),
-                ]
+    blocks = ["epsilon,id,true_label,p_pos,p_neg,region\n".encode("utf-8")]
+    if result.regions:
+        # The fields shared by every epsilon are formatted once, by a csv
+        # writer that hands each row to `lines`; ids are quoted as csv needs.
+        test = result.test
+        lines: list[str] = []
+        csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+            zip(
+                test.ids.tolist(),
+                label_names(test.labels),
+                *(map(repr, column.tolist()) for column in result.p_values),
             )
-    text.flush()
-    return buffer.getvalue()
+        )
+        shared = [line[:-1] for line in lines]
+        names = [str(kind) for kind in REGIONS]
+        for value, codes in result.regions.items():
+            row = repr(float(value)) + ",{},{}\n"
+            text = "".join(map(row.format, shared, map(names.__getitem__, codes.tolist())))
+            blocks.append(text.encode("utf-8"))
+    return b"".join(blocks)
 
 
 def trajectory_csv(rounds: list[OnlineRound]) -> bytes:

@@ -14,13 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from bincp.cli import main
-from bincp.core import (
-    Dataset,
-    Label,
-    PredictionRegion,
-    ScorePair,
-    SignificanceLevel,
-)
+from bincp.core import REGIONS, Label, PredictionRegion, SignificanceLevel
 from bincp.data import SyntheticSpec, figure1_path, generate_synthetic
 from bincp.evaluate import (
     auroc,
@@ -50,19 +44,21 @@ def criterion(number, name):
     print(f"acceptance criterion {number}: PASS ({name})")
 
 
+def code(kind):
+    return REGIONS.index(kind)
+
+
 def mixture(correct_single, false_single, both, empty):
+    """Region codes and a positive mask with the requested four-way counts."""
     regions = (
-        [PredictionRegion.SINGLE_POSITIVE] * (correct_single + false_single)
-        + [PredictionRegion.BOTH] * both
-        + [PredictionRegion.EMPTY] * empty
+        [code(PredictionRegion.SINGLE_POSITIVE)] * (correct_single + false_single)
+        + [code(PredictionRegion.BOTH)] * both
+        + [code(PredictionRegion.EMPTY)] * empty
     )
-    truths = (
-        [Label.POSITIVE] * correct_single
-        + [Label.NEGATIVE] * false_single
-        + [Label.POSITIVE] * both
-        + [Label.NEGATIVE] * empty
+    positive = (
+        [True] * correct_single + [False] * false_single + [True] * both + [False] * empty
     )
-    return regions, truths
+    return regions, positive
 
 
 def test_criterion_1_figure1_golden_fixture(capsys, tmp_path):
@@ -106,13 +102,10 @@ def test_criterion_2_validity_arithmetic(capsys):
 def test_criterion_3_decomposition_identities(capsys):
     with capsys.disabled(), criterion(3, "decomposition identities on 1000 random sets"):
         rng = np.random.default_rng(42)
-        all_regions = list(PredictionRegion)
         for _ in range(1000):
             n = int(rng.integers(1, 300))
-            regions = [all_regions[i] for i in rng.integers(0, 4, size=n)]
-            truths = [
-                Label.POSITIVE if b else Label.NEGATIVE for b in rng.random(n) < 0.5
-            ]
+            regions = rng.integers(0, len(REGIONS), size=n)
+            truths = rng.random(n) < 0.5
             dist = region_distribution(regions, truths)
             gap = scored_accuracy("both_correct", regions, truths) - scored_accuracy(
                 "both_wrong", regions, truths
@@ -120,8 +113,8 @@ def test_criterion_3_decomposition_identities(capsys):
             assert abs(validity(regions, truths) - dist.validity) <= 1e-12
             assert abs(gap - dist.frac_both) <= 1e-12
             assert abs(efficiency(regions) - dist.efficiency) <= 1e-12
-            n_both = sum(1 for r in regions if r is PredictionRegion.BOTH)
-            n_single = sum(1 for r in regions if r.is_singleton)
+            n_both = sum(1 for r in regions if REGIONS[r] is PredictionRegion.BOTH)
+            n_single = sum(1 for r in regions if REGIONS[r].is_singleton)
             assert round(dist.frac_both * n) == n_both
             assert round(efficiency(regions) * n) == n_single
 
@@ -152,17 +145,17 @@ def test_criterion_4_pvalue_oracle_and_nestedness(capsys):
                         return float(column[rng.integers(0, len(column))])
                     return float(rng.normal())
 
-                pair = ScorePair(draw(pos), draw(neg))
-                p = p_values(table, pair)
-                assert p.p_pos == _oracle_p(pos, pair.s_pos)
-                assert p.p_neg == _oracle_p(neg, pair.s_neg)
+                s_pos, s_neg = draw(pos), draw(neg)
+                p_pos, p_neg = p_values(table, s_pos, s_neg)
+                assert p_pos == _oracle_p(pos, s_pos)
+                assert p_neg == _oracle_p(neg, s_neg)
 
                 previous = None
                 for eps in grid:
                     current = frozenset(
                         label
                         for label in (Label.POSITIVE, Label.NEGATIVE)
-                        if region(p, eps).contains(label)
+                        if REGIONS[region(p_pos, p_neg, eps)].contains(label)
                     )
                     if previous is not None:
                         assert current <= previous
@@ -170,12 +163,13 @@ def test_criterion_4_pvalue_oracle_and_nestedness(capsys):
 
 
 def _slice_dataset(data, lo, hi, n_per_class):
-    rows = data.samples[lo:hi] + data.samples[n_per_class + lo : n_per_class + hi]
-    return Dataset(rows, data.feature_dim)
+    rows = np.r_[lo:hi, n_per_class + lo : n_per_class + hi]
+    return data.take(rows)
 
 
-def _class_error(regions, truths, label):
-    hits = [r.contains(label) for r, t in zip(regions, truths) if t is label]
+def _class_error(regions, positive, label):
+    is_label = positive == (label is Label.POSITIVE)
+    hits = [REGIONS[r].contains(label) for r in regions[is_label]]
     return 1.0 - sum(hits) / len(hits)
 
 
@@ -199,11 +193,11 @@ def test_criterion_5_mondrian_coverage(capsys):
             calibration = score_dataset(measure, bag, calibration)
             test = score_dataset(measure, bag, test)
             table = build_calibration_table(calibration, mondrian=True)
-            truths = [s.true_label for s in test]
+            truths = test.positive
+            p_pos, p_neg = predict_set(table, test)
 
             for eps in epsilons:
-                predictions = predict_set(table, test, SignificanceLevel(eps))
-                regions = [p.region for p in predictions]
+                regions = region(p_pos, p_neg, SignificanceLevel(eps))
                 bound = eps + 3.0 * math.sqrt(eps * (1.0 - eps) / 1000)
                 if all(
                     _class_error(regions, truths, label) <= bound
@@ -227,11 +221,10 @@ def test_criterion_6_online_validity(capsys):
                 )
             )
             order = np.random.default_rng(200 + seed).permutation(len(data))
-            shuffled = [data[int(i)] for i in order]
-            initial = TrainingBag.from_pairs(
-                [(s.features, s.true_label) for s in shuffled[:10]]
-            )
-            stream = [(s.features, s.true_label) for s in shuffled[10:]]
+            labels = [Label.POSITIVE if p else Label.NEGATIVE for p in data.positive]
+            shuffled = [(tuple(data.features[i]), labels[i]) for i in order]
+            initial = TrainingBag.from_pairs(shuffled[:10])
+            stream = shuffled[10:]
             rounds = run_online(initial, stream, SignificanceLevel(0.2), k=1)
             assert len(rounds) == 500
             finals.append(rounds[-1].cumulative_error_rate)
@@ -273,9 +266,8 @@ def test_criterion_7_auroc_oracle(capsys):
                 )
             )
         for pos, neg in cases:
-            scores = [ScorePair(v, 1.0 - v, probability=True) for v in pos + neg]
-            truths = [Label.POSITIVE] * len(pos) + [Label.NEGATIVE] * len(neg)
-            assert auroc(scores, truths) == _brute_force_auroc(pos, neg)
+            truths = [True] * len(pos) + [False] * len(neg)
+            assert auroc(pos + neg, truths) == _brute_force_auroc(pos, neg)
 
 
 def test_criterion_8_byte_identical_reruns(capsys, tmp_path):

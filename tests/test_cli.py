@@ -229,6 +229,18 @@ class TestEvaluateCommand:
         assert row["n"] == 2
         assert row["binary"]["sensitivity"] is None
 
+    def test_duplicate_ids_name_the_file_and_both_lines(self, capsys, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "id,label,s_pos,s_neg\na,A,0.9,0.1\nb,B,0.2,0.8\na,B,0.5,0.5\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            capsys, "evaluate", "--calibration", str(path), "--positive-class", "B"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: load: {path}:4: duplicate sample id 'a' (first on line 2)\n"
+
     def test_smoothed_runs_are_seed_reproducible(self, capsys):
         args = demo_args("--smoothed", "--smoothing-seed", "5", "--format", "json")
         code_a, out_a, _ = run(capsys, *args)
@@ -253,6 +265,24 @@ class TestPredictCommand:
         assert t2[1] == "t2"
         assert float(t2[3]) == 1.0
         assert t2[5] == "positive"
+
+    def test_ids_that_need_quoting_are_quoted(self, capsys, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            'id,label,s_pos,s_neg\n"a,1",A,0.9,0.1\n"b""q",B,0.2,0.8\n"c\nd",B,0.5,0.5\n',
+            encoding="utf-8",
+        )
+        code, out, _ = run(
+            capsys, "predict", "--calibration", str(path), "--test", str(path),
+            "--positive-class", "B", "--epsilon", "0.6",
+        )
+        assert code == 0
+        assert out == (
+            "epsilon,id,true_label,p_pos,p_neg,region\n"
+            '0.6,"a,1",negative,1.0,1.0,both\n'
+            '0.6,"b""q",positive,0.6666666666666666,1.0,both\n'
+            '0.6,"c\nd",positive,1.0,1.0,both\n'
+        )
 
     def test_requires_a_test_set(self, capsys):
         code, _, err = run(
@@ -409,6 +439,26 @@ class TestReportCommand:
             code, out, err = run(capsys, "report", "--in", str(partial), "--format", fmt)
             assert (code, out) == (1, "")
             assert missing in err
+
+    @pytest.mark.parametrize(
+        "document, block",
+        [
+            ('{"results": [], "calibration": []}', "calibration"),
+            ('{"results": [], "calibration": null}', "calibration"),
+            ('{"results": [], "config": []}', "config"),
+            ('{"results": [], "config": {"measure": 3}}', "config.measure"),
+        ],
+        ids=["calibration-list", "calibration-null", "config-list", "measure-number"],
+    )
+    def test_blocks_that_are_not_objects_are_a_validation_error(
+        self, capsys, tmp_path, document, block
+    ):
+        saved = tmp_path / "blocks.json"
+        saved.write_text(document, encoding="utf-8")
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(capsys, "report", "--in", str(saved), "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == f"error: not a report document: {block!r} is not an object\n"
 
     def test_a_row_missing_a_nested_figure_is_named(self, capsys, tmp_path):
         saved = tmp_path / "r.json"

@@ -4,13 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+
 from bincp.core import (
+    NEGATIVE,
+    POSITIVE,
+    REGIONS,
+    UNKNOWN,
     Dataset,
     Label,
     PredictionRegion,
+    RowError,
     Sample,
     ScorePair,
     SignificanceLevel,
+    region_codes,
 )
 
 
@@ -46,6 +54,14 @@ class TestPredictionRegion:
             is PredictionRegion.SINGLE_NEGATIVE
         )
         assert PredictionRegion.from_membership(False, False) is PredictionRegion.EMPTY
+
+    def test_region_codes_match_membership_row_by_row(self):
+        keep_pos = np.array([True, True, False, False])
+        keep_neg = np.array([True, False, True, False])
+        codes = region_codes(keep_pos, keep_neg)
+        assert [REGIONS[c] for c in codes] == [
+            PredictionRegion.from_membership(p, n) for p, n in zip(keep_pos, keep_neg)
+        ]
 
     def test_size_and_singleton_flags(self):
         assert PredictionRegion.BOTH.size == 2
@@ -162,3 +178,61 @@ class TestDataset:
         assert len(data) == 3
         assert data.count(Label.POSITIVE) == 1
         assert not data.fully_labelled()
+        assert data.labels.tolist() == [POSITIVE, NEGATIVE, UNKNOWN]
+
+    def test_samples_round_trip(self):
+        rows = (
+            Sample(id="a", features=(0.5,), scores=ScorePair(0.2, 0.8, True),
+                   true_label=Label.NEGATIVE),
+            Sample(id="b", features=(1.5,), scores=ScorePair(1.0, 0.0, True)),
+        )
+        data = Dataset(rows)
+        assert data.samples == rows
+        assert data.probability
+        assert data.scores.tolist() == [[0.2, 0.8], [1.0, 0.0]]
+
+
+class TestDatasetColumns:
+    def test_columns_are_read_only(self):
+        data = Dataset.from_columns(["a", "b"], [POSITIVE, UNKNOWN], [(0.0,), (1.0,)])
+        for column in (data.ids, data.labels, data.features):
+            assert not column.flags.writeable
+        assert data.labels.dtype == np.int8
+        assert data.feature_dim == 1
+        assert data.scores is None
+
+    def test_take_and_with_scores(self):
+        data = Dataset.from_columns(["a", "b", "c"], [1, 0, 1], [(0.0,), (1.0,), (2.0,)])
+        part = data.take(np.array([False, True, True]))
+        assert part.ids.tolist() == ["b", "c"]
+        assert part.features.tolist() == [[1.0], [2.0]]
+        scored = part.with_scores(np.array([[0.1, 0.9], [0.6, 0.4]]), True)
+        assert scored.probability and scored.ids.tolist() == ["b", "c"]
+        assert scored.missing("scores") == [] and part.missing("scores") == ["b", "c"]
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (dict(labels=[1]), "one length"),
+            (dict(labels=[1, 2]), "label codes"),
+            (dict(features=[(0.0,)]), r"\(2, m\)"),
+            (dict(features=None, scores=[0.5, 0.5]), r"\(2, 2\)"),
+            (dict(features=None), "features or scores"),
+        ],
+    )
+    def test_malformed_columns_are_rejected(self, columns, message):
+        given = dict(ids=["a", "b"], labels=[1, 0], features=[(0.0,), (1.0,)])
+        given.update(columns)
+        with pytest.raises(ValueError, match=message):
+            Dataset.from_columns(**given)
+
+    def test_the_first_failing_row_is_named(self):
+        scores = [(0.5, 0.5), (0.2, 0.2), (1.5, -0.5)]
+        with pytest.raises(RowError, match="sum to 1") as caught:
+            Dataset.from_columns(["a", "b", "c"], [1] * 3, scores=scores, probability=True)
+        assert caught.value.row == 1
+        with pytest.raises(RowError) as caught:
+            Dataset.from_columns(["a", "b", "a", "b"], [1] * 4, [(0.0,)] * 4)
+        assert (str(caught.value), caught.value.row, caught.value.first) == (
+            "duplicate sample id 'a'", 2, 0
+        )

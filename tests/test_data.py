@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from bincp.core import Dataset, Label, Sample, ScorePair
+from bincp.core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, Label, Sample, ScorePair
 from bincp.data import (
     DataFormatError,
     SyntheticSpec,
@@ -28,12 +27,9 @@ class TestBundledFixtures:
         assert data.count(Label.POSITIVE) == 11
         assert data.count(Label.NEGATIVE) == 10
         assert data.feature_dim is None
-        assert sorted(
-            s.scores.s_pos for s in data if s.true_label is Label.POSITIVE
-        ) == sorted(FIGURE1_POS)
-        assert sorted(
-            s.scores.s_neg for s in data if s.true_label is Label.NEGATIVE
-        ) == sorted(FIGURE1_NEG)
+        assert data.probability
+        assert sorted(data.scores[data.positive, 0].tolist()) == sorted(FIGURE1_POS)
+        assert sorted(data.scores[~data.positive, 1].tolist()) == sorted(FIGURE1_NEG)
 
     def test_positive_class_mapping_is_symmetric(self):
         flipped = load_dataset(figure1_path(), positive_class="A")
@@ -42,12 +38,8 @@ class TestBundledFixtures:
 
     def test_demo_test_fixture_contents(self):
         data = load_dataset(demo_test_path(), positive_class="B")
-        assert [s.id for s in data] == ["t1", "t2", "t3"]
-        assert [s.true_label for s in data] == [
-            Label.POSITIVE,
-            Label.POSITIVE,
-            Label.NEGATIVE,
-        ]
+        assert data.ids.tolist() == ["t1", "t2", "t3"]
+        assert data.labels.tolist() == [POSITIVE, POSITIVE, NEGATIVE]
 
 
 class TestLoadDataset:
@@ -55,15 +47,15 @@ class TestLoadDataset:
         path = write_csv(tmp_path, "id,label,x1,x2\na,yes,1.0,2.5\nb,no,-1.0,0.0\n")
         data = load_dataset(path, positive_class="yes")
         assert data.feature_dim == 2
-        assert data[0].features == (1.0, 2.5)
-        assert data[0].true_label is Label.POSITIVE
-        assert data[1].true_label is Label.NEGATIVE
-        assert data[0].scores is None
+        assert data.features.tolist() == [[1.0, 2.5], [-1.0, 0.0]]
+        assert data.labels.tolist() == [POSITIVE, NEGATIVE]
+        assert data.scores is None
 
     def test_score_file(self, tmp_path):
         path = write_csv(tmp_path, "id,label,s_pos,s_neg\na,yes,0.9,0.1\n")
         data = load_dataset(path, positive_class="yes")
-        assert data[0].scores == ScorePair(0.9, 0.1, probability=True)
+        assert data.scores.tolist() == [[0.9, 0.1]]
+        assert data.probability
         assert data.feature_dim is None
 
     def test_combined_file(self, tmp_path):
@@ -71,13 +63,13 @@ class TestLoadDataset:
             tmp_path, "id,label,x1,s_pos,s_neg\na,yes,3.0,0.25,0.75\n"
         )
         data = load_dataset(path, positive_class="yes", schema="both")
-        assert data[0].features == (3.0,)
-        assert data[0].scores == ScorePair(0.25, 0.75, probability=True)
+        assert data.features.tolist() == [[3.0]]
+        assert data.scores.tolist() == [[0.25, 0.75]]
 
     def test_empty_label_means_unknown(self, tmp_path):
         path = write_csv(tmp_path, "id,label,x1\na,,1.0\nb,yes,2.0\n")
         data = load_dataset(path, positive_class="yes")
-        assert data[0].true_label is None
+        assert data.labels.tolist() == [UNKNOWN, POSITIVE]
         assert not data.fully_labelled()
 
     def test_header_must_start_with_id_and_label(self, tmp_path):
@@ -117,8 +109,9 @@ class TestLoadDataset:
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write_csv(tmp_path, "id,label,x1\na,yes,1.0\na,no,2.0\n")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError) as caught:
             load_dataset(path, positive_class="yes")
+        assert str(caught.value) == f"{path}:3: duplicate sample id 'a' (first on line 2)"
 
     def test_empty_and_headerless_files_rejected(self, tmp_path):
         empty = write_csv(tmp_path, "", name="empty.csv")
@@ -154,6 +147,48 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError):
             load_dataset(scored, positive_class="yes", schema="nonsense")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("b,no,abc,0.5,0.5", "column 'x1' is not a number: 'abc'"),
+            ("b,no,1.0,nan,0.5", "column 's_pos' is NaN"),
+            ("b,no,inf,0.5,0.5", "sample 'b' has non-finite features"),
+            ("b,no,1.0,inf,-inf", "probability scores must be finite"),
+            ("b,no,1.0,1.5,-0.5", "probability scores must be in [0, 1], got (1.5, -0.5)"),
+            ("b,no,1.0,0.9,0.3", "probability scores must sum to 1, got 0.9 + 0.3 = 1.2"),
+            (",no,1.0,0.5,0.5", "sample id must be nonempty"),
+            ("b,no,1.0,0.5", "expected 5 columns, got 4"),
+        ],
+        ids=[
+            "not-a-number", "nan", "infinite-feature", "infinite-score",
+            "outside-unit-interval", "bad-sum", "empty-id", "column-count",
+        ],
+    )
+    def test_rejected_rows_give_file_line_and_reason(self, tmp_path, row, message):
+        path = write_csv(
+            tmp_path,
+            "id,label,x1,s_pos,s_neg\na,yes,1.0,0.9,0.1\n" + row + "\nc,no,2.0,0.5,0.5\n",
+        )
+        with pytest.raises(DataFormatError) as caught:
+            load_dataset(path, positive_class="yes")
+        assert str(caught.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["a,yes,0.9,0.3", "b,no,abc,0.5"], "2: probability scores must sum to 1"),
+            (["a,yes,inf,0.0", "b,no,0.5"], "2: probability scores must be finite"),
+            (["a,yes,0.5,0.5", ",no,nan,0.5", "c,no,0.5"], "3: column 's_pos' is NaN"),
+            (["a,yes,0.5,0.5", "a,no,0.5,0.5", "c,no,x,0.5"], "3: duplicate sample id 'a'"),
+        ],
+        ids=["sum-before-number", "finite-before-width", "nan-before-width", "repeat"],
+    )
+    def test_the_earliest_bad_line_is_reported(self, tmp_path, rows, message):
+        path = write_csv(tmp_path, "\n".join(["id,label,s_pos,s_neg", *rows]) + "\n")
+        with pytest.raises(DataFormatError) as caught:
+            load_dataset(path, positive_class="yes")
+        assert str(caught.value).startswith(f"{path}:{message}")
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "absent.csv", positive_class="yes")
@@ -166,39 +201,41 @@ class TestWriteDataset:
         path = tmp_path / "out.csv"
         write_dataset(data, path)
         back = load_dataset(path, positive_class="positive")
-        assert [s.id for s in back] == [s.id for s in data]
-        assert [s.true_label for s in back] == [s.true_label for s in data]
-        assert [s.features for s in back] == [s.features for s in data]
+        assert back.ids.tolist() == data.ids.tolist()
+        assert back.labels.tolist() == data.labels.tolist()
+        assert back.features.tolist() == data.features.tolist()
 
     def test_score_round_trip_is_exact(self, tmp_path):
         data = load_dataset(figure1_path(), positive_class="B")
         path = tmp_path / "scores.csv"
         write_dataset(data, path)
         back = load_dataset(path, positive_class="positive")
-        assert [s.scores for s in back] == [s.scores for s in data]
-        assert [s.true_label for s in back] == [s.true_label for s in data]
+        assert back.scores.tolist() == data.scores.tolist()
+        assert back.labels.tolist() == data.labels.tolist()
 
     def test_unknown_labels_round_trip_as_empty(self, tmp_path):
-        data = Dataset((
-            Sample(id="a", features=(1.0,), true_label=Label.POSITIVE),
-            Sample(id="b", features=(2.0,)),
-        ))
+        data = Dataset.from_columns(["a", "b"], [POSITIVE, UNKNOWN], [(1.0,), (2.0,)])
         path = tmp_path / "mixed.csv"
         write_dataset(data, path)
         assert "b," in path.read_text(encoding="utf-8")
         back = load_dataset(path, positive_class="positive")
-        assert back[1].true_label is None
+        assert back.labels.tolist() == [POSITIVE, UNKNOWN]
 
     def test_partially_scored_dataset_is_rejected(self, tmp_path):
-        data = Dataset((
-            Sample(id="a", features=(1.0,), scores=ScorePair(0.5, 0.5, probability=True)),
-            Sample(id="b", features=(2.0,)),
-        ))
+        # A score column covers every row, so rows with and without scores
+        # make no dataset, and nothing is written.
         with pytest.raises(ValueError, match="some samples"):
-            write_dataset(data, tmp_path / "bad.csv")
+            write_dataset(
+                Dataset((
+                    Sample(id="a", features=(1.0,), scores=ScorePair(0.5, 0.5, True)),
+                    Sample(id="b", features=(2.0,)),
+                )),
+                tmp_path / "bad.csv",
+            )
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_output_uses_unix_newlines(self, tmp_path):
-        data = Dataset((Sample(id="a", features=(1.0,), true_label=Label.POSITIVE),))
+        data = Dataset.from_columns(["a"], [POSITIVE], [(1.0,)])
         path = tmp_path / "nl.csv"
         write_dataset(data, path)
         raw = path.read_bytes()
@@ -211,28 +248,28 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(n_per_class=20, dim=2, seed=9)
         first = generate_synthetic(spec)
         second = generate_synthetic(spec)
-        assert [s.features for s in first] == [s.features for s in second]
-        assert [s.id for s in first] == [s.id for s in second]
+        assert first.features.tolist() == second.features.tolist()
+        assert first.ids.tolist() == second.ids.tolist()
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(SyntheticSpec(n_per_class=5, seed=1))
         b = generate_synthetic(SyntheticSpec(n_per_class=5, seed=2))
-        assert [s.features for s in a] != [s.features for s in b]
+        assert a.features.tolist() != b.features.tolist()
 
     def test_layout_and_ids(self):
         data = generate_synthetic(SyntheticSpec(n_per_class=10, dim=3, seed=0))
         assert len(data) == 20
         assert data.feature_dim == 3
         assert data.count(Label.NEGATIVE) == 10
-        assert [s.id for s in data][:2] == ["n01", "n02"]
-        assert [s.id for s in data][10:12] == ["p01", "p02"]
+        assert data.ids.tolist()[:2] == ["n01", "n02"]
+        assert data.ids.tolist()[10:12] == ["p01", "p02"]
         assert data.fully_labelled()
 
     def test_separation_shifts_the_positive_mean(self):
         spec = SyntheticSpec(n_per_class=4000, dim=2, separation=3.0, noise=1.0, seed=3)
         data = generate_synthetic(spec)
-        pos = np.array([s.features for s in data if s.true_label is Label.POSITIVE])
-        neg = np.array([s.features for s in data if s.true_label is Label.NEGATIVE])
+        pos = data.features[data.positive]
+        neg = data.features[~data.positive]
         gap = pos[:, 0].mean() - neg[:, 0].mean()
         assert abs(gap - 3.0) < 0.15
         assert abs(pos[:, 1].mean() - neg[:, 1].mean()) < 0.15

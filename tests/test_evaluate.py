@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bincp.core import Label, PredictionRegion, Sample, ScorePair, SignificanceLevel
+from bincp.core import REGIONS, UNKNOWN, Dataset, PredictionRegion, SignificanceLevel
 from bincp.evaluate import (
     BinaryMetrics,
     RegionDistribution,
@@ -17,36 +17,35 @@ from bincp.evaluate import (
     scored_accuracy,
     validity,
 )
-from bincp.icp import predict_set
+from bincp.icp import predict_set, region
 
-BOTH = PredictionRegion.BOTH
-EMPTY = PredictionRegion.EMPTY
-POS = PredictionRegion.SINGLE_POSITIVE
-NEG = PredictionRegion.SINGLE_NEGATIVE
+# Region codes.
+POS, NEG, BOTH, EMPTY = (
+    REGIONS.index(kind)
+    for kind in (
+        PredictionRegion.SINGLE_POSITIVE,
+        PredictionRegion.SINGLE_NEGATIVE,
+        PredictionRegion.BOTH,
+        PredictionRegion.EMPTY,
+    )
+)
 
 
 def mixture(correct_single, false_single, both, empty):
-    """Regions plus truths realizing the requested four-way counts."""
+    """Region codes plus a positive mask realizing the requested four-way counts."""
     regions = (
         [POS] * correct_single + [POS] * false_single + [BOTH] * both + [EMPTY] * empty
     )
-    truths = (
-        [Label.POSITIVE] * correct_single
-        + [Label.NEGATIVE] * false_single
-        + [Label.POSITIVE] * both
-        + [Label.NEGATIVE] * empty
+    positive = (
+        [True] * correct_single + [False] * false_single + [True] * both + [False] * empty
     )
-    return regions, truths
+    return regions, positive
 
 
-def prob_pairs(s_pos_values):
-    return [ScorePair(v, 1.0 - v, probability=True) for v in s_pos_values]
-
-
-def oracle_auroc(scores, truths):
+def oracle_auroc(s_pos, positive):
     """All-pairs comparison with half credit for ties."""
-    pos = [s.s_pos for s, t in zip(scores, truths) if t is Label.POSITIVE]
-    neg = [s.s_pos for s, t in zip(scores, truths) if t is Label.NEGATIVE]
+    pos = [s for s, t in zip(s_pos, positive) if t]
+    neg = [s for s, t in zip(s_pos, positive) if not t]
     total = 0.0
     for p in pos:
         for q in neg:
@@ -71,7 +70,7 @@ class TestValidity:
         with pytest.raises(ValueError):
             validity([], [])
         with pytest.raises(ValueError):
-            validity([BOTH], [Label.POSITIVE, Label.NEGATIVE])
+            validity([BOTH], [True, False])
 
 
 class TestEfficiency:
@@ -115,7 +114,7 @@ class TestRegionDistribution:
         assert dist.efficiency == 1.0
 
     def test_negative_singletons_count_by_truth(self):
-        dist = region_distribution([NEG, NEG], [Label.NEGATIVE, Label.POSITIVE])
+        dist = region_distribution([NEG, NEG], [False, True])
         assert dist.frac_correct_single == 0.5
         assert dist.frac_false_single == 0.5
 
@@ -144,13 +143,13 @@ class TestScoredAccuracy:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            scored_accuracy("optimistic", [BOTH], [Label.POSITIVE])
+            scored_accuracy("optimistic", [BOTH], [True])
 
     @given(
         rows=st.lists(
             st.tuples(
-                st.sampled_from(list(PredictionRegion)),
-                st.sampled_from(list(Label)),
+                st.sampled_from([POS, NEG, BOTH, EMPTY]),
+                st.booleans(),
             ),
             min_size=1,
             max_size=300,
@@ -168,79 +167,65 @@ class TestScoredAccuracy:
         assert abs(efficiency(regions) - dist.efficiency) <= 1e-12
         assert abs(gap - dist.frac_both) <= 1e-12
         n = len(rows)
-        assert round(dist.frac_both * n) == sum(1 for r in regions if r is BOTH)
+        assert round(dist.frac_both * n) == sum(1 for r in regions if r == BOTH)
 
 
 class TestBinaryMetrics:
     def test_small_confusion_matrix(self):
-        scores = prob_pairs([0.9, 0.3, 0.5, 0.2])
-        truths = [Label.POSITIVE, Label.POSITIVE, Label.NEGATIVE, Label.NEGATIVE]
-        m = binary_metrics(scores, truths, threshold=0.5)
+        m = binary_metrics([0.9, 0.3, 0.5, 0.2], [True, True, False, False], threshold=0.5)
         # the 0.5 ties to a positive call, so it lands as a false positive
         assert m == BinaryMetrics(0.5, 0.5, 0.5)
 
     def test_threshold_zero_calls_everything_positive(self):
-        scores = prob_pairs([0.0, 1.0])
-        truths = [Label.NEGATIVE, Label.POSITIVE]
-        m = binary_metrics(scores, truths, threshold=0.0)
+        m = binary_metrics([0.0, 1.0], [False, True], threshold=0.0)
         assert m.sensitivity == 1.0
         assert m.specificity == 0.0
 
     def test_missing_class_leaves_rate_undefined(self):
-        m = binary_metrics(prob_pairs([0.9, 0.1]), [Label.POSITIVE] * 2)
+        m = binary_metrics([0.9, 0.1], [True] * 2)
         assert m.specificity is None
         assert m.sensitivity == 0.5
 
     def test_requires_probability_scores(self):
         with pytest.raises(ValueError):
-            binary_metrics([ScorePair(-1.0, -2.0)], [Label.POSITIVE])
+            binary_metrics([-1.0], [True])
 
     def test_threshold_must_be_a_unit_interval_value(self):
         with pytest.raises(ValueError):
-            binary_metrics(prob_pairs([0.5]), [Label.POSITIVE], threshold=1.5)
+            binary_metrics([0.5], [True], threshold=1.5)
 
 
 class TestAuroc:
     def test_perfect_separation(self):
-        scores = prob_pairs([0.9, 0.8, 0.1, 0.2])
-        truths = [Label.POSITIVE, Label.POSITIVE, Label.NEGATIVE, Label.NEGATIVE]
-        assert auroc(scores, truths) == 1.0
+        assert auroc([0.9, 0.8, 0.1, 0.2], [True, True, False, False]) == 1.0
 
     def test_perfectly_inverted(self):
-        scores = prob_pairs([0.1, 0.2, 0.9, 0.8])
-        truths = [Label.POSITIVE, Label.POSITIVE, Label.NEGATIVE, Label.NEGATIVE]
-        assert auroc(scores, truths) == 0.0
+        assert auroc([0.1, 0.2, 0.9, 0.8], [True, True, False, False]) == 0.0
 
     def test_all_tied_scores_give_one_half(self):
-        scores = prob_pairs([0.5] * 6)
-        truths = [Label.POSITIVE, Label.NEGATIVE] * 3
-        assert auroc(scores, truths) == 0.5
+        assert auroc([0.5] * 6, [True, False] * 3) == 0.5
 
     def test_single_pair_tie(self):
-        assert auroc(prob_pairs([0.4, 0.4]), [Label.POSITIVE, Label.NEGATIVE]) == 0.5
+        assert auroc([0.4, 0.4], [True, False]) == 0.5
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            auroc(prob_pairs([0.4, 0.6]), [Label.POSITIVE, Label.POSITIVE])
+            auroc([0.4, 0.6], [True, True])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_all_pairs_oracle_with_heavy_ties(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 60))
         values = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=n)
-        truths = [
-            Label.POSITIVE if b else Label.NEGATIVE for b in rng.random(n) < 0.5
-        ]
+        truths = (rng.random(n) < 0.5).tolist()
         if len(set(truths)) < 2:
-            truths[0] = Label.POSITIVE
-            truths[-1] = Label.NEGATIVE
-        scores = prob_pairs([float(v) for v in values])
+            truths[0] = True
+            truths[-1] = False
+        scores = [float(v) for v in values]
         assert auroc(scores, truths) == oracle_auroc(scores, truths)
 
     def test_works_on_unbounded_conformity_scores(self):
-        scores = [ScorePair(-0.5, -2.0), ScorePair(-2.0, -0.5)]
-        truths = [Label.POSITIVE, Label.NEGATIVE]
-        assert auroc(scores, truths) == 1.0
+        assert auroc([-0.5, -2.0], [True, False]) == 1.0
 
 
 class TestCalibrationReport:
@@ -253,19 +238,16 @@ class TestCalibrationReport:
         assert abs(report.accuracy - 0.524) <= 0.0005
 
     def test_requires_scores_and_labels(self):
-        from bincp.core import Dataset
-
-        bare = Dataset((Sample(id="x", features=(1.0,)),))
+        bare = Dataset.from_columns(["x"], [UNKNOWN], [(1.0,)])
         with pytest.raises(ValueError, match="x"):
             calibration_report(bare)
 
 
 class TestConditionalSingletonMetrics:
     def test_figure_one_self_evaluation(self, figure1, figure1_table):
-        predictions = predict_set(figure1_table, figure1, SignificanceLevel(0.2))
-        regions = [p.region for p in predictions]
-        scores = [s.scores for s in figure1]
-        truths = [s.true_label for s in figure1]
+        regions = region(*predict_set(figure1_table, figure1), SignificanceLevel(0.2))
+        scores = figure1.scores[:, 0]
+        truths = figure1.positive
 
         assert validity(regions, truths) == 19 / 21
         assert efficiency(regions) == 5 / 21
@@ -280,7 +262,7 @@ class TestConditionalSingletonMetrics:
 
     def test_no_singletons_reports_counts_only(self):
         regions, truths = mixture(0, 0, 3, 1)
-        cond = conditional_singleton_metrics(regions, prob_pairs([0.5] * 4), truths)
+        cond = conditional_singleton_metrics(regions, [0.5] * 4, truths)
         assert cond.n_singleton == 0
         assert cond.false_positives_in_singletons == 0
         assert cond.accuracy is None
@@ -288,8 +270,7 @@ class TestConditionalSingletonMetrics:
 
     def test_single_class_restriction_skips_auroc(self):
         regions = [POS, NEG, BOTH]
-        truths = [Label.POSITIVE, Label.POSITIVE, Label.NEGATIVE]
-        cond = conditional_singleton_metrics(regions, prob_pairs([0.9, 0.2, 0.5]), truths)
+        cond = conditional_singleton_metrics(regions, [0.9, 0.2, 0.5], [True, True, False])
         assert cond.n_singleton == 2
         assert cond.auroc is None
         assert cond.sensitivity == 0.5
@@ -299,10 +280,10 @@ class TestConditionalSingletonMetrics:
 class TestEvaluatePredictions:
     def test_report_is_internally_consistent(self):
         regions, truths = mixture(18, 5, 25, 2)
-        scores = prob_pairs(
-            [0.9 if t is Label.POSITIVE else 0.1 for t in truths]
+        scores = [0.9 if t else 0.1 for t in truths]
+        report = evaluate_predictions(
+            regions, scores, truths, epsilon=0.2, probability=True
         )
-        report = evaluate_predictions(regions, scores, truths, epsilon=0.2)
         assert report.epsilon == 0.2
         assert report.n == 50
         assert abs(report.validity - report.distribution.validity) <= 1e-12
@@ -314,13 +295,9 @@ class TestEvaluatePredictions:
 
     def test_non_probability_scores_skip_thresholded_rates(self):
         regions, truths = mixture(1, 1, 1, 1)
-        scores = [
-            ScorePair(-0.1, -0.9),
-            ScorePair(-0.2, -0.8),
-            ScorePair(-0.9, -0.1),
-            ScorePair(-0.8, -0.2),
-        ]
-        report = evaluate_predictions(regions, scores, truths)
+        report = evaluate_predictions(
+            regions, [-0.1, -0.2, -0.9, -0.8], truths, probability=False
+        )
         assert report.binary.accuracy is None
         assert report.binary.sensitivity is None
         assert report.binary.auroc is not None

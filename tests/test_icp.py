@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bincp.core import (
+    NEGATIVE,
+    POSITIVE,
+    REGIONS,
+    UNKNOWN,
     Dataset,
     Label,
     PredictionRegion,
-    Sample,
-    ScorePair,
     SignificanceLevel,
 )
 from bincp.icp import (
     CalibrationTable,
-    PValuePair,
     SplitConfig,
     build_calibration_table,
     p_values,
@@ -41,23 +42,32 @@ TIED_SCORES = st.sampled_from(
 
 def labelled(n_neg, n_pos, seed=0):
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n_neg):
-        samples.append(
-            Sample(id=f"n{i}", features=tuple(rng.normal(size=2)), true_label=Label.NEGATIVE)
-        )
-    for i in range(n_pos):
-        samples.append(
-            Sample(id=f"p{i}", features=tuple(rng.normal(size=2)), true_label=Label.POSITIVE)
-        )
-    return Dataset(tuple(samples))
+    return Dataset.from_columns(
+        [f"n{i}" for i in range(n_neg)] + [f"p{i}" for i in range(n_pos)],
+        [NEGATIVE] * n_neg + [POSITIVE] * n_pos,
+        rng.normal(size=(n_neg + n_pos, 2)),
+    )
+
+
+def scored(pairs, probability=False, labels=None):
+    """A dataset of score pairs with ids t0, t1, ... and unknown labels by default."""
+    return Dataset.from_columns(
+        [f"t{i}" for i in range(len(pairs))],
+        [UNKNOWN] * len(pairs) if labels is None else labels,
+        scores=np.array(pairs, dtype=float).reshape(-1, 2),
+        probability=probability,
+    )
+
+
+def region_of(p_pos, p_neg, eps):
+    return REGIONS[region(p_pos, p_neg, SignificanceLevel(eps))]
 
 
 class TestSplitDataset:
     def test_parts_partition_the_input(self, figure1):
         proper, calibration = split_dataset(figure1, SplitConfig(0.7, seed=1))
-        ids = sorted(s.id for s in proper) + sorted(s.id for s in calibration)
-        assert sorted(ids) == sorted(s.id for s in figure1)
+        ids = proper.ids.tolist() + calibration.ids.tolist()
+        assert sorted(ids) == sorted(figure1.ids.tolist())
         assert len(proper) + len(calibration) == len(figure1)
 
     def test_stratified_sizes_round_half_up_per_class(self, figure1):
@@ -75,21 +85,21 @@ class TestSplitDataset:
     def test_same_seed_reproduces_the_split(self, figure1):
         first = split_dataset(figure1, SplitConfig(0.6, seed=11))
         second = split_dataset(figure1, SplitConfig(0.6, seed=11))
-        assert [s.id for s in first[0]] == [s.id for s in second[0]]
-        assert [s.id for s in first[1]] == [s.id for s in second[1]]
+        assert first[0].ids.tolist() == second[0].ids.tolist()
+        assert first[1].ids.tolist() == second[1].ids.tolist()
 
     def test_different_seeds_differ(self, figure1):
         splits = {
-            tuple(s.id for s in split_dataset(figure1, SplitConfig(0.5, seed=k))[0])
+            tuple(split_dataset(figure1, SplitConfig(0.5, seed=k))[0].ids.tolist())
             for k in range(6)
         }
         assert len(splits) > 1
 
     def test_original_order_is_kept_within_each_part(self, figure1):
-        order = {s.id: i for i, s in enumerate(figure1)}
+        order = {sample_id: i for i, sample_id in enumerate(figure1.ids.tolist())}
         proper, calibration = split_dataset(figure1, SplitConfig(0.7, seed=5))
         for part in (proper, calibration):
-            positions = [order[s.id] for s in part]
+            positions = [order[sample_id] for sample_id in part.ids.tolist()]
             assert positions == sorted(positions)
 
     def test_high_fraction_still_leaves_calibration_nonempty(self):
@@ -116,10 +126,7 @@ class TestSplitDataset:
     def test_rejects_tiny_and_unlabelled_data(self):
         with pytest.raises(ValueError):
             split_dataset(labelled(1, 0), SplitConfig(0.5, seed=0))
-        unlabelled = Dataset((
-            Sample(id="a", features=(0.0,)),
-            Sample(id="b", features=(1.0,)),
-        ))
+        unlabelled = Dataset.from_columns(["a", "b"], [UNKNOWN] * 2, [(0.0,), (1.0,)])
         with pytest.raises(ValueError):
             split_dataset(unlabelled, SplitConfig(0.5, seed=0))
 
@@ -146,23 +153,18 @@ class TestCalibrationTable:
 
     def test_shuffling_calibration_does_not_change_the_table(self, figure1):
         rng = np.random.default_rng(2)
-        shuffled = Dataset(tuple(figure1[int(i)] for i in rng.permutation(len(figure1))))
+        shuffled = figure1.take(rng.permutation(len(figure1)))
         table = build_calibration_table(shuffled)
         assert np.array_equal(table.pos_scores, sorted(FIGURE1_POS))
         assert np.array_equal(table.neg_scores, sorted(FIGURE1_NEG))
 
     def test_single_class_calibration_is_an_error(self):
-        only_pos = Dataset((
-            Sample(id="p", scores=ScorePair(0.9, 0.1, probability=True),
-                   true_label=Label.POSITIVE),
-        ))
+        only_pos = scored([(0.9, 0.1)], probability=True, labels=[POSITIVE])
         with pytest.raises(ValueError, match="negative"):
             build_calibration_table(only_pos)
 
     def test_missing_scores_are_reported_by_id(self):
-        unscored = Dataset((
-            Sample(id="zz", features=(0.0,), true_label=Label.POSITIVE),
-        ))
+        unscored = Dataset.from_columns(["zz"], [POSITIVE], [(0.0,)])
         with pytest.raises(ValueError, match="zz"):
             build_calibration_table(unscored)
 
@@ -192,45 +194,43 @@ class TestCalibrationTable:
 
 class TestPValues:
     def test_balanced_scores_worked_case(self, figure1_table):
-        p = p_values(figure1_table, ScorePair(0.5, 0.5, probability=True))
-        assert p.p_pos == 6 / 12
-        assert p.p_neg == 6 / 11
+        p_pos, p_neg = p_values(figure1_table, 0.5, 0.5)
+        assert p_pos == 6 / 12
+        assert p_neg == 6 / 11
 
     def test_confident_positive_worked_case(self, figure1_table):
-        p = p_values(figure1_table, ScorePair(0.999, 0.001, probability=True))
-        assert p.p_pos == 1.0
-        assert p.p_neg == 1 / 11
+        p_pos, p_neg = p_values(figure1_table, 0.999, 0.001)
+        assert p_pos == 1.0
+        assert p_neg == 1 / 11
 
     def test_matches_rank_count_oracle_on_a_grid(self, figure1_table):
         # the grid includes exact tie points present in both columns
         grid = [0.0, 0.001, 0.01, 0.15, 0.5, 0.75, 0.80, 0.95, 0.999, 1.0]
-        for s in grid:
-            p = p_values(figure1_table, ScorePair(s, s))
-            assert p.p_pos == oracle_p(FIGURE1_POS, s)
-            assert p.p_neg == oracle_p(FIGURE1_NEG, s)
+        p_pos, p_neg = p_values(figure1_table, grid, grid)
+        assert p_pos.tolist() == [oracle_p(FIGURE1_POS, s) for s in grid]
+        assert p_neg.tolist() == [oracle_p(FIGURE1_NEG, s) for s in grid]
 
     def test_extreme_scores_hit_the_bounds(self, figure1_table):
-        low = p_values(figure1_table, ScorePair(-math.inf, -math.inf))
-        high = p_values(figure1_table, ScorePair(math.inf, math.inf))
-        assert low.p_pos == 1 / 12
-        assert low.p_neg == 1 / 11
-        assert high.p_pos == 1.0
-        assert high.p_neg == 1.0
+        low = p_values(figure1_table, -math.inf, -math.inf)
+        high = p_values(figure1_table, math.inf, math.inf)
+        assert low == (1 / 12, 1 / 11)
+        assert high == (1.0, 1.0)
 
     def test_pooled_table_uses_the_hypothesis_side_of_the_pair(self, figure1):
         table = build_calibration_table(figure1, mondrian=False)
         pooled = sorted(FIGURE1_POS + FIGURE1_NEG)
-        p = p_values(table, ScorePair(0.9, 0.1, probability=True))
-        assert p.p_pos == oracle_p(pooled, 0.9)
-        assert p.p_neg == oracle_p(pooled, 0.1)
+        p_pos, p_neg = p_values(table, 0.9, 0.1)
+        assert p_pos == oracle_p(pooled, 0.9)
+        assert p_neg == oracle_p(pooled, 0.1)
 
     def test_smoothed_requires_a_generator(self, figure1_table):
         with pytest.raises(ValueError):
-            p_values(figure1_table, ScorePair(0.5, 0.5, probability=True), smoothed=True)
+            p_values(figure1_table, 0.5, 0.5, smoothed=True)
 
     def test_smoothed_draws_positive_hypothesis_first(self, figure1_table):
-        pair = ScorePair(0.75, 0.75)
-        p = p_values(figure1_table, pair, smoothed=True, rng=np.random.default_rng(42))
+        p_pos, p_neg = p_values(
+            figure1_table, 0.75, 0.75, smoothed=True, rng=np.random.default_rng(42)
+        )
         ref = np.random.default_rng(42)
         tau_pos = 1.0 - ref.random()
         tau_neg = 1.0 - ref.random()
@@ -238,18 +238,18 @@ class TestPValues:
         pos_ties = np.searchsorted(figure1_table.pos_scores, 0.75, side="right") - pos
         neg = np.searchsorted(figure1_table.neg_scores, 0.75)
         neg_ties = np.searchsorted(figure1_table.neg_scores, 0.75, side="right") - neg
-        assert p.p_pos == (pos + tau_pos * (pos_ties + 1)) / 12
-        assert p.p_neg == (neg + tau_neg * (neg_ties + 1)) / 11
+        assert p_pos == (pos + tau_pos * (pos_ties + 1)) / 12
+        assert p_neg == (neg + tau_neg * (neg_ties + 1)) / 11
 
     def test_smoothed_never_exceeds_the_plain_p_value(self, figure1_table):
         rng = np.random.default_rng(0)
         for s in [0.0, 0.21, 0.75, 0.95, 1.0]:
-            pair = ScorePair(s, s)
-            plain = p_values(figure1_table, pair)
-            for _ in range(25):
-                smooth = p_values(figure1_table, pair, smoothed=True, rng=rng)
-                assert 0.0 < smooth.p_pos <= plain.p_pos
-                assert 0.0 < smooth.p_neg <= plain.p_neg
+            plain_pos, plain_neg = p_values(figure1_table, s, s)
+            smooth_pos, smooth_neg = p_values(
+                figure1_table, [s] * 25, [s] * 25, smoothed=True, rng=rng
+            )
+            assert ((0.0 < smooth_pos) & (smooth_pos <= plain_pos)).all()
+            assert ((0.0 < smooth_neg) & (smooth_neg <= plain_neg)).all()
 
     @given(
         calibration=st.lists(
@@ -265,84 +265,74 @@ class TestPValues:
         scores = np.array(sorted(calibration))
         table = CalibrationTable(scores, scores, mondrian=False)
         lo, hi = sorted((a, b))
-        p_lo = p_values(table, ScorePair(lo, lo))
-        p_hi = p_values(table, ScorePair(hi, hi))
+        p_lo, _ = p_values(table, lo, lo)
+        p_hi, _ = p_values(table, hi, hi)
         for p in (p_lo, p_hi):
-            assert 1 / (len(calibration) + 1) <= p.p_pos <= 1.0
-        assert p_lo.p_pos <= p_hi.p_pos
-        assert p_lo.p_pos == oracle_p(list(scores), lo)
+            assert 1 / (len(calibration) + 1) <= p <= 1.0
+        assert p_lo <= p_hi
+        assert p_lo == oracle_p(list(scores), lo)
 
-    def test_p_value_pair_validates_range(self):
-        with pytest.raises(ValueError):
-            PValuePair(0.0, 0.5)
-        with pytest.raises(ValueError):
-            PValuePair(0.5, 1.2)
+    def test_score_columns_must_match_and_not_be_nan(self, figure1_table):
+        with pytest.raises(ValueError, match="shapes"):
+            p_values(figure1_table, [0.5, 0.5], [0.5])
+        with pytest.raises(ValueError, match="NaN"):
+            p_values(figure1_table, [0.5, math.nan], [0.5, 0.5])
 
 
 class TestRegion:
     def test_strictly_greater_than_epsilon_is_required(self):
-        eps = SignificanceLevel(0.2)
-        assert region(PValuePair(0.2, 0.5), eps) is PredictionRegion.SINGLE_NEGATIVE
-        assert region(PValuePair(0.21, 0.5), eps) is PredictionRegion.BOTH
-        assert region(PValuePair(0.5, 0.2), eps) is PredictionRegion.SINGLE_POSITIVE
+        assert region_of(0.2, 0.5, 0.2) is PredictionRegion.SINGLE_NEGATIVE
+        assert region_of(0.21, 0.5, 0.2) is PredictionRegion.BOTH
+        assert region_of(0.5, 0.2, 0.2) is PredictionRegion.SINGLE_POSITIVE
 
     def test_all_four_regions_are_reachable(self):
-        eps = SignificanceLevel(0.1)
-        assert region(PValuePair(0.5, 0.5), eps) is PredictionRegion.BOTH
-        assert region(PValuePair(0.05, 0.05), eps) is PredictionRegion.EMPTY
-        assert region(PValuePair(0.5, 0.05), eps) is PredictionRegion.SINGLE_POSITIVE
-        assert region(PValuePair(0.05, 0.5), eps) is PredictionRegion.SINGLE_NEGATIVE
+        assert region_of(0.5, 0.5, 0.1) is PredictionRegion.BOTH
+        assert region_of(0.05, 0.05, 0.1) is PredictionRegion.EMPTY
+        assert region_of(0.5, 0.05, 0.1) is PredictionRegion.SINGLE_POSITIVE
+        assert region_of(0.05, 0.5, 0.1) is PredictionRegion.SINGLE_NEGATIVE
 
     def test_regions_shrink_as_epsilon_grows(self, figure1_table):
-        pairs = [
-            ScorePair(0.5, 0.5),
-            ScorePair(0.999, 0.001),
-            ScorePair(0.08, 0.95),
-            ScorePair(0.01, 0.02),
-        ]
+        p_pos, p_neg = p_values(
+            figure1_table, [0.5, 0.999, 0.08, 0.01], [0.5, 0.001, 0.95, 0.02]
+        )
         grid = [SignificanceLevel(e) for e in (0.0, 0.05, 0.1, 0.2, 0.5, 0.9, 1.0)]
-        for pair in pairs:
-            p = p_values(figure1_table, pair)
-            previous = None
-            for eps in grid:
-                current = {
-                    label
-                    for label in (Label.POSITIVE, Label.NEGATIVE)
-                    if region(p, eps).contains(label)
-                }
-                if previous is not None:
-                    assert current <= previous
-                previous = current
+        previous = None
+        for eps in grid:
+            current = [
+                {label for label in Label if REGIONS[code].contains(label)}
+                for code in region(p_pos, p_neg, eps).tolist()
+            ]
+            if previous is not None:
+                assert all(now <= before for now, before in zip(current, previous))
+            previous = current
 
     def test_epsilon_zero_keeps_everything(self, figure1_table):
-        p = p_values(figure1_table, ScorePair(0.001, 0.001))
-        assert region(p, SignificanceLevel(0.0)) is PredictionRegion.BOTH
+        p_pos, p_neg = p_values(figure1_table, 0.001, 0.001)
+        assert region_of(p_pos, p_neg, 0.0) is PredictionRegion.BOTH
 
 
 class TestPredictSet:
     def test_demo_regions_at_default_epsilon(self, figure1_table):
-        tests = Dataset((
-            Sample(id="t1", scores=ScorePair(0.5, 0.5, probability=True)),
-            Sample(id="t2", scores=ScorePair(0.999, 0.001, probability=True)),
-        ))
-        predictions = predict_set(figure1_table, tests, SignificanceLevel(0.2))
-        assert [p.sample_id for p in predictions] == ["t1", "t2"]
-        assert predictions[0].region is PredictionRegion.BOTH
-        assert predictions[1].region is PredictionRegion.SINGLE_POSITIVE
-        assert predictions[1].p.p_pos == 1.0
+        tests = scored([(0.5, 0.5), (0.999, 0.001)], probability=True)
+        p_pos, p_neg = predict_set(figure1_table, tests)
+        codes = region(p_pos, p_neg, SignificanceLevel(0.2))
+        assert [REGIONS[c] for c in codes] == [
+            PredictionRegion.BOTH,
+            PredictionRegion.SINGLE_POSITIVE,
+        ]
+        assert p_pos[1] == 1.0
 
     def test_input_order_is_preserved(self, figure1_table):
-        tests = Dataset(tuple(
-            Sample(id=f"t{i}", scores=ScorePair(i / 10, 1 - i / 10, probability=True))
-            for i in range(10)
-        ))
-        predictions = predict_set(figure1_table, tests, SignificanceLevel(0.1))
-        assert [p.sample_id for p in predictions] == [f"t{i}" for i in range(10)]
+        pairs = [(i / 10, 1 - i / 10) for i in range(10)]
+        p_pos, p_neg = predict_set(figure1_table, scored(pairs, probability=True))
+        assert list(zip(p_pos.tolist(), p_neg.tolist())) == [
+            p_values(figure1_table, a, b) for a, b in pairs
+        ]
 
     def test_missing_scores_error_names_the_sample(self, figure1_table):
-        tests = Dataset((Sample(id="bad", features=(1.0, 2.0)),))
+        tests = Dataset.from_columns(["bad"], [UNKNOWN], [(1.0, 2.0)])
         with pytest.raises(ValueError, match="bad"):
-            predict_set(figure1_table, tests, SignificanceLevel(0.2))
+            predict_set(figure1_table, tests)
 
     @given(
         pos=st.lists(TIED_SCORES, min_size=1, max_size=30),
@@ -357,49 +347,34 @@ class TestPredictSet:
         if pooled:
             pos = neg = pos + neg
         table = CalibrationTable(np.sort(pos), np.sort(neg), mondrian=not pooled)
-        tests = Dataset(tuple(
-            Sample(id=f"t{i}", scores=ScorePair(a, b)) for i, (a, b) in enumerate(rows)
-        ))
-        predictions = predict_set(table, tests, SignificanceLevel(0.2))
-        for prediction, (a, b) in zip(predictions, rows, strict=True):
-            assert prediction.p.p_pos == oracle_p(pos, a)
-            assert prediction.p.p_neg == oracle_p(neg, b)
-            assert prediction.region is PredictionRegion.from_membership(
-                prediction.p.p_pos > 0.2, prediction.p.p_neg > 0.2
-            )
+        p_pos, p_neg = predict_set(table, scored(rows))
+        codes = region(p_pos, p_neg, SignificanceLevel(0.2))
+        for pp, pn, code, (a, b) in zip(p_pos, p_neg, codes, rows, strict=True):
+            assert pp == oracle_p(pos, a)
+            assert pn == oracle_p(neg, b)
+            assert REGIONS[code] is PredictionRegion.from_membership(pp > 0.2, pn > 0.2)
 
     @pytest.mark.parametrize("mondrian", [True, False])
     def test_smoothed_batch_equals_successive_single_rows(self, figure1, mondrian):
         table = build_calibration_table(figure1, mondrian=mondrian)
         values = FIGURE1_POS + FIGURE1_NEG + [-math.inf, 0.5, math.inf]
         rng = np.random.default_rng(3)
-        tests = Dataset(tuple(
-            Sample(id=f"t{i}", scores=ScorePair(*rng.choice(values, size=2)))
-            for i in range(300)
-        ))
+        pairs = [rng.choice(values, size=2) for _ in range(300)]
         batch = predict_set(
-            table, tests, SignificanceLevel(0.2),
-            smoothed=True, rng=np.random.default_rng(8),
+            table, scored(pairs), smoothed=True, rng=np.random.default_rng(8)
         )
         single_rng = np.random.default_rng(8)
-        singles = [
-            p_values(table, s.scores, smoothed=True, rng=single_rng) for s in tests
-        ]
-        assert [prediction.p for prediction in batch] == singles
+        singles = [p_values(table, a, b, smoothed=True, rng=single_rng) for a, b in pairs]
+        assert list(zip(*batch)) == singles
 
     def test_smoothed_predictions_are_reproducible_by_seed(self, figure1_table):
-        tests = Dataset((
-            Sample(id="t1", scores=ScorePair(0.75, 0.75)),
-            Sample(id="t2", scores=ScorePair(0.4, 0.6, probability=True)),
-        ))
+        tests = scored([(0.75, 0.75), (0.4, 0.6)])
         first = predict_set(
-            figure1_table, tests, SignificanceLevel(0.2),
-            smoothed=True, rng=np.random.default_rng(5),
+            figure1_table, tests, smoothed=True, rng=np.random.default_rng(5)
         )
         second = predict_set(
-            figure1_table, tests, SignificanceLevel(0.2),
-            smoothed=True, rng=np.random.default_rng(5),
+            figure1_table, tests, smoothed=True, rng=np.random.default_rng(5)
         )
-        assert [(p.p.p_pos, p.p.p_neg) for p in first] == [
-            (p.p.p_pos, p.p.p_neg) for p in second
+        assert [column.tolist() for column in first] == [
+            column.tolist() for column in second
         ]

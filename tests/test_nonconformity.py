@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from bincp import nonconformity
-from bincp.core import Dataset, Label, Sample, ScorePair
-from bincp.nonconformity import (
-    MeasureSpec,
-    NonconformityValue,
-    TrainingBag,
-    knn_distance_ratio,
-    knn_probability_scores,
-    score_dataset,
-)
+from bincp.core import UNKNOWN, Dataset, Label, ScorePair
+from bincp.nonconformity import MeasureSpec, TrainingBag, score_dataset
+
+import oracles
 
 
 def _scoring_layouts():
@@ -52,14 +47,37 @@ def bag_of(*pairs):
     )
 
 
+def rows(points):
+    """An unlabelled dataset of feature rows q0, q1, ..."""
+    return Dataset.from_columns(
+        [f"q{i}" for i in range(len(points))], [UNKNOWN] * len(points), points
+    )
+
+
+def alphas(bag, point, k=1):
+    """(alpha under positive, alpha under negative) of one point, by batch scoring."""
+    out = score_dataset(MeasureSpec("knn_ratio", k), bag, rows([point]))
+    s_pos, s_neg = out.scores[0].tolist()
+    return -s_pos, -s_neg
+
+
+def positive_fraction(bag, point, k):
+    """s_pos of one point under the knn_prob measure, by batch scoring."""
+    out = score_dataset(MeasureSpec("knn_prob", k), bag, rows([point]))
+    assert out.probability and out.scores[0, 1] == 1.0 - out.scores[0, 0]
+    return out.scores[0, 0]
+
+
 class TestKnnDistanceRatio:
+    # One-row cases of the knn_ratio measure: alphas() gives the strangeness
+    # under the positive and under the negative hypothesis.
     def test_equidistant_neighbours_give_one(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((2.0,), Label.POSITIVE))
-        assert knn_distance_ratio(bag, (1.0,), Label.NEGATIVE).alpha == 1.0
+        assert alphas(bag, (1.0,))[1] == 1.0
 
     def test_sitting_on_same_label_point_gives_zero(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((2.0,), Label.POSITIVE))
-        assert knn_distance_ratio(bag, (0.0,), Label.NEGATIVE).alpha == 0.0
+        assert alphas(bag, (0.0,))[1] == 0.0
 
     def test_one_dimensional_worked_case(self):
         # same-label distance 6, opposite-label distance 3, by hand
@@ -68,24 +86,23 @@ class TestKnnDistanceRatio:
             ((1.0,), Label.NEGATIVE),
             ((10.0,), Label.POSITIVE),
         )
-        value = knn_distance_ratio(bag, (4.0,), Label.POSITIVE)
-        assert value.alpha == 6.0 / 3.0
+        assert alphas(bag, (4.0,))[0] == 6.0 / 3.0
 
     def test_sitting_on_other_label_point_gives_infinity(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((2.0,), Label.POSITIVE))
-        assert knn_distance_ratio(bag, (2.0,), Label.NEGATIVE).alpha == math.inf
+        assert alphas(bag, (2.0,))[1] == math.inf
 
     def test_coincident_same_and_other_label_gives_one(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((0.0,), Label.POSITIVE))
-        assert knn_distance_ratio(bag, (0.0,), Label.NEGATIVE).alpha == 1.0
+        assert alphas(bag, (0.0,)) == (1.0, 1.0)
 
     def test_no_same_label_neighbour_gives_infinity(self):
         bag = bag_of(((0.0,), Label.NEGATIVE))
-        assert knn_distance_ratio(bag, (5.0,), Label.POSITIVE).alpha == math.inf
+        assert alphas(bag, (5.0,))[0] == math.inf
 
     def test_no_other_label_neighbour_gives_zero(self):
         bag = bag_of(((0.0,), Label.NEGATIVE))
-        assert knn_distance_ratio(bag, (5.0,), Label.NEGATIVE).alpha == 0.0
+        assert alphas(bag, (5.0,))[1] == 0.0
 
     def test_k_larger_than_one_averages_distances(self):
         # same-label distances 1 and 3 (mean 2), other-label distances 4 and 8 (mean 6)
@@ -95,13 +112,11 @@ class TestKnnDistanceRatio:
             ((4.0,), Label.NEGATIVE),
             ((8.0,), Label.NEGATIVE),
         )
-        value = knn_distance_ratio(bag, (0.0,), Label.POSITIVE, k=2)
-        assert value.alpha == pytest.approx(2.0 / 6.0)
+        assert alphas(bag, (0.0,), k=2)[0] == pytest.approx(2.0 / 6.0)
 
     def test_k_beyond_pool_size_uses_available_neighbours(self):
         bag = bag_of(((1.0,), Label.POSITIVE), ((4.0,), Label.NEGATIVE))
-        value = knn_distance_ratio(bag, (0.0,), Label.POSITIVE, k=5)
-        assert value.alpha == 1.0 / 4.0
+        assert alphas(bag, (0.0,), k=5)[0] == 1.0 / 4.0
 
     def test_scale_invariance_power_of_two_is_exact(self):
         rng = np.random.default_rng(7)
@@ -111,11 +126,7 @@ class TestKnnDistanceRatio:
         bag = TrainingBag(points, labels)
         for scale in (0.5, 2.0, 4.0):
             scaled = TrainingBag(points * scale, labels)
-            for label in (Label.POSITIVE, Label.NEGATIVE):
-                assert (
-                    knn_distance_ratio(scaled, query * scale, label, k=2).alpha
-                    == knn_distance_ratio(bag, query, label, k=2).alpha
-                )
+            assert alphas(scaled, query * scale, k=2) == alphas(bag, query, k=2)
 
     def test_scale_invariance_general_scale_is_close(self):
         rng = np.random.default_rng(8)
@@ -124,8 +135,8 @@ class TestKnnDistanceRatio:
         query = rng.normal(size=2)
         bag = TrainingBag(points, labels)
         scaled = TrainingBag(points * 3.7, labels)
-        assert knn_distance_ratio(scaled, query * 3.7, Label.POSITIVE).alpha == (
-            pytest.approx(knn_distance_ratio(bag, query, Label.POSITIVE).alpha, rel=1e-9)
+        assert alphas(scaled, query * 3.7)[0] == (
+            pytest.approx(alphas(bag, query)[0], rel=1e-9)
         )
 
     def test_swapping_bag_labels_swaps_hypotheses(self):
@@ -135,20 +146,16 @@ class TestKnnDistanceRatio:
         query = rng.normal(size=2)
         bag = TrainingBag(points, labels)
         flipped = TrainingBag(points, ~labels)
-        assert (
-            knn_distance_ratio(bag, query, Label.POSITIVE).alpha
-            == knn_distance_ratio(flipped, query, Label.NEGATIVE).alpha
-        )
+        assert alphas(bag, query)[0] == alphas(flipped, query)[1]
 
     def test_dimension_mismatch_rejected(self):
         bag = bag_of(((0.0, 0.0), Label.NEGATIVE), ((1.0, 1.0), Label.POSITIVE))
         with pytest.raises(ValueError):
-            knn_distance_ratio(bag, (1.0,), Label.POSITIVE)
+            alphas(bag, (1.0,))
 
     def test_k_must_be_positive(self):
-        bag = bag_of(((0.0,), Label.NEGATIVE), ((1.0,), Label.POSITIVE))
         with pytest.raises(ValueError):
-            knn_distance_ratio(bag, (0.5,), Label.POSITIVE, k=0)
+            MeasureSpec("knn_ratio", 0)
 
 
 class TestConformityFromRatio:
@@ -156,23 +163,16 @@ class TestConformityFromRatio:
     # higher-is-more-conforming direction.
     def test_direction_flip(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((3.0,), Label.POSITIVE))
-        data = Dataset((Sample(id="q", features=(1.0,)),))
-        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, data)
-        assert knn_distance_ratio(bag, (1.0,), Label.POSITIVE).alpha == 2.0
-        assert out[0].scores == ScorePair(-2.0, -0.5)
+        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, rows([(1.0,)]))
+        assert oracles.knn_distance_ratio(bag, (1.0,), Label.POSITIVE) == 2.0
+        assert out.scores.tolist() == [[-2.0, -0.5]]
+        assert not out.probability
 
     def test_infinite_strangeness_maps_to_minus_infinity(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((3.0,), Label.POSITIVE))
-        data = Dataset((Sample(id="q", features=(0.0,)),))
-        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, data)
-        assert knn_distance_ratio(bag, (0.0,), Label.POSITIVE).alpha == math.inf
-        assert out[0].scores.s_pos == -math.inf
-
-    def test_nonconformity_value_rejects_negative_and_nan(self):
-        with pytest.raises(ValueError):
-            NonconformityValue(-0.1)
-        with pytest.raises(ValueError):
-            NonconformityValue(math.nan)
+        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, rows([(0.0,)]))
+        assert oracles.knn_distance_ratio(bag, (0.0,), Label.POSITIVE) == math.inf
+        assert out.scores[0, 0] == -math.inf
 
 
 class TestProbabilityConformity:
@@ -188,15 +188,14 @@ class TestProbabilityConformity:
 
 
 class TestKnnProbabilityScores:
+    # One-row cases of the knn_prob measure.
     def test_two_nearest_positives(self):
         bag = bag_of(
             ((0.0,), Label.POSITIVE),
             ((1.0,), Label.POSITIVE),
             ((10.0,), Label.NEGATIVE),
         )
-        assert knn_probability_scores(bag, (0.5,), k=2) == ScorePair(
-            1.0, 0.0, probability=True
-        )
+        assert positive_fraction(bag, (0.5,), k=2) == 1.0
 
     def test_mixed_neighbourhood(self):
         bag = bag_of(
@@ -205,22 +204,21 @@ class TestKnnProbabilityScores:
             ((2.0,), Label.NEGATIVE),
             ((3.0,), Label.NEGATIVE),
         )
-        pair = knn_probability_scores(bag, (0.1,), k=4)
-        assert pair == ScorePair(0.25, 0.75, probability=True)
+        assert positive_fraction(bag, (0.1,), k=4) == 0.25
 
     def test_distance_ties_break_by_bag_index(self):
         # both bag points sit at distance 1; index 0 wins the k=1 slot
         bag = bag_of(((0.0,), Label.POSITIVE), ((2.0,), Label.NEGATIVE))
-        assert knn_probability_scores(bag, (1.0,), k=1).s_pos == 1.0
+        assert positive_fraction(bag, (1.0,), k=1) == 1.0
         flipped = bag_of(((0.0,), Label.NEGATIVE), ((2.0,), Label.POSITIVE))
-        assert knn_probability_scores(flipped, (1.0,), k=1).s_pos == 0.0
+        assert positive_fraction(flipped, (1.0,), k=1) == 0.0
 
     def test_k_bounds_enforced(self):
         bag = bag_of(((0.0,), Label.POSITIVE), ((1.0,), Label.NEGATIVE))
         with pytest.raises(ValueError):
-            knn_probability_scores(bag, (0.5,), k=0)
+            positive_fraction(bag, (0.5,), k=0)
         with pytest.raises(ValueError):
-            knn_probability_scores(bag, (0.5,), k=3)
+            positive_fraction(bag, (0.5,), k=3)
 
 
 class TestTrainingBag:
@@ -234,24 +232,27 @@ class TestTrainingBag:
             bag.points[0, 0] = 5.0
 
     def test_from_dataset_requires_features_and_labels(self):
-        data = Dataset((Sample(id="a", scores=ScorePair(0.5, 0.5, probability=True)),))
-        with pytest.raises(ValueError):
+        data = rows([(0.0,), (1.0,)])
+        with pytest.raises(ValueError, match="q0"):
             TrainingBag.from_dataset(data)
+        scored = Dataset.from_columns(["a"], [1], scores=[(0.5, 0.5)], probability=True)
+        with pytest.raises(ValueError, match="a"):
+            TrainingBag.from_dataset(scored)
 
 
 class TestScoreDataset:
     def test_passthrough_keeps_scores_and_input_untouched(self):
-        samples = tuple(
-            Sample(id=f"s{i}", scores=ScorePair(0.4, 0.6, probability=True))
-            for i in range(3)
+        scores = np.array([[0.4, 0.6]] * 3)
+        data = Dataset.from_columns(
+            ["s0", "s1", "s2"], [UNKNOWN] * 3, scores=scores, probability=True
         )
-        data = Dataset(samples)
         out = score_dataset(MeasureSpec("passthrough"), None, data)
-        assert out is not data
-        assert [s.scores for s in out] == [s.scores for s in data]
+        assert out.scores.tolist() == scores.tolist()
+        assert data.scores.tolist() == scores.tolist()
+        assert not data.scores.flags.writeable
 
     def test_passthrough_requires_scores(self):
-        data = Dataset((Sample(id="a", features=(0.0,)),))
+        data = Dataset.from_columns(["a"], [UNKNOWN], [(0.0,)])
         with pytest.raises(ValueError, match="a"):
             score_dataset(MeasureSpec("passthrough"), None, data)
 
@@ -261,18 +262,16 @@ class TestScoreDataset:
             ((1.0,), Label.NEGATIVE),
             ((10.0,), Label.POSITIVE),
         )
-        data = Dataset((Sample(id="q", features=(4.0,)),))
-        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, data)
-        assert out[0].scores == ScorePair(-2.0, -0.5)
+        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, rows([(4.0,)]))
+        assert out.scores.tolist() == [[-2.0, -0.5]]
 
     def test_neighbour_measures_need_a_bag(self):
-        data = Dataset((Sample(id="q", features=(4.0,)),))
         with pytest.raises(ValueError):
-            score_dataset(MeasureSpec("knn_ratio", 1), None, data)
+            score_dataset(MeasureSpec("knn_ratio", 1), None, rows([(4.0,)]))
 
     def test_neighbour_measures_need_features(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((1.0,), Label.POSITIVE))
-        data = Dataset((Sample(id="q", scores=ScorePair(0.5, 0.5, probability=True)),))
+        data = Dataset.from_columns(["q"], [UNKNOWN], scores=[(0.5, 0.5)], probability=True)
         with pytest.raises(ValueError, match="q"):
             score_dataset(MeasureSpec("knn_prob", 1), bag, data)
 
@@ -297,31 +296,26 @@ class TestScoreDataset:
         monkeypatch.setattr(nonconformity, "_distances", counted)
         for layout, points, labels, queries in _scoring_layouts():
             bag = TrainingBag(points, labels)
-            data = Dataset(
-                tuple(
-                    Sample(id=f"q{i}", features=tuple(q))
-                    for i, q in enumerate(queries)
-                )
-            )
             fallback_rows.clear()
-            out = score_dataset(MeasureSpec(kind, k), bag, data)
+            out = score_dataset(MeasureSpec(kind, k), bag, rows(queries))
             if layout == "tied" and k <= 9:
                 assert fallback_rows, "exact fallback did not run"
-            for sample in out:
+            for query, (s_pos, s_neg) in zip(queries, out.scores.tolist()):
                 if kind == "knn_prob":
-                    expected = knn_probability_scores(bag, sample.features, k)
+                    frac = oracles.knn_positive_fraction(bag, query, k)
+                    expected = [frac, 1.0 - frac]
                 else:
-                    a_pos = knn_distance_ratio(bag, sample.features, Label.POSITIVE, k)
-                    a_neg = knn_distance_ratio(bag, sample.features, Label.NEGATIVE, k)
-                    expected = ScorePair(-a_pos.alpha, -a_neg.alpha)
-                assert sample.scores == expected, (layout, sample.id)
+                    expected = [
+                        -oracles.knn_distance_ratio(bag, query, label, k)
+                        for label in (Label.POSITIVE, Label.NEGATIVE)
+                    ]
+                assert [s_pos, s_neg] == expected, layout
 
     def test_duplicate_points_across_classes_score_to_negative_infinity(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((0.0,), Label.POSITIVE))
-        data = Dataset((Sample(id="q", features=(1.0,)),))
-        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, data)
+        out = score_dataset(MeasureSpec("knn_ratio", 1), bag, rows([(1.0,)]))
         # equal distances to both classes: alpha 1 either way
-        assert out[0].scores == ScorePair(-1.0, -1.0)
+        assert out.scores.tolist() == [[-1.0, -1.0]]
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bincp.core import Label, PredictionRegion, SignificanceLevel
-from bincp.nonconformity import TrainingBag, _mean_smallest, knn_distance_ratio
+from bincp.nonconformity import TrainingBag
 from bincp.online import (
     OnlineRound,
     _OnlineSession,
@@ -12,6 +12,8 @@ from bincp.online import (
     full_cp_pvalue,
     run_online,
 )
+
+import oracles
 
 
 def oracle_full_cp(bag, features, label, k=1):
@@ -25,9 +27,7 @@ def oracle_full_cp(bag, features, label, k=1):
             np.delete(aug_points, i, axis=0), np.delete(aug_positive, i)
         )
         member_label = Label.POSITIVE if aug_positive[i] else Label.NEGATIVE
-        alphas.append(
-            knn_distance_ratio(rest, tuple(aug_points[i]), member_label, k).alpha
-        )
+        alphas.append(oracles.knn_distance_ratio(rest, aug_points[i], member_label, k))
     candidate_alpha = alphas[-1]
     return sum(1 for a in alphas if a >= candidate_alpha) / n
 
@@ -53,7 +53,7 @@ def test_pool_means_sum_each_column_smallest_first():
     columns = [[0.1] * 9, [1.0, 2.0] + [math.inf] * 7, [math.inf] * 9]
     means = _pool_means(np.array(columns).T)
     finite = [[d for d in column if math.isfinite(d)] for column in columns]
-    expected = [_mean_smallest(np.array(pool), 9) for pool in finite]
+    expected = [oracles.mean_smallest(np.array(pool), 9) for pool in finite]
     assert means.tolist() == expected
     assert means[0] != np.mean(columns[0])
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bincp.core import Label, PredictionRegion
+from bincp.core import REGIONS, Label, PredictionRegion
 from bincp.data import (
     SyntheticSpec,
     demo_test_path,
@@ -87,7 +87,7 @@ def feature_files(tmp_path):
 class TestRunPipeline:
     def test_demo_end_to_end(self):
         result = run_pipeline(demo_config())
-        regions = [p.region for p in result.predictions[0.2]]
+        regions = [REGIONS[code] for code in result.regions[0.2]]
         assert regions == [
             PredictionRegion.BOTH,
             PredictionRegion.SINGLE_POSITIVE,
@@ -115,7 +115,7 @@ class TestRunPipeline:
 
     def test_duplicate_epsilons_collapse(self):
         result = run_pipeline(demo_config(epsilons=(0.2, 0.2, 0.1)))
-        assert sorted(result.predictions) == [0.1, 0.2]
+        assert list(result.regions) == [0.2, 0.1]
         assert [row["epsilon"] for row in result.document["results"]] == [0.2, 0.1]
 
     def test_train_split_route_with_probability_measure(self, feature_files):
@@ -132,7 +132,7 @@ class TestRunPipeline:
         assert result.document["calibration"]["n"] == 60 - 42
         assert result.document["n_test"] == 20
         assert len(result.document["results"]) == 2
-        assert all(s.scores is not None for s in result.test)
+        assert result.test.scores.shape == (20, 2)
         for row in result.document["results"]:
             assert 0.0 <= row["validity"] <= 1.0
             assert row["binary"]["accuracy"] is not None
@@ -158,13 +158,14 @@ class TestRunPipeline:
     def test_pooled_calibration_route(self):
         result = run_pipeline(demo_config(mondrian=False))
         assert result.document["config"]["mondrian"] is False
-        assert len(result.predictions[0.2]) == 3
+        assert len(result.regions[0.2]) == 3
 
     def test_without_test_data_only_calibration_is_reported(self):
         result = run_pipeline(demo_config(test_path=None))
         assert result.document["n_test"] is None
         assert result.document["results"] == []
-        assert result.predictions == {}
+        assert result.regions == {}
+        assert result.p_values is None
         assert result.test is None
 
     def test_unlabelled_test_yields_predictions_but_no_metrics(self, tmp_path):
@@ -173,7 +174,7 @@ class TestRunPipeline:
             "id,label,s_pos,s_neg\nu1,,0.9,0.1\nu2,,0.4,0.6\n", encoding="utf-8"
         )
         result = run_pipeline(demo_config(test_path=path))
-        assert len(result.predictions[0.2]) == 2
+        assert len(result.regions[0.2]) == 2
         assert result.document["results"] == []
         assert result.document["n_test"] == 2
 
@@ -192,21 +193,18 @@ class TestRunPipeline:
         alone = run_pipeline(
             demo_config(epsilons=(0.2,), smoothed=True, smoothing_seed=0)
         )
-        assert both.predictions[0.2] == alone.predictions[0.2]
+        assert both.regions[0.2].tolist() == alone.regions[0.2].tolist()
         assert both.document["results"][1] == alone.document["results"][0]
-        for wide, narrow in zip(both.predictions[0.1], both.predictions[0.2]):
+        for wide, narrow in zip(both.regions[0.1], both.regions[0.2]):
             for label in Label:
-                if narrow.region.contains(label):
-                    assert wide.region.contains(label)
+                if REGIONS[narrow].contains(label):
+                    assert REGIONS[wide].contains(label)
 
     def test_smoothed_p_values_stay_below_plain_ones(self):
-        plain = run_pipeline(demo_config()).predictions[0.2]
-        smooth = run_pipeline(
-            demo_config(smoothed=True, smoothing_seed=3)
-        ).predictions[0.2]
+        plain = run_pipeline(demo_config()).p_values
+        smooth = run_pipeline(demo_config(smoothed=True, smoothing_seed=3)).p_values
         for a, b in zip(smooth, plain):
-            assert a.p.p_pos <= b.p.p_pos
-            assert a.p.p_neg <= b.p.p_neg
+            assert (a <= b).all()
 
 
 class TestConfigValidation:
