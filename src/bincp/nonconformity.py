@@ -96,15 +96,17 @@ def _distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _ratio_array(d_same: np.ndarray, d_diff: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = d_same / d_diff
-    return np.select(
-        [
-            ((d_same == 0.0) & (d_diff == 0.0))
-            | (np.isinf(d_same) & np.isinf(d_diff)),
-            (d_diff == 0.0) | np.isinf(d_same),
-            (d_same == 0.0) | np.isinf(d_diff),
-        ],
-        [1.0, np.inf, 0.0],
-        default=quotient,
+    same_zero, diff_zero = d_same == 0.0, d_diff == 0.0
+    same_inf, diff_inf = np.isinf(d_same), np.isinf(d_diff)
+    # The first case that holds wins, as in a chain of ifs.
+    return np.where(
+        (same_zero & diff_zero) | (same_inf & diff_inf),
+        1.0,
+        np.where(
+            diff_zero | same_inf,
+            np.inf,
+            np.where(same_zero | diff_inf, 0.0, quotient),
+        ),
     )
 
 

@@ -7,11 +7,12 @@ hypothesis comes from the augmented bag itself: every member (candidate
 included) is scored leave-one-out, and the p-value is the fraction of members
 at least as strange as the candidate.  No separate calibration set exists.
 
-One engine, `_OnlineSession`, implements this.  It keeps every member's k
-nearest same-label and other-label distances, so a round computes the
-candidate's distances to the bag once and inserts them into those lists:
-O(n * (d + k)) for a bag of n points in d dimensions.  `run_online` drives
-it over a stream; `full_cp_pvalue` is the p-value of a single candidate.
+One engine, `_OnlineSession`, implements this.  It caches every member's k
+nearest same-label and other-label distances, their means and its alpha, so
+a round computes the candidate's distances once and rescores only the members
+U whose k nearest it enters: O(n * d + k * |U|) for a bag of n points in d
+dimensions, plus amortised buffer growth.  `run_online` drives it over a
+stream; `full_cp_pvalue` is the p-value of a single candidate.
 """
 
 from __future__ import annotations
@@ -43,31 +44,33 @@ def _pool_means(block: np.ndarray) -> np.ndarray:
     last, and the sum runs smallest first, as in batch scoring.
     """
     finite = np.isfinite(block)
-    sums = np.zeros(block.shape[1])
-    for row in np.where(finite, block, 0.0):
-        sums += row
+    # A cumulative sum adds row after row, whatever the block's layout.
+    sums = np.cumsum(np.where(finite, block, 0.0), axis=0)[-1]
     counts = finite.sum(axis=0)
     with np.errstate(invalid="ignore"):
         return np.where(counts > 0, sums / counts, np.inf)
 
 
 class _OnlineSession:
-    """A bag with, per member, its k nearest same- and other-label distances.
+    """A bag with each member's k nearest same- and other-label distances,
+    their two means (rows of `means`) and its alpha.
 
-    Column i of `same` and of `diff` belongs to bag member i; it is sorted
+    Column i of `same` and of `diff` belongs to member i; it is sorted
     ascending and padded with +inf when the pool holds fewer than k points.
-    `p_values` scores a candidate under both hypotheses; `absorb` then adds
-    it to the bag with its revealed label.
+    The first `n` entries of each array are the bag.  Capacity doubles when
+    the bag fills it; the lists keep min(k, capacity) rows, as no pool
+    outgrows the bag.  `p_values` rescores the members whose k nearest the
+    candidate enters, and `absorb` writes them back and appends it.
     """
 
     def __init__(self, bag: TrainingBag, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self.points = bag.points
-        self.is_positive = bag.is_positive
-        self.same = np.full((k, len(bag)), np.inf)
-        self.diff = np.full((k, len(bag)), np.inf)
+        self.k, self.n = k, len(bag)
+        self.points = bag.points.copy()
+        self.is_positive = bag.is_positive.copy()
+        self.same = np.full((min(k, self.n), self.n), np.inf)
+        self.diff = self.same.copy()
         for label in (True, False):
             rows = self.is_positive == label
             members = self.points[rows]
@@ -76,9 +79,13 @@ class _OnlineSession:
             diff = _k_nearest(members, self.points[~rows], k)[1]
             self.same[: same.shape[1], rows] = same.T
             self.diff[: diff.shape[1], rows] = diff.T
+        self.means = np.vstack([_pool_means(self.same), _pool_means(self.diff)])
+        self.alphas = _ratio_array(*self.means)
+        self._pending = None
 
     def p_values(self, features: Sequence[float]) -> tuple[float, float]:
         """Leave-one-out p-values of a candidate labelled positive and negative."""
+        self._pending = None
         point = np.asarray(list(features), dtype=float)
         if point.shape != (self.points.shape[1],):
             raise ValueError(
@@ -86,37 +93,64 @@ class _OnlineSession:
             )
         if not np.isfinite(point).all():
             raise ValueError("candidate features must be finite")
-        d = _distances(self.points, point)
-        match = self.is_positive == _HYPOTHESES
-        self._point = point
-        self._same_in = _insert(self.same, d)
-        self._diff_in = _insert(self.diff, d)
+        n, rows = self.n, len(self.same)
+        d = _distances(self.points[:n], point)
+        match = self.is_positive[:n] == _HYPOTHESES
         # The candidate's k nearest of each class, positive pool first.
-        pools = np.hstack([np.where(match, d, np.inf), np.full((2, self.k), np.inf)])
-        nearest = np.partition(pools, self.k - 1, axis=1)[:, : self.k]
-        self._pools = np.sort(nearest, axis=1)
+        pools = np.hstack([np.where(match, d, np.inf), np.full((2, rows), np.inf)])
+        nearest = np.sort(np.partition(pools, rows - 1, axis=1)[:, :rows], axis=1)
+        # Only members with d below their k-th same- or other-label distance
+        # gain the candidate as a neighbour; the rest keep means and alphas.
+        changed = np.flatnonzero((d < self.same[-1, :n]) | (d < self.diff[-1, :n]))
+        same_in = _insert(self.same[:, changed], d[changed])
+        diff_in = _insert(self.diff[:, changed], d[changed])
+        means = _pool_means(np.hstack([same_in, diff_in, nearest.T]))
+        m = len(changed)
+        same_new, diff_new, candidate = means[:m], means[m : 2 * m], means[2 * m :]
+        same_old, diff_old = self.means[:, changed]
         # Members of the hypothesized label gain the candidate as a same-label
         # neighbour, the others as an other-label one.
-        same = np.where(match, _pool_means(self._same_in), _pool_means(self.same))
-        diff = np.where(match, _pool_means(self.diff), _pool_means(self._diff_in))
-        candidate = _pool_means(self._pools.T)
+        hit = match[:, changed]
         alphas = _ratio_array(
-            np.column_stack([same, candidate]),
-            np.column_stack([diff, candidate[::-1]]),
+            np.column_stack([np.where(hit, same_new, same_old), candidate]),
+            np.column_stack([np.where(hit, diff_old, diff_new), candidate[::-1]]),
         )
-        # The last column is the candidate, which counts for itself.
-        p = (alphas >= alphas[:, -1:]).sum(axis=1) / alphas.shape[1]
-        return float(p[0]), float(p[1])
+        # The last column is the candidate, which counts for itself; members
+        # outside `changed` count with their cached alphas.
+        a_c = alphas[:, -1:]
+        count = (self.alphas[:n] >= a_c).sum(axis=1) + (alphas >= a_c).sum(axis=1)
+        count -= (self.alphas[changed] >= a_c).sum(axis=1)
+        self._pending = point, changed, same_in, diff_in, means, alphas, nearest
+        return float(count[0] / (n + 1)), float(count[1] / (n + 1))
 
     def absorb(self, label: Label) -> None:
-        """Add the candidate of the last `p_values` call with its revealed label."""
-        is_pos = label is Label.POSITIVE
-        match = self.is_positive == is_pos
-        own, other = self._pools if is_pos else self._pools[::-1]
-        self.same = np.column_stack([np.where(match, self._same_in, self.same), own])
-        self.diff = np.column_stack([np.where(match, self.diff, self._diff_in), other])
-        self.points = np.vstack([self.points, self._point])
-        self.is_positive = np.append(self.is_positive, is_pos)
+        """Add the last `p_values` candidate, once, with its revealed label."""
+        if self._pending is None:
+            raise ValueError("absorb needs a candidate from p_values first")
+        point, changed, same_in, diff_in, means, alphas, nearest = self._pending
+        self._pending = None
+        is_pos, n, m = label is Label.POSITIVE, self.n, len(changed)
+        hit = self.is_positive[changed] == is_pos
+        self.same[:, changed[hit]] = same_in[:, hit]
+        self.diff[:, changed[~hit]] = diff_in[:, ~hit]
+        self.means[0, changed[hit]] = means[:m][hit]
+        self.means[1, changed[~hit]] = means[m : 2 * m][~hit]
+        candidate = means[2 * m :]
+        if not is_pos:
+            candidate, alphas, nearest = candidate[::-1], alphas[::-1], nearest[::-1]
+        self.alphas[changed] = alphas[0, :-1]
+        if n == len(self.alphas):
+            grow = [(0, min(self.k, 2 * n) - len(self.same)), (0, n)]
+            self.same = np.pad(self.same, grow, constant_values=np.inf)
+            self.diff = np.pad(self.diff, grow, constant_values=np.inf)
+            self.points = np.pad(self.points, [(0, n), (0, 0)])
+            self.means = np.pad(self.means, [(0, 0), (0, n)])
+            self.is_positive = np.pad(self.is_positive, (0, n))
+            self.alphas = np.pad(self.alphas, (0, n))
+        self.same[: nearest.shape[1], n], self.diff[: nearest.shape[1], n] = nearest
+        self.means[:, n], self.alphas[n] = candidate, alphas[0, -1]
+        self.points[n], self.is_positive[n] = point, is_pos
+        self.n = n + 1
 
 
 def full_cp_pvalue(

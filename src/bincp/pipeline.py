@@ -345,6 +345,8 @@ def simulate_online(config: OnlineConfig) -> list[OnlineRound]:
             raise ValueError(
                 f"initial_size must be >= 1, got {config.initial_size}"
             )
+        if config.k < 1:
+            raise ValueError(f"k must be >= 1, got {config.k}")
     with _stage("load"):
         data = load_dataset(config.data_path, config.positive_class, config.schema)
         if not data.fully_labelled():

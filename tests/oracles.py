@@ -57,3 +57,45 @@ def knn_positive_fraction(bag, point, k):
     d = distances(bag.points, np.asarray(point, dtype=float))
     nearest = np.argsort(d, kind="stable")[:k]
     return float(bag.is_positive[nearest].mean())
+
+
+def mean_smallest_rows(block, k):
+    """`mean_smallest` of the finite values of each row; sorts `block` in place."""
+    block.sort(axis=1)
+    finite = np.isfinite(block[:, :k])
+    # A cumulative sum adds the values left to right, smallest first.
+    total = np.cumsum(np.where(finite, block[:, :k], 0.0), axis=1)[:, -1]
+    counts = finite.sum(axis=1)
+    return [t / c if c else math.inf for t, c in zip(total.tolist(), counts.tolist())]
+
+
+def pairwise_distances(points):
+    """The matrix of `distances` from each row of `points` to every row."""
+    return np.array([distances(points, p) for p in points])
+
+
+def loo_p_values(dist, is_positive, k):
+    """(p_pos, p_neg) of a candidate, every alpha recomputed from scratch.
+
+    `dist` holds the pairwise distances of the bag's members and the
+    candidate, the candidate last; `is_positive` labels the members.  Under
+    each hypothesis every point is scored by the distance ratio against all
+    the others, and the p-value is the fraction of points at least as
+    strange as the candidate, the candidate included.
+    """
+    # +inf marks a point outside a pool; no point is its own neighbour.
+    dist = dist.copy()
+    np.fill_diagonal(dist, math.inf)
+    result = []
+    for hypothesis in (True, False):
+        labels = np.append(is_positive, hypothesis)
+        same = labels[:, None] == labels[None, :]
+        alphas = [
+            ratio(d_same, d_diff)
+            for d_same, d_diff in zip(
+                mean_smallest_rows(np.where(same, dist, math.inf), k),
+                mean_smallest_rows(np.where(same, math.inf, dist), k),
+            )
+        ]
+        result.append(sum(a >= alphas[-1] for a in alphas) / len(alphas))
+    return tuple(result)

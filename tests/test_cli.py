@@ -348,6 +348,16 @@ class TestSimulateOnlineCommand:
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_k_is_checked_before_the_file_is_read(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "simulate-online",
+            "--data", str(tmp_path / "missing.csv"),
+            "--positive-class", "positive",
+            "--k", "0",
+        )
+        assert code == 1
+        assert "k must be >= 1" in err
 
     @pytest.mark.parametrize("k", sorted(PINNED_TRAJECTORIES))
     def test_trajectory_bytes_are_pinned(self, capsys, tmp_path, k):

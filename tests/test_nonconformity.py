@@ -174,6 +174,13 @@ class TestConformityFromRatio:
         assert oracles.knn_distance_ratio(bag, (0.0,), Label.POSITIVE) == math.inf
         assert out.scores[0, 0] == -math.inf
 
+    def test_ratio_array_takes_every_degenerate_case_of_the_scalar_ratio(self):
+        values = [0.0, 1e-9, 0.5, 2.0, 1e9, math.inf]
+        pairs = [(a, b) for a in values for b in values]
+        d_same, d_diff = np.array(pairs).T
+        expected = [oracles.ratio(a, b) for a, b in pairs]
+        assert nonconformity._ratio_array(d_same, d_diff).tolist() == expected
+
 
 class TestProbabilityConformity:
     def test_selects_the_hypothesized_side(self):

@@ -48,6 +48,29 @@ def random_stream(n, dim, seed, decimals=None):
     ]
 
 
+def long_stream(n, seed):
+    """One-decimal points with repeats; the first twelve are all negative."""
+    rng = np.random.default_rng(seed)
+    labels = rng.random(n) < 0.5
+    labels[:12] = False
+    points = np.round(rng.normal(size=(n, 2)) + np.where(labels, 0.5, -0.5)[:, None], 1)
+    for i in np.flatnonzero(rng.random(n) < 0.15)[1:]:
+        points[i] = points[rng.integers(i)]
+    return points, labels
+
+
+def test_from_scratch_oracle_agrees_with_the_per_member_oracle():
+    points, labels = long_stream(25, seed=15)
+    dist = oracles.pairwise_distances(points)
+    for k in (1, 3, 30):
+        for n in (1, 5, 12, 24):
+            bag = TrainingBag(points[:n], labels[:n])
+            assert oracles.loo_p_values(dist[: n + 1, : n + 1], labels[:n], k) == (
+                oracle_full_cp(bag, points[n], Label.POSITIVE, k),
+                oracle_full_cp(bag, points[n], Label.NEGATIVE, k),
+            )
+
+
 def test_pool_means_sum_each_column_smallest_first():
     # Nine 0.1s sum to 0.8999999999999999 in order but to 0.9 pairwise.
     columns = [[0.1] * 9, [1.0, 2.0] + [math.inf] * 7, [math.inf] * 9]
@@ -186,6 +209,49 @@ class TestRunOnline:
             )
             session.absorb(label)
             seen.append((features, label))
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_long_stream_matches_the_from_scratch_oracle(self, k):
+        # The bag starts at one point and grows past 256, so the buffers
+        # double nine times, and pools stay below k=40 for many rounds.
+        points, labels = long_stream(301, seed=14)
+        dist = oracles.pairwise_distances(points)
+        session = _OnlineSession(TrainingBag(points[:1], labels[:1]), k)
+        for n in range(1, len(points)):
+            assert session.p_values(points[n]) == oracles.loo_p_values(
+                dist[: n + 1, : n + 1], labels[:n], k
+            )
+            session.absorb(Label.POSITIVE if labels[n] else Label.NEGATIVE)
+        assert len(session.alphas) == 512
+
+    def test_k_beyond_the_data_gives_the_same_rounds(self):
+        initial = TrainingBag.from_pairs(random_stream(5, 2, 12, decimals=1))
+        stream = random_stream(25, 2, 13, decimals=1)
+        eps = SignificanceLevel(0.3)
+        assert run_online(initial, stream, eps, k=10**9) == run_online(
+            initial, stream, eps, k=len(initial) + len(stream)
+        )
+
+    def test_absorb_takes_the_candidate_of_one_p_values_call_once(self):
+        session = _OnlineSession(two_point_bag(), 1)
+        with pytest.raises(ValueError, match="p_values"):
+            session.absorb(Label.POSITIVE)
+        session.p_values((1.0,))
+        session.absorb(Label.NEGATIVE)
+        with pytest.raises(ValueError, match="p_values"):
+            session.absorb(Label.NEGATIVE)
+        session.p_values((2.0,))
+        with pytest.raises(ValueError, match="features"):
+            session.p_values((1.0, 2.0))
+        with pytest.raises(ValueError, match="p_values"):
+            session.absorb(Label.NEGATIVE)
+        bag = TrainingBag.from_pairs(
+            [((0.0,), Label.NEGATIVE), ((10.0,), Label.POSITIVE), ((1.0,), Label.NEGATIVE)]
+        )
+        assert session.p_values((4.0,)) == (
+            oracle_full_cp(bag, (4.0,), Label.POSITIVE),
+            oracle_full_cp(bag, (4.0,), Label.NEGATIVE),
+        )
 
     def test_trajectory_is_reproducible(self):
         stream = random_stream(20, 2, 9)
