@@ -4,6 +4,12 @@ File contract: UTF-8, comma separated, dot decimals, header required.
 Columns are `id,label[,x1..xm][,s_pos,s_neg]`; score columns carry class
 probabilities (s_pos belongs to whichever class the caller names positive).
 An empty label field means the label is unknown.
+
+A file is read through one csv reader a fixed chunk of rows at a time, each
+chunk transposed onto per-column lists, so no list of every row is built.
+Reading stops at the first row of the wrong width or that the csv module
+cannot read (such as a field over `csv.field_size_limit()`), and every row
+before it is checked too: an error names the earliest bad line.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import csv
 import importlib.resources
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +26,10 @@ import numpy as np
 from .core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, RowError, label_names
 
 SCHEMAS = ("auto", "features", "scores", "both")
+
+# Rows read and transposed at a time: enough to amortise the per-chunk
+# calls, few enough that the garbage collector never holds many row lists.
+_CHUNK_ROWS = 256
 
 
 class DataFormatError(ValueError):
@@ -55,7 +66,7 @@ def _parse_header(columns: list[str], path: Path) -> tuple[int, bool]:
 
 
 def _parse_floats(
-    columns: list[tuple[str, ...]], names: list[str]
+    columns: list[list[str]], names: list[str]
 ) -> tuple[np.ndarray, int, str | None]:
     """The values of numeric columns up to their first field that is not a number.
 
@@ -85,6 +96,36 @@ def _parse_floats(
             return before, row, reason
 
 
+def _read_columns(reader, width: int) -> tuple[list[list[str]], tuple[int, str] | None]:
+    """The fields of the remaining rows of `reader`, as `width` column lists.
+
+    Rows are read `_CHUNK_ROWS` at a time.  Reading stops at the first row
+    that is not `width` fields wide or that the csv module cannot read;
+    returns the columns of the rows before it and its (line, reason), or
+    None when every row was read.
+    """
+    columns: list[list[str]] = [[] for _ in range(width)]
+    read = 0
+    while True:
+        chunk: list[list[str]] = []
+        fault = None
+        try:
+            # `extend` keeps the rows read before a failing one, so they are
+            # still checked for an earlier fault.
+            chunk.extend(islice(reader, _CHUNK_ROWS))
+        except csv.Error as err:
+            fault = (reader.line_num, str(err))
+        if set(map(len, chunk)) - {width}:
+            stop = next(i for i, row in enumerate(chunk) if len(row) != width)
+            fault = (read + stop + 2, f"expected {width} columns, got {len(chunk[stop])}")
+            del chunk[stop:]
+        for column, fields in zip(columns, zip(*chunk)):
+            column.extend(fields)
+        read += len(chunk)
+        if fault is not None or len(chunk) < _CHUNK_ROWS:
+            return columns, fault
+
+
 def load_dataset(
     path: Path | str,
     positive_class: str,
@@ -94,7 +135,12 @@ def load_dataset(
 ) -> Dataset:
     """Read a dataset, mapping the named class to positive and the other to negative.
 
-    Errors carry the offending line number.  Files may hold at most two class
+    The file is read in chunks of rows straight into columns.  Errors raise
+    `DataFormatError` as `path:line: reason`, for the earliest bad line: a
+    wrong column count, a field the csv module cannot read (one longer than
+    `csv.field_size_limit()`, say), a field that is not a number or is NaN,
+    a row `Dataset` rejects, or a repeated id, which also names the line of
+    its first occurrence.  Files may hold at most two class
     names; when two appear, `positive_class` must be one of them.  Files read
     for one run share `class_names`: the names of this file are added to it,
     and the rule holds for the union, so that a file naming a third class
@@ -104,10 +150,16 @@ def load_dataset(
     if schema not in SCHEMAS:
         raise DataFormatError(f"schema must be one of {SCHEMAS}, got {schema!r}")
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    header, rows = rows[0], rows[1:]
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+        except csv.Error as err:
+            raise DataFormatError(f"{path}:{reader.line_num}: {err}") from None
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
+        # The rows before the first bad line are checked too, so that the
+        # error reported is the one on the earliest line.
+        columns, fault = _read_columns(reader, len(header))
     n_features, has_scores = _parse_header(header, path)
     if schema == "features" and has_scores:
         raise DataFormatError(f"{path}: schema 'features' forbids score columns")
@@ -118,20 +170,12 @@ def load_dataset(
     if schema == "both" and not n_features:
         raise DataFormatError(f"{path}: schema 'both' requires feature columns")
 
-    if not rows:
+    ids, raw_labels, *numeric = columns
+    if not ids and fault is None:
         raise DataFormatError(f"{path}: no data rows")
-    # The rows before the first bad line are checked too, so that the error
-    # reported is the one on the earliest line.
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    wrong = np.flatnonzero(widths != len(header))
-    stop, fault = len(rows), None
-    if wrong.size:
-        stop = int(wrong[0])
-        fault = f"expected {len(header)} columns, got {widths[stop]}"
-    ids, raw_labels, *numeric = list(zip(*rows[:stop])) or [()] * len(header)
-    values, parsed, reason = _parse_floats(numeric, header[2:])
+    values, stop, reason = _parse_floats(numeric, header[2:])
     if reason is not None:
-        stop, fault = parsed, reason
+        fault = (stop + 2, reason)
     names = set() if class_names is None else class_names
     names.update(set(raw_labels) - {""})
     raw_labels = np.array(raw_labels[:stop], dtype=object)
@@ -149,7 +193,8 @@ def load_dataset(
         first = "" if err.first is None else f" (first on line {err.first + 2})"
         raise DataFormatError(f"{path}:{err.row + 2}: {err}{first}") from None
     if fault is not None:
-        raise DataFormatError(f"{path}:{stop + 2}: {fault}")
+        line, reason = fault
+        raise DataFormatError(f"{path}:{line}: {reason}")
 
     if len(names) > 2:
         raise DataFormatError(

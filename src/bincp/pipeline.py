@@ -469,22 +469,30 @@ def parse_report(data: bytes) -> dict:
     return document
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """`repr` of each value of a float column, formatted once per distinct value.
+
+    Values are told apart by their bits, so -0.0 keeps its own text.
+    """
+    bits = np.asarray(column, dtype=float).view(np.int64)
+    bits, index = np.unique(bits, return_inverse=True)
+    return list(map(list(map(repr, bits.view(float).tolist())).__getitem__, index.tolist()))
+
+
 def regions_csv(result: PipelineResult) -> bytes:
     """Per-sample regions for every requested epsilon, in input order."""
     blocks = ["epsilon,id,true_label,p_pos,p_neg,region\n".encode("utf-8")]
     if result.regions:
-        # The fields shared by every epsilon are formatted once, by a csv
-        # writer that hands each row to `lines`; ids are quoted as csv needs.
+        # The fields shared by every epsilon are formatted once: ids and
+        # labels by a csv writer that quotes them as csv needs and hands each
+        # row to `lines`, p-values by `_reprs`, which no csv rule quotes.
         test = result.test
         lines: list[str] = []
         csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
-            zip(
-                test.ids.tolist(),
-                label_names(test.labels),
-                *(map(repr, column.tolist()) for column in result.p_values),
-            )
+            zip(test.ids.tolist(), label_names(test.labels))
         )
-        shared = [line[:-1] for line in lines]
+        p_pos, p_neg = map(_reprs, result.p_values)
+        shared = [f"{line[:-1]},{pos},{neg}" for line, pos, neg in zip(lines, p_pos, p_neg)]
         names = [str(kind) for kind in REGIONS]
         for value, codes in result.regions.items():
             row = repr(float(value)) + ",{},{}\n"

@@ -1,18 +1,21 @@
-"""Brute-force reference scorers, one query point at a time.
+"""Brute-force references: scorers one query point at a time, a row-by-row writer.
 
-They use only the public `TrainingBag` and `Label` of bincp: distances,
-the stable sort and the means of the k smallest distances are written out
-here, means summed smallest first, so the batch kernels must match them
-with ==.
+The scorers use only the public `TrainingBag` and `Label` of bincp:
+distances, the stable sort and the means of the k smallest distances are
+written out here, means summed smallest first, so the batch kernels must
+match them with ==.  The writer formats every field of every row itself,
+so the column writer must match its bytes.
 """
 
+import csv
 import functools
+import io
 import math
 import operator
 
 import numpy as np
 
-from bincp.core import Label
+from bincp.core import REGIONS, Label
 
 
 def distances(points, x):
@@ -99,3 +102,20 @@ def loo_p_values(dist, is_positive, k):
         ]
         result.append(sum(a >= alphas[-1] for a in alphas) / len(alphas))
     return tuple(result)
+
+
+def regions_csv_rows(result):
+    """The regions CSV of a `PipelineResult`, one `writerow` per test row and epsilon."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["epsilon", "id", "true_label", "p_pos", "p_neg", "region"])
+    names = {-1: "", 0: str(Label.NEGATIVE), 1: str(Label.POSITIVE)}
+    for epsilon, codes in result.regions.items():
+        for sample_id, label, p_pos, p_neg, code in zip(
+            result.test.ids, result.test.labels, *result.p_values, codes
+        ):
+            writer.writerow([
+                repr(float(epsilon)), sample_id, names[int(label)],
+                repr(float(p_pos)), repr(float(p_neg)), str(REGIONS[code]),
+            ])
+    return buffer.getvalue().encode("utf-8")

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -240,6 +241,22 @@ class TestEvaluateCommand:
         )
         assert (code, out) == (1, "")
         assert err == f"error: load: {path}:4: duplicate sample id 'a' (first on line 2)\n"
+
+    @pytest.mark.parametrize("flag", ["--calibration", "--test"])
+    def test_oversized_field_names_the_file_and_line(self, capsys, tmp_path, flag):
+        limit = csv.field_size_limit()
+        path = tmp_path / "big.csv"
+        path.write_text(
+            f"id,label,s_pos,s_neg\na,A,0.9,0.1\n{'b' * (limit + 1)},B,0.2,0.8\n",
+            encoding="utf-8",
+        )
+        files = {"--calibration": FIG, "--test": DEMO, flag: str(path)}
+        code, out, err = run(
+            capsys, "evaluate", *(arg for item in files.items() for arg in item),
+            "--positive-class", "B",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: load: {path}:3: field larger than field limit ({limit})\n"
 
     def test_smoothed_runs_are_seed_reproducible(self, capsys):
         args = demo_args("--smoothed", "--smoothing-seed", "5", "--format", "json")

@@ -1,7 +1,10 @@
+import csv
+
 import pytest
 
 from bincp.core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, Label, Sample, ScorePair
 from bincp.data import (
+    _CHUNK_ROWS,
     DataFormatError,
     SyntheticSpec,
     demo_test_path,
@@ -192,6 +195,102 @@ class TestLoadDataset:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "absent.csv", positive_class="yes")
+
+
+CHUNK = _CHUNK_ROWS
+# Rows at the end of a chunk, at the start of the next, and chunks in.
+BOUNDARY_ROWS = pytest.mark.parametrize(
+    "at", [CHUNK - 1, CHUNK, 3 * CHUNK + 5], ids=["last", "next", "later"]
+)
+HEADER = "id,label,x1,s_pos,s_neg"
+
+
+def good_row(i):
+    return f"r{i},{'yes' if i % 2 else 'no'},{i}.5,0.25,0.75"
+
+
+class TestChunkedRead:
+    """Faults at and across the boundaries of the chunks the reader takes."""
+
+    @BOUNDARY_ROWS
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("b,no,1.0,0.5", "expected 5 columns, got 4"),
+            ("b,no,abc,0.5,0.5", "column 'x1' is not a number: 'abc'"),
+            ("b,no,1.0,nan,0.5", "column 's_pos' is NaN"),
+            ("b,no,1.0,0.9,0.3", "probability scores must sum to 1, got 0.9 + 0.3 = 1.2"),
+            (None, "duplicate sample id"),
+        ],
+        ids=["column-count", "not-a-number", "nan", "bad-sum", "duplicate-id"],
+    )
+    def test_a_fault_names_its_line_wherever_it_falls(self, tmp_path, at, row, message):
+        if row is None:
+            # The first occurrence sits in the chunk before, or the same one.
+            row = f"r{at - 1},no,1.0,0.5,0.5"
+            message = f"duplicate sample id 'r{at - 1}' (first on line {at + 1})"
+        # A later row with the wrong width, chunks on, must not hide the fault.
+        rows = [good_row(i) for i in range(at)] + [row]
+        rows += [good_row(i) for i in range(at + 1, at + 2 * CHUNK)] + ["z,no"]
+        path = write_csv(tmp_path, "\n".join([HEADER, *rows]) + "\n")
+        with pytest.raises(DataFormatError) as caught:
+            load_dataset(path, positive_class="yes")
+        assert str(caught.value) == f"{path}:{at + 2}: {message}"
+
+    @BOUNDARY_ROWS
+    def test_an_oversized_field_names_its_line(self, tmp_path, at):
+        limit = csv.field_size_limit()
+        rows = [good_row(i) for i in range(at)] + [f"{'b' * (limit + 1)},no,1.0,0.5,0.5"]
+        path = write_csv(tmp_path, "\n".join([HEADER, *rows, good_row(at + 1)]) + "\n")
+        with pytest.raises(DataFormatError) as caught:
+            load_dataset(path, positive_class="yes")
+        message = f"field larger than field limit ({limit})"
+        assert str(caught.value) == f"{path}:{at + 2}: {message}"
+
+    def test_a_bad_number_before_an_oversized_field_in_one_chunk_wins(self, tmp_path):
+        limit = csv.field_size_limit()
+        rows = [good_row(i) for i in range(CHUNK + 8)]
+        rows[CHUNK + 2] = "b,no,abc,0.5,0.5"
+        rows[CHUNK + 6] = f"{'b' * (limit + 1)},no,1.0,0.5,0.5"
+        path = write_csv(tmp_path, "\n".join([HEADER, *rows]) + "\n")
+        with pytest.raises(DataFormatError) as caught:
+            load_dataset(path, positive_class="yes")
+        message = "column 'x1' is not a number: 'abc'"
+        assert str(caught.value) == f"{path}:{CHUNK + 4}: {message}"
+
+    def test_an_oversized_header_names_line_one(self, tmp_path):
+        path = write_csv(tmp_path, "i" * (csv.field_size_limit() + 1) + ",label,x1\n")
+        with pytest.raises(DataFormatError, match=r"\.csv:1: field larger than"):
+            load_dataset(path, positive_class="yes")
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK])
+    def test_every_row_is_read(self, tmp_path, n):
+        rows = [good_row(i) for i in range(n)]
+        path = write_csv(tmp_path, "\n".join([HEADER, *rows]) + "\n")
+        data = load_dataset(path, positive_class="yes")
+        assert data.ids.tolist() == [f"r{i}" for i in range(n)]
+        assert data.features[:, 0].tolist() == [i + 0.5 for i in range(n)]
+        assert data.labels.tolist() == [POSITIVE if i % 2 else NEGATIVE for i in range(n)]
+        assert data.scores.tolist() == [[0.25, 0.75]] * n
+
+    def test_a_header_only_file_has_no_data_rows(self, tmp_path):
+        path = write_csv(tmp_path, HEADER + "\n")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_dataset(path, positive_class="yes")
+
+    def test_quoted_ids_straddle_a_chunk_boundary(self, tmp_path):
+        odd = ['"a,b"', '"say ""hi"""', '"two\nlines"', '"x\r\ny"']
+        rows = [good_row(i) for i in range(2 * CHUNK)]
+        for offset, quoted in enumerate(odd, start=CHUNK - 2):
+            rows[offset] = quoted + rows[offset][rows[offset].index(","):]
+        path = write_csv(tmp_path, "\n".join([HEADER, *rows]) + "\n")
+        data = load_dataset(path, positive_class="yes")
+        ids = data.ids.tolist()
+        assert len(ids) == 2 * CHUNK
+        assert ids[CHUNK - 3 : CHUNK + 3] == [
+            f"r{CHUNK - 3}", "a,b", 'say "hi"', "two\nlines", "x\r\ny", f"r{CHUNK + 2}",
+        ]
+        assert data.features[:, 0].tolist() == [i + 0.5 for i in range(2 * CHUNK)]
 
 
 class TestWriteDataset:

@@ -1,8 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
-from bincp.core import REGIONS, Label, PredictionRegion
+from bincp.core import (
+    NEGATIVE,
+    POSITIVE,
+    REGIONS,
+    UNKNOWN,
+    Dataset,
+    Label,
+    PredictionRegion,
+)
 from bincp.data import (
     SyntheticSpec,
     demo_test_path,
@@ -16,6 +25,7 @@ from bincp.pipeline import (
     REPORT_CSV_COLUMNS,
     OnlineConfig,
     PipelineError,
+    PipelineResult,
     RunConfig,
     emit_report,
     parse_report,
@@ -24,6 +34,8 @@ from bincp.pipeline import (
     simulate_online,
     trajectory_csv,
 )
+
+import oracles
 
 
 # Report bytes for figure1 calibration plus the demo test set at epsilon 0.1
@@ -398,3 +410,80 @@ class TestReportRendering:
         assert float(first[3]) == 0.5
         assert float(first[4]) == 6 / 11
         assert first[5] == "both"
+
+
+def write_votes(path, ids, labels, trees, rng):
+    """A scored file of `trees`-tree vote fractions, so scores take trees + 1 values."""
+    votes = rng.integers(0, trees + 1, len(ids)) / trees
+    scores = np.column_stack([votes, 1.0 - votes])
+    write_dataset(Dataset.from_columns(ids, labels, None, scores, probability=True), path)
+    return path
+
+
+class TestRegionsWriter:
+    @pytest.mark.parametrize(
+        "n_test, ids, labels, smoothed, epsilons",
+        [
+            (400, None, None, False, (0.1, 0.2)),
+            (400, None, None, True, (0.1, 0.2)),
+            (
+                5,
+                ["a,b", 'say "hi"', "two\nlines", " lead", "plain"],
+                [POSITIVE, NEGATIVE, UNKNOWN, POSITIVE, NEGATIVE],
+                False,
+                (0.1,),
+            ),
+            (50, None, None, False, (0.2, 0.05, 0.2, 0.1)),
+            (1, None, None, True, (0.1, 0.3)),
+        ],
+        ids=["ties", "smoothed-distinct", "quoted-ids", "repeated-unsorted-eps", "one-row"],
+    )
+    def test_bytes_match_the_row_by_row_writer(
+        self, tmp_path, n_test, ids, labels, smoothed, epsilons
+    ):
+        rng = np.random.default_rng(n_test)
+        calibration = write_votes(
+            tmp_path / "calibration.csv",
+            [f"c{i}" for i in range(200)],
+            rng.integers(NEGATIVE, POSITIVE + 1, 200),
+            10,
+            rng,
+        )
+        test = write_votes(
+            tmp_path / "test.csv",
+            ids or [f"t{i}" for i in range(n_test)],
+            rng.integers(NEGATIVE, POSITIVE + 1, n_test) if labels is None else labels,
+            10,
+            rng,
+        )
+        result = run_pipeline(RunConfig(
+            positive_class="positive",
+            epsilons=epsilons,
+            calibration_path=calibration,
+            test_path=test,
+            smoothed=smoothed,
+            smoothing_seed=3,
+        ))
+        distinct = [np.unique(column).size for column in result.p_values]
+        if smoothed:
+            assert distinct == [n_test, n_test]
+        elif n_test == 400:
+            # Each class of 200 calibration rows has at most 11 distinct scores.
+            assert max(distinct) <= 11
+        # The column writer merges values that compare equal only where their
+        # text is the same, and p-values are never -0.0.
+        assert not any(np.signbit(column).any() for column in result.p_values)
+        assert regions_csv(result) == oracles.regions_csv_rows(result)
+
+    def test_negative_zero_keeps_its_own_text(self):
+        test = Dataset.from_columns(
+            ["a", "b"], [POSITIVE, NEGATIVE], None, np.array([[0.5, 0.5], [0.5, 0.5]])
+        )
+        result = PipelineResult(
+            {},
+            (np.array([0.0, -0.0]), np.array([-0.0, 0.5])),
+            {0.1: np.array([0, 3])},
+            test,
+        )
+        assert regions_csv(result) == oracles.regions_csv_rows(result)
+        assert b",0.0,-0.0," in regions_csv(result)
