@@ -9,7 +9,9 @@ A file is read through one csv reader a fixed chunk of rows at a time, each
 chunk transposed onto per-column lists, so no list of every row is built.
 Reading stops at the first row of the wrong width or that the csv module
 cannot read (such as a field over `csv.field_size_limit()`), and every row
-before it is checked too: an error names the earliest bad line.
+before it is checked too: an error names the earliest bad line.  Faults are
+found by record, and a quoted field may hold line breaks, so an error message
+re-reads the file to name the physical line where its record starts.
 """
 
 from __future__ import annotations
@@ -96,7 +98,24 @@ def _parse_floats(
             return before, row, reason
 
 
-def _read_columns(reader, width: int) -> tuple[list[list[str]], tuple[int, str] | None]:
+def _record_lines(path: Path, *records: int) -> list[int]:
+    """The physical line on which each data record of `path` starts.
+
+    Records count from 0 after the header.  The file is read again with a
+    fresh reader, so only error messages pay for it.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        starts = []
+        for _ in range(max(records) + 2):
+            starts.append(reader.line_num + 1)
+            next(reader)
+    return [starts[record + 1] for record in records]
+
+
+def _read_columns(
+    reader, width: int, path: Path
+) -> tuple[list[list[str]], tuple[int, str] | None]:
     """The fields of the remaining rows of `reader`, as `width` column lists.
 
     Rows are read `_CHUNK_ROWS` at a time.  Reading stops at the first row
@@ -117,7 +136,8 @@ def _read_columns(reader, width: int) -> tuple[list[list[str]], tuple[int, str] 
             fault = (reader.line_num, str(err))
         if set(map(len, chunk)) - {width}:
             stop = next(i for i, row in enumerate(chunk) if len(row) != width)
-            fault = (read + stop + 2, f"expected {width} columns, got {len(chunk[stop])}")
+            line = _record_lines(path, read + stop)[0]
+            fault = (line, f"expected {width} columns, got {len(chunk[stop])}")
             del chunk[stop:]
         for column, fields in zip(columns, zip(*chunk)):
             column.extend(fields)
@@ -159,7 +179,7 @@ def load_dataset(
             raise DataFormatError(f"{path}: empty file")
         # The rows before the first bad line are checked too, so that the
         # error reported is the one on the earliest line.
-        columns, fault = _read_columns(reader, len(header))
+        columns, fault = _read_columns(reader, len(header), path)
     n_features, has_scores = _parse_header(header, path)
     if schema == "features" and has_scores:
         raise DataFormatError(f"{path}: schema 'features' forbids score columns")
@@ -175,7 +195,7 @@ def load_dataset(
         raise DataFormatError(f"{path}: no data rows")
     values, stop, reason = _parse_floats(numeric, header[2:])
     if reason is not None:
-        fault = (stop + 2, reason)
+        fault = (_record_lines(path, stop)[0], reason)
     names = set() if class_names is None else class_names
     names.update(set(raw_labels) - {""})
     raw_labels = np.array(raw_labels[:stop], dtype=object)
@@ -190,8 +210,12 @@ def load_dataset(
             probability=has_scores,
         )
     except RowError as err:
-        first = "" if err.first is None else f" (first on line {err.first + 2})"
-        raise DataFormatError(f"{path}:{err.row + 2}: {err}{first}") from None
+        if err.first is None:
+            line, first = _record_lines(path, err.row)[0], ""
+        else:
+            line, before = _record_lines(path, err.row, err.first)
+            first = f" (first on line {before})"
+        raise DataFormatError(f"{path}:{line}: {err}{first}") from None
     if fault is not None:
         line, reason = fault
         raise DataFormatError(f"{path}:{line}: {reason}")

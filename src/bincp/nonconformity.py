@@ -125,6 +125,8 @@ def _row_means(sorted_block: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 1 << 23
 # Candidates the shortlist keeps beyond the k nearest.
 _SHORTLIST_MARGIN = 8
+# Columns per group in the first stage of the shortlist.
+_GROUP = 8
 
 
 def _k_nearest(
@@ -135,26 +137,52 @@ def _k_nearest(
     Each row is ordered by (distance, point index), and the distances are
     those of `_distances`, bit for bit.  The GEMM form |q|^2 + |p|^2 - 2 q.p
     on mean-centred data shortlists k + margin candidates per query, whose
-    distances are then computed directly.  A query whose shortlist cannot
-    be proven to hold its k nearest is ranked against all n points, so the
-    result does not depend on BLAS or its thread count.  Queries go through
-    in blocks that keep scratch memory near `_BLOCK_BYTES`.
+    distances are then computed directly.  The shortlist is taken in two
+    stages: a query's n values are viewed as `_GROUP` rows of `groups`
+    columns, so group g holds points g, g + groups, g + 2 groups, ...; the
+    k + margin groups with the smallest minima are kept, and their values
+    are cut to the shortlist.  A query whose shortlist cannot be proven to
+    hold its k nearest is ranked against all n points, so the result does
+    not depend on BLAS, its thread count or how the shortlist was taken.
+    Queries go through in blocks that keep scratch memory near
+    `_BLOCK_BYTES`.
     """
     n, dim = points.shape
     k = min(k, n)
     if k == 0:
         return np.empty((len(queries), 0), dtype=np.intp), np.empty((len(queries), 0))
     width = min(n, k + _SHORTLIST_MARGIN)
+    groups = -(-n // _GROUP)
+    kept = min(width, groups)
     center = points.mean(axis=0)
     shifted = points - center
     sq_points = (shifted**2).sum(axis=1)
+    # -2 p, padded with zero rows to whole groups whose |p|^2 is +inf, so a
+    # block is finished by one addition and padding is never shortlisted
+    # ahead of a finite value.  Scaling by a power of two is exact.
+    scaled = np.zeros((groups * _GROUP, dim))
+    np.multiply(shifted, -2.0, out=scaled[:n])
+    padded = np.full(groups * _GROUP, np.inf)
+    padded[:n] = sq_points
+    # Column j of group g, for the gather of the kept groups.
+    strides = (groups * np.arange(_GROUP))[:, None]
     eps = np.finfo(float).eps
     # |GEMM value - true squared distance| <= gemm_error * (|q|^2 + max |p|^2),
-    # counting the dot product, both norms, two sums and the centring.
+    # counting the dot product, both norms, the two sums that add |p|^2
+    # and |q|^2, and the centring.
     gemm_error = 4 * (dim + 4) * eps
     # Relative error of a direct-form squared distance and its square root.
     direct_error = 2 * (dim + 8) * eps
-    rows = max(1, _BLOCK_BYTES // (8 * (2 * n + width * dim)))
+    # Per row: the Gram block, the group minima and their partition, the
+    # kept columns with their values and partition, the direct form.
+    rows = max(
+        1,
+        _BLOCK_BYTES
+        // (8 * (groups * _GROUP + 2 * groups + 3 * _GROUP * kept + width * dim)),
+    )
+    # One Gram buffer serves every block: a new matrix per block would be
+    # allocated while the last one is still held, and fault in its pages.
+    buffer = np.empty((min(rows, len(queries)), groups * _GROUP))
     index = np.empty((len(queries), k), dtype=np.intp)
     dist = np.empty((len(queries), k))
     for start in range(0, len(queries), rows):
@@ -166,19 +194,33 @@ def _k_nearest(
         else:
             q = block - center
             sq_q = (q**2).sum(axis=1)
-            gram = q @ shifted.T
-            gram *= -2.0
-            gram += sq_q[:, None]
-            gram += sq_points
-            cand = np.argpartition(gram, width - 1, axis=1)[:, :width]
+            gram = np.matmul(q, scaled.T, out=buffer[: len(block)])
+            gram += padded
+            minima = gram.reshape(len(block), _GROUP, groups).min(axis=1)
+            best = np.argpartition(minima, kept - 1, axis=1)[:, :kept]
+            cols = (best[:, None, :] + strides).reshape(len(block), -1)
+            values = np.take_along_axis(gram, cols, axis=1)
+            pick = np.argpartition(values, width - 1, axis=1)[:, :width]
+            cand = np.take_along_axis(cols, pick, axis=1)
             cand.sort(axis=1)
-            shortlist = np.take_along_axis(gram, cand, axis=1)
+            # A row whose values overflow has an infinite last or slack and
+            # takes the fallback; its padding must not index past the bag.
+            np.minimum(cand, n - 1, out=cand)
+            # |q|^2 is added to the shortlist alone: a constant per row does
+            # not change the order within the row.
+            shortlist = np.take_along_axis(values, pick, axis=1)
+            shortlist += sq_q[:, None]
             kth = np.partition(shortlist, k - 1, axis=1)[:, k - 1]
             last = shortlist.max(axis=1)
-            # Points left out have GEMM values >= last, so true squared
-            # distances >= last - slack; k shortlisted points lie within
-            # kth + slack.  A gap that also clears the direct form's rounding
-            # puts every left-out point strictly beyond the k-th nearest.
+            # With fewer than `width` groups every group is kept.  Otherwise
+            # a column outside the kept groups is >= its group's minimum,
+            # which is >= the largest kept minimum; the `width` kept groups
+            # hold `width` values no larger than that, so it is >= last.
+            # Points left out therefore have GEMM values >= last, so true
+            # squared distances >= last - slack; k shortlisted points lie
+            # within kth + slack.  A gap that also clears the direct form's
+            # rounding puts every left-out point strictly beyond the k-th
+            # nearest.
             slack = gemm_error * (sq_q + sq_points.max())
             proven = last - kth > 2 * slack + direct_error * (
                 np.abs(last) + np.abs(kth) + 2 * slack

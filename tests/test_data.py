@@ -116,6 +116,27 @@ class TestLoadDataset:
             load_dataset(path, positive_class="yes")
         assert str(caught.value) == f"{path}:3: duplicate sample id 'a' (first on line 2)"
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (['"a\nb",yes,1.0', "c,no,abc"], "4: column 'x1' is not a number: 'abc'"),
+            (['"a\nb",yes,1.0', "c,no"], "4: expected 3 columns, got 2"),
+            (['"a\nb",yes,1.0', "c,no,inf"], "4: sample 'c' has non-finite features"),
+            (
+                ['"a\nb",yes,1.0', "c,yes,1.0", '"d\ne",no,1.0', "c,no,2.0"],
+                "7: duplicate sample id 'c' (first on line 4)",
+            ),
+        ],
+        ids=["not-a-number", "column-count", "row-check", "duplicate-id"],
+    )
+    def test_lines_count_the_line_breaks_inside_quoted_fields(
+        self, tmp_path, rows, message
+    ):
+        path = write_csv(tmp_path, "\n".join(["id,label,x1", *rows]) + "\n")
+        with pytest.raises(DataFormatError) as caught:
+            load_dataset(path, positive_class="yes")
+        assert str(caught.value) == f"{path}:{message}"
+
     def test_empty_and_headerless_files_rejected(self, tmp_path):
         empty = write_csv(tmp_path, "", name="empty.csv")
         with pytest.raises(DataFormatError, match="empty"):

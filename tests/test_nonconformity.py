@@ -41,6 +41,70 @@ def _scoring_layouts():
     yield "tied", tied, labels, np.vstack([tied[:1], close, queries])
 
 
+def _grouped_layouts():
+    """(name, points, labels, queries) cases whose shortlist prunes groups.
+
+    Bags hold about 1,000 points, a size that is not a multiple of
+    `_GROUP`, so each class pool has more groups than k + margin for every
+    k the tests use, and the last group is padded.  Queries include the
+    bag's mean, where a padding row would be nearest if it were not
+    excluded.
+    """
+    size = nonconformity._GROUP
+    n = size * (1000 // size) + 3
+    groups = -(-n // size)
+    rng = np.random.default_rng(21)
+    for dim in (10, 2, 1):
+        points = rng.normal(size=(n, dim))
+        mean = points.mean(axis=0)
+        near_mean = mean + 1e-3 * rng.normal(size=(2, dim))
+        queries = np.vstack(
+            [rng.normal(size=(12, dim)), mean, near_mean, points[[0, n // 2, n - 1]]]
+        )
+        yield f"d={dim}", points, rng.random(n) < 0.5, queries
+
+    points = rng.normal(size=(n, 10))
+    labels = rng.random(n) < 0.5
+    dup = points.copy()
+    first = np.arange(0, 40, 4)
+    dup[first + groups] = dup[first]  # columns i and i + groups: one group
+    dup[first + 2] = dup[first]  # two groups apart
+    near = dup[first[:4]] + 1e-3 * rng.normal(size=(4, 10))
+    queries = np.vstack([dup[first[:6]], near, points.mean(axis=0)])
+    yield "duplicates", dup, labels, queries
+
+    queries = np.vstack([rng.normal(size=(12, 10)), points[:4]])
+    yield "far", points + 1e8, labels, queries + 1e8
+
+    # More copies of one point than any shortlist holds, all of one class
+    # and spread over many groups, so queries near them take the exact
+    # fallback in either class pool.
+    tied, tied_labels = points.copy(), labels.copy()
+    copies = rng.choice(n, 60, replace=False)
+    tied[copies] = tied[copies[0]]
+    tied_labels[copies] = True
+    close = tied[copies[0]] + 1e-2 * rng.normal(size=(6, 10))
+    yield "tied", tied, tied_labels, np.vstack([tied[copies[:1]], close])
+
+    # For each k, a cluster of exactly k + margin copies of one point, one
+    # copy per group and far from the rest, labelled alternately in index
+    # order.  Every copy's group must be kept: a shortlist one group short
+    # would prove a row that leaves out a copy, and which copies fill the
+    # k nearest (ties go to the lower index) changes the score.
+    crowd, crowd_labels = points.copy(), labels.copy()
+    centres = 20.0 * np.eye(4, 10)
+    slots = rng.permutation(groups - 1)
+    for centre, k in zip(centres, (1, 5, 9, 40)):
+        count = k + nonconformity._SHORTLIST_MARGIN
+        chosen, slots = slots[:count], slots[count:]
+        # Any row of groups but the last stays inside the bag.
+        columns = chosen + groups * rng.integers(0, size - 1, count)
+        crowd[columns] = centre
+        crowd_labels[np.sort(columns)] = np.arange(count) % 2 == 0
+    queries = np.vstack([centres, centres + 1e-3 * rng.normal(size=centres.shape)])
+    yield "crowd", crowd, crowd_labels, queries
+
+
 def bag_of(*pairs):
     return TrainingBag.from_pairs(
         [(features, label) for features, label in pairs]
@@ -287,26 +351,27 @@ class TestScoreDataset:
         out = score_dataset(MeasureSpec("knn_ratio", 1), bag, Dataset(()))
         assert len(out) == 0
 
-    @pytest.mark.parametrize("kind", ["knn_ratio", "knn_prob"])
-    @pytest.mark.parametrize("k", [1, 2, 5, 9, 40, 60])
-    def test_batch_scoring_matches_single_point_scoring(self, kind, k, monkeypatch):
-        # Bit-for-bit oracle for the blocked k-nearest kernel; k=60 is the
-        # whole bag.  The "tied" layout puts 55 copies of one point next to
-        # the queries, more than k + margin, so the exact fallback must run.
-        fallback_rows = []
+    @staticmethod
+    def _check_layouts(layouts, kind, k, monkeypatch):
+        """Score each layout's queries and compare them with the oracles.
+
+        Returns the names of the layouts where the exact fallback ran.
+        """
+        fallback_layouts = set()
         exact = nonconformity._distances
+        calls = []
 
         def counted(points, x):
-            fallback_rows.append(x)
+            calls.append(x)
             return exact(points, x)
 
         monkeypatch.setattr(nonconformity, "_distances", counted)
-        for layout, points, labels, queries in _scoring_layouts():
+        for layout, points, labels, queries in layouts:
             bag = TrainingBag(points, labels)
-            fallback_rows.clear()
+            calls.clear()
             out = score_dataset(MeasureSpec(kind, k), bag, rows(queries))
-            if layout == "tied" and k <= 9:
-                assert fallback_rows, "exact fallback did not run"
+            if calls:
+                fallback_layouts.add(layout)
             for query, (s_pos, s_neg) in zip(queries, out.scores.tolist()):
                 if kind == "knn_prob":
                     frac = oracles.knn_positive_fraction(bag, query, k)
@@ -317,6 +382,47 @@ class TestScoreDataset:
                         for label in (Label.POSITIVE, Label.NEGATIVE)
                     ]
                 assert [s_pos, s_neg] == expected, layout
+        return fallback_layouts
+
+    @pytest.mark.parametrize("kind", ["knn_ratio", "knn_prob"])
+    @pytest.mark.parametrize("k", [1, 2, 5, 9, 40, 60])
+    def test_batch_scoring_matches_single_point_scoring(self, kind, k, monkeypatch):
+        # Bit-for-bit oracle for the blocked k-nearest kernel; k=60 is the
+        # whole bag.  The "tied" layout puts 55 copies of one point next to
+        # the queries, more than k + margin, so the exact fallback must run.
+        fallback = self._check_layouts(_scoring_layouts(), kind, k, monkeypatch)
+        if k <= 9:
+            assert "tied" in fallback, "exact fallback did not run"
+
+    @pytest.mark.parametrize("kind", ["knn_ratio", "knn_prob"])
+    @pytest.mark.parametrize("k", [1, 5, 9, 40])
+    def test_group_pruned_shortlist_matches_single_point_scoring(
+        self, kind, k, monkeypatch
+    ):
+        # The same oracle on bags large enough that the shortlist keeps only
+        # some of the groups of each class pool.
+        for layout, points, labels, _ in _grouped_layouts():
+            assert len(points) % nonconformity._GROUP != 0
+            smallest_pool = min(labels.sum(), (~labels).sum())
+            groups = -(-smallest_pool // nonconformity._GROUP)
+            assert groups > k + nonconformity._SHORTLIST_MARGIN, layout
+        fallback = self._check_layouts(_grouped_layouts(), kind, k, monkeypatch)
+        assert "tied" in fallback, "exact fallback did not run"
+
+    def test_overflowing_squares_fall_back_within_the_bag(self):
+        # |p|^2 overflows, so every GEMM value is inf or nan: no row can be
+        # proven, and no padding column may be taken for a bag point.
+        rng = np.random.default_rng(5)
+        for n in (20, 21, 61):
+            points = np.sort(rng.uniform(-1.0, 1.0, size=(n, 1)), axis=0) * 1e200
+            queries = np.array([[3e200], [-3e200], [1e199]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                index, dist = nonconformity._k_nearest(queries, points, 5)
+                for query, got_index, got_dist in zip(queries, index, dist):
+                    d = oracles.distances(points, query)
+                    nearest = np.argsort(d, kind="stable")[:5]
+                    assert got_index.tolist() == nearest.tolist()
+                    assert got_dist.tolist() == d[nearest].tolist()
 
     def test_duplicate_points_across_classes_score_to_negative_infinity(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((0.0,), Label.POSITIVE))
