@@ -3,9 +3,10 @@
 A dataset is a set of columns, and `Dataset` is the one place that knows
 their layout and checks them: ids, an int8 label column (`POSITIVE`,
 `NEGATIVE`, or `UNKNOWN` for a missing label), features as an (n, m) float
-array and scores as an (n, 2) float array, either absent for every row,
-and one `probability` flag for the whole dataset.  Region kinds are coded
-by their index in `REGIONS`.
+array of finite values small enough to square (`_feature_limit`) and scores
+as an (n, 2) float array, either absent for every row, and one
+`probability` flag for the whole dataset.  Region kinds are coded by their
+index in `REGIONS`.
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ class Label(Enum):
 def label_names(labels: np.ndarray) -> list[str]:
     """The file text of each label code: a class name, or '' when unknown."""
     return np.array(["", str(Label.NEGATIVE), str(Label.POSITIVE)])[labels + 1].tolist()
+
+
+def _feature_limit(dim: int) -> float:
+    """The largest |feature| that rows of `dim` features may hold.
+
+    With every feature within B, so is every mean of rows, so a centred
+    coordinate lies within 2B and a squared norm or squared distance within
+    4 d B^2.  The k-nearest kernel adds two of those (|q|^2 + |p|^2, the
+    partial sums of -2 q.p, |last| + |kth| in its proof), up to 8 d B^2, and
+    then its rounding slack.  B = sqrt(max / (16 d)), with max the largest
+    float (`np.finfo(float).max`), keeps those sums within max / 2, so no
+    square and no sum of the kernel overflows.
+    """
+    return math.sqrt(float(np.finfo(float).max) / (16 * max(dim, 1)))
 
 
 class RowError(ValueError):
@@ -213,10 +228,18 @@ class Dataset:
         checks = [] if self.scores is None else _score_checks(self.scores, self.probability)
         checks.append((self.ids == "", lambda row: "sample id must be nonempty"))
         if self.features is not None:
-            checks.append((
-                ~np.isfinite(self.features).all(axis=1),
-                lambda row: f"sample {self.ids[row]!r} has non-finite features",
-            ))
+            limit = _feature_limit(self.features.shape[1])
+            checks += [
+                (
+                    ~np.isfinite(self.features).all(axis=1),
+                    lambda row: f"sample {self.ids[row]!r} has non-finite features",
+                ),
+                (
+                    (np.abs(self.features) > limit).any(axis=1),
+                    lambda row: f"sample {self.ids[row]!r} has features beyond "
+                    f"±{limit:.4g}, whose squared distances overflow",
+                ),
+            ]
         _check_rows(checks)
         unique, first = np.unique(self.ids, return_index=True)
         if unique.size < n:

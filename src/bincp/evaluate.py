@@ -205,8 +205,13 @@ def binary_metrics(s_pos, positive, threshold: float = 0.5) -> BinaryMetrics:
 
 
 def _auroc(s_pos: np.ndarray, positive: np.ndarray) -> float:
+    """Win fraction of the positive scores over the negative ones, ties half.
+
+    Only the sums of the rank counts matter, so both classes are sorted and
+    the positive scores are counted against the negative ones in order.
+    """
     neg = np.sort(s_pos[~positive])
-    pos = s_pos[positive]
+    pos = np.sort(s_pos[positive])
     if pos.size == 0 or neg.size == 0:
         raise ValueError("AUROC needs at least one sample of each class")
     below = np.searchsorted(neg, pos, side="left")

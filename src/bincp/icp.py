@@ -147,7 +147,9 @@ def p_values(
     times the ties and the test sample itself, over n + 1.  The deterministic
     form takes tau = 1; the smoothed form needs `rng` and draws tau in (0, 1]
     as one block with a trailing axis of two: row by row, the positive
-    hypothesis first.
+    hypothesis first.  Each side's scores are sorted once and counted against
+    the sorted table in that order, so each search starts where the last one
+    ended; the counts are scattered back to the input order.
     """
     s_pos = np.asarray(s_pos, dtype=float)
     s_neg = np.asarray(s_neg, dtype=float)
@@ -163,8 +165,13 @@ def p_values(
     for side, (calibration_scores, scores) in enumerate(
         ((table.pos_scores, s_pos), (table.neg_scores, s_neg))
     ):
-        below = np.searchsorted(calibration_scores, scores, side="left")
-        tied = np.searchsorted(calibration_scores, scores, side="right") - below
+        order = np.argsort(scores, axis=None)
+        keys = scores.ravel()[order]
+        counts = np.empty((2, order.size), dtype=np.intp)
+        counts[0, order] = np.searchsorted(calibration_scores, keys, side="left")
+        counts[1, order] = np.searchsorted(calibration_scores, keys, side="right")
+        below, at_most = counts.reshape((2,) + scores.shape)
+        tied = at_most - below
         n = calibration_scores.size
         columns.append((below + tau[..., side] * (tied + 1)) / (n + 1))
     return columns[0], columns[1]

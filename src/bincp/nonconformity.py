@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Dataset, Label
+from .core import Dataset, Label, _feature_limit
 
 MEASURE_KINDS = ("knn_ratio", "knn_prob", "passthrough")
 
@@ -41,7 +41,8 @@ class MeasureSpec:
 class TrainingBag:
     """Labelled reference points that nearest-neighbour measures score against.
 
-    Arrays are stored read-only.
+    Arrays are stored read-only.  Coordinates must be finite and within
+    `core._feature_limit`, so no squared distance overflows.
     """
 
     points: np.ndarray
@@ -53,6 +54,11 @@ class TrainingBag:
             raise ValueError("bag needs a nonempty (n, m) point array")
         if not np.isfinite(points).all():
             raise ValueError("bag points must be finite")
+        limit = _feature_limit(points.shape[1])
+        if (np.abs(points) > limit).any():
+            raise ValueError(
+                f"bag points must be within ±{limit:.4g}, or squared distances overflow"
+            )
         labels = np.array(self.is_positive, dtype=bool)
         if labels.shape != (points.shape[0],):
             raise ValueError("one label per bag point required")

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Label, PredictionRegion, SignificanceLevel
+from .core import Label, PredictionRegion, SignificanceLevel, _feature_limit
 from .nonconformity import TrainingBag, _distances, _k_nearest, _ratio_array
 
 # Row 0 is the positive hypothesis, row 1 the negative one.
@@ -67,6 +67,7 @@ class _OnlineSession:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k, self.n = k, len(bag)
+        self.limit = _feature_limit(bag.dim)
         self.points = bag.points.copy()
         self.is_positive = bag.is_positive.copy()
         self.same = np.full((min(k, self.n), self.n), np.inf)
@@ -91,8 +92,14 @@ class _OnlineSession:
             raise ValueError(
                 f"expected {self.points.shape[1]} features, got {point.shape}"
             )
-        if not np.isfinite(point).all():
-            raise ValueError("candidate features must be finite")
+        # A NaN fails the comparison as well.
+        if not np.abs(point).max(initial=0.0) <= self.limit:
+            if not np.isfinite(point).all():
+                raise ValueError("candidate features must be finite")
+            raise ValueError(
+                f"candidate features must be within ±{self.limit:.4g}, "
+                "or squared distances overflow"
+            )
         n, rows = self.n, len(self.same)
         d = _distances(self.points[:n], point)
         match = self.is_positive[:n] == _HYPOTHESES

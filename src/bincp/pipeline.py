@@ -16,6 +16,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -480,24 +481,42 @@ def _reprs(column: np.ndarray) -> list[str]:
 
 
 def regions_csv(result: PipelineResult) -> bytes:
-    """Per-sample regions for every requested epsilon, in input order."""
+    """Per-sample regions for every requested epsilon, in input order.
+
+    A row is three pieces: the epsilon, the fields every epsilon shares and
+    the region name.  Each block is one `str.join` of those pieces, encoded
+    on its own, so the bytes join holds a handful of blocks, not a buffer
+    per piece.
+    """
     blocks = ["epsilon,id,true_label,p_pos,p_neg,region\n".encode("utf-8")]
     if result.regions:
-        # The fields shared by every epsilon are formatted once: ids and
-        # labels by a csv writer that quotes them as csv needs and hands each
-        # row to `lines`, p-values by `_reprs`, which no csv rule quotes.
+        # The fields shared by every epsilon are formatted once.  Labels and
+        # the p-values of `_reprs` never need quoting.  The csv writer quotes
+        # only a field that holds a comma, a quote or a line break, so it
+        # writes ids, one row each, only when one of them holds such a
+        # character.
         test = result.test
-        lines: list[str] = []
-        csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
-            zip(test.ids.tolist(), label_names(test.labels))
-        )
+        ids = test.ids.tolist()
+        joined = "".join(ids)
+        if any(char in joined for char in ',"\r\n'):
+            lines: list[str] = []
+            csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+                zip(ids)
+            )
+            ids = [line[:-1] for line in lines]
         p_pos, p_neg = map(_reprs, result.p_values)
-        shared = [f"{line[:-1]},{pos},{neg}" for line, pos, neg in zip(lines, p_pos, p_neg)]
-        names = [str(kind) for kind in REGIONS]
+        shared = [
+            f"{id_},{label},{pos},{neg},"
+            for id_, label, pos, neg in zip(ids, label_names(test.labels), p_pos, p_neg)
+        ]
+        ends = [f"{kind}\n" for kind in REGIONS]
         for value, codes in result.regions.items():
-            row = repr(float(value)) + ",{},{}\n"
-            text = "".join(map(row.format, shared, map(names.__getitem__, codes.tolist())))
-            blocks.append(text.encode("utf-8"))
+            pieces = zip(
+                repeat(repr(float(value)) + ","),
+                shared,
+                map(ends.__getitem__, codes.tolist()),
+            )
+            blocks.append("".join(chain.from_iterable(pieces)).encode("utf-8"))
     return b"".join(blocks)
 
 

@@ -1,9 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from bincp.cli import main
+from bincp.core import _feature_limit
 from bincp.data import demo_test_path, figure1_path
 
 FIG = str(figure1_path())
@@ -391,6 +393,84 @@ class TestSimulateOnlineCommand:
         )
         assert (code, err) == (0, "")
         assert out == PINNED_TRAJECTORIES[k]
+
+def write_features(path, points, labels):
+    lines = ["id,label," + ",".join(f"x{i + 1}" for i in range(points.shape[1]))]
+    for i, (point, label) in enumerate(zip(points.tolist(), labels)):
+        lines.append(f"r{i},{label}," + ",".join(map(repr, point)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestFeatureBound:
+    """Features whose squares would overflow are load errors, not scores."""
+
+    LIMIT = _feature_limit(2)
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        rng = np.random.default_rng(0)
+        labels = ["A", "B"] * 20
+        small = rng.normal(size=(40, 2))
+        # Rows 7 on are at 1e160 scale: the first of them is on line 9.
+        big = small * np.where(np.arange(40) >= 7, 1e160, 1.0)[:, None]
+        return (
+            write_features(tmp_path / "small.csv", small, labels),
+            write_features(tmp_path / "big.csv", big, labels),
+        )
+
+    def evaluate(self, capsys, train, test, measure="knn-ratio"):
+        return run(
+            capsys, "evaluate", "--train", str(train), "--test", str(test),
+            "--positive-class", "A", "--measure", measure, "--k", "3",
+            "--split-fraction", "0.5", "--split-seed", "0",
+        )
+
+    @pytest.mark.parametrize("route", ["--train", "--test", "simulate-online"])
+    def test_a_row_beyond_the_bound_names_its_line(self, capsys, files, route):
+        small, big = files
+        if route == "simulate-online":
+            code, out, err = run(
+                capsys, "simulate-online", "--data", str(big), "--positive-class", "A",
+                "--epsilon", "0.2",
+            )
+        elif route == "--train":
+            code, out, err = self.evaluate(capsys, big, small)
+        else:
+            code, out, err = self.evaluate(capsys, small, big)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: load: {big}:9: sample 'r7' has features beyond "
+            f"±{self.LIMIT:.4g}, whose squared distances overflow\n"
+        )
+
+    def test_features_at_the_bound_score_cleanly(self, capsys, tmp_path):
+        # Most rows of each class sit at one corner, a few at the opposite
+        # one, so the squared distances reach 4 d LIMIT^2 and the kernel's
+        # largest sums twice that; any overflow warning fails the run.
+        rng = np.random.default_rng(1)
+        corner = np.where(rng.random(60) < 0.2, 1.0, -1.0)
+        points = corner[:, None] * np.full((60, 2), self.LIMIT)
+        path = write_features(tmp_path / "edge.csv", points, ["A", "B"] * 30)
+        for measure in ("knn-ratio", "knn-prob"):
+            code, out, err = self.evaluate(capsys, path, path, measure)
+            assert (code, err) == (0, "")
+            assert out
+        code, out, err = run(
+            capsys, "simulate-online", "--data", str(path), "--positive-class", "A",
+            "--epsilon", "0.2",
+        )
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1 + 60 - 10
+
+    def test_one_ulp_beyond_the_bound_is_rejected(self, capsys, tmp_path):
+        points = np.zeros((20, 2))
+        points[12, 1] = -np.nextafter(self.LIMIT, np.inf)
+        path = write_features(tmp_path / "ulp.csv", points, ["A", "B"] * 10)
+        code, _, err = self.evaluate(capsys, path, path)
+        assert code == 1
+        assert err.startswith(f"error: load: {path}:14: sample 'r12' has features beyond")
+
 
 class TestSynthCommand:
     def test_same_seed_writes_identical_files(self, capsys, tmp_path):

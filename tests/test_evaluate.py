@@ -224,6 +224,21 @@ class TestAuroc:
         scores = [float(v) for v in values]
         assert auroc(scores, truths) == oracle_auroc(scores, truths)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_all_pairs_oracle_on_signed_zeros_and_infinities(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        pool = [-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf]
+        values = np.where(rng.random(n) < 0.2, rng.normal(size=n), rng.choice(pool, n))
+        truths = (rng.random(n) < 0.5).tolist()
+        truths[0], truths[-1] = True, False
+        # Unsorted input: a shuffled copy must give the same value.
+        scores = values.tolist()
+        order = rng.permutation(n).tolist()
+        shuffled = [scores[i] for i in order], [truths[i] for i in order]
+        assert auroc(scores, truths) == oracle_auroc(scores, truths)
+        assert auroc(*shuffled) == oracle_auroc(scores, truths)
+
     def test_works_on_unbounded_conformity_scores(self):
         assert auroc([-0.5, -2.0], [True, False]) == 1.0
 

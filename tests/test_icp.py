@@ -40,6 +40,17 @@ TIED_SCORES = st.sampled_from(
 ) | st.floats(allow_nan=False, width=32)
 
 
+# Signed zeros and infinities, which the table and the keys share.
+EDGE_SCORES = [-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf]
+
+
+def smoothed_oracle_p(calibration, score, tau):
+    """The smoothed rank count: ties and the test sample weighted by tau."""
+    below = sum(1 for c in calibration if c < score)
+    tied = sum(1 for c in calibration if c == score)
+    return (below + tau * (tied + 1)) / (len(calibration) + 1)
+
+
 def labelled(n_neg, n_pos, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset.from_columns(
@@ -271,6 +282,58 @@ class TestPValues:
             assert 1 / (len(calibration) + 1) <= p <= 1.0
         assert p_lo <= p_hi
         assert p_lo == oracle_p(list(scores), lo)
+
+    @staticmethod
+    def edge_table(rng, pooled):
+        pos, neg = (
+            np.sort(np.concatenate([rng.choice(EDGE_SCORES, 30), rng.normal(size=5)]))
+            for _ in range(2)
+        )
+        if pooled:
+            pos = neg = np.sort(np.concatenate([pos, neg]))
+        return CalibrationTable(pos, neg, mondrian=not pooled)
+
+    @staticmethod
+    def edge_keys(rng, shape):
+        # Heavy ties in random order, with values the table does not hold.
+        keys = rng.choice(EDGE_SCORES + [0.25, -2.0], size=shape)
+        return np.where(rng.random(shape) < 0.2, rng.normal(size=shape), keys)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (97,), (7, 13)])
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_any_key_order_matches_the_rank_count_oracle(self, shape, pooled, seed):
+        rng = np.random.default_rng(seed)
+        table = self.edge_table(rng, pooled)
+        s_pos, s_neg = self.edge_keys(rng, shape), self.edge_keys(rng, shape)
+        p_pos, p_neg = p_values(table, s_pos, s_neg)
+        assert np.shape(p_pos) == np.shape(p_neg) == shape
+        for got, column, keys in (
+            (p_pos, table.pos_scores.tolist(), s_pos),
+            (p_neg, table.neg_scores.tolist(), s_neg),
+        ):
+            want = [oracle_p(column, key) for key in keys.ravel().tolist()]
+            assert np.ravel(got).tolist() == want
+
+    @pytest.mark.parametrize("shape", [(), (97,), (7, 13)])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_smoothed_any_key_order_matches_the_row_by_row_oracle(self, shape, pooled):
+        rng = np.random.default_rng(11)
+        table = self.edge_table(rng, pooled)
+        s_pos, s_neg = self.edge_keys(rng, shape), self.edge_keys(rng, shape)
+        p_pos, p_neg = p_values(
+            table, s_pos, s_neg, smoothed=True, rng=np.random.default_rng(4)
+        )
+        assert np.shape(p_pos) == np.shape(p_neg) == shape
+        # Taus are drawn row by row, the positive hypothesis first.
+        taus = np.random.default_rng(4)
+        pos, neg = table.pos_scores.tolist(), table.neg_scores.tolist()
+        want_pos, want_neg = [], []
+        for a, b in zip(s_pos.ravel().tolist(), s_neg.ravel().tolist()):
+            want_pos.append(smoothed_oracle_p(pos, a, 1.0 - taus.random()))
+            want_neg.append(smoothed_oracle_p(neg, b, 1.0 - taus.random()))
+        assert np.ravel(p_pos).tolist() == want_pos
+        assert np.ravel(p_neg).tolist() == want_neg
 
     def test_score_columns_must_match_and_not_be_nan(self, figure1_table):
         with pytest.raises(ValueError, match="shapes"):

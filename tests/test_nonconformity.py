@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bincp import nonconformity
-from bincp.core import UNKNOWN, Dataset, Label, ScorePair
+from bincp.core import UNKNOWN, Dataset, Label, ScorePair, _feature_limit
 from bincp.nonconformity import MeasureSpec, TrainingBag, score_dataset
 
 import oracles
@@ -301,6 +301,15 @@ class TestTrainingBag:
         bag = bag_of(((0.0,), Label.NEGATIVE), ((1.0,), Label.POSITIVE))
         with pytest.raises(ValueError):
             bag.points[0, 0] = 5.0
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_points_beyond_the_feature_bound_are_rejected(self, dim):
+        limit = _feature_limit(dim)
+        points = np.full((2, dim), -limit)
+        TrainingBag(points, [True, False])
+        points[1, -1] = np.nextafter(limit, np.inf)
+        with pytest.raises(ValueError, match="bag points must be within"):
+            TrainingBag(points, [True, False])
 
     def test_from_dataset_requires_features_and_labels(self):
         data = rows([(0.0,), (1.0,)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bincp.core import Label, PredictionRegion, SignificanceLevel
+from bincp.core import Label, PredictionRegion, SignificanceLevel, _feature_limit
 from bincp.nonconformity import TrainingBag
 from bincp.online import (
     OnlineRound,
@@ -140,6 +140,13 @@ class TestFullCpPValue:
     def test_non_finite_candidate_rejected(self):
         with pytest.raises(ValueError):
             full_cp_pvalue(two_point_bag(), ((math.nan,), Label.POSITIVE))
+
+    def test_candidate_beyond_the_feature_bound_rejected(self):
+        limit = _feature_limit(1)
+        assert full_cp_pvalue(two_point_bag(), ((limit,), Label.POSITIVE)) > 0.0
+        for value, message in ((math.inf, "finite"), (-limit * 2, "within")):
+            with pytest.raises(ValueError, match=message):
+                full_cp_pvalue(two_point_bag(), ((value,), Label.POSITIVE))
 
 
 class TestOnlineRound:

@@ -11,6 +11,7 @@ from bincp.core import (
     Dataset,
     Label,
     PredictionRegion,
+    SignificanceLevel,
 )
 from bincp.data import (
     SyntheticSpec,
@@ -20,7 +21,7 @@ from bincp.data import (
     write_dataset,
 )
 from bincp.nonconformity import MeasureSpec
-from bincp.icp import SplitConfig
+from bincp.icp import SplitConfig, region
 from bincp.pipeline import (
     REPORT_CSV_COLUMNS,
     OnlineConfig,
@@ -435,8 +436,19 @@ class TestRegionsWriter:
             ),
             (50, None, None, False, (0.2, 0.05, 0.2, 0.1)),
             (1, None, None, True, (0.1, 0.3)),
+            (60, None, None, True, (1.0, 0.0)),
+            (
+                5,
+                [" lead", "tab\there", "a\u2028b", "it's", "x\x0cy"],
+                [POSITIVE, NEGATIVE, UNKNOWN, POSITIVE, NEGATIVE],
+                False,
+                (0.1,),
+            ),
         ],
-        ids=["ties", "smoothed-distinct", "quoted-ids", "repeated-unsorted-eps", "one-row"],
+        ids=[
+            "ties", "smoothed-distinct", "quoted-ids", "repeated-unsorted-eps", "one-row",
+            "all-empty-and-all-both", "unquoted-odd-ids",
+        ],
     )
     def test_bytes_match_the_row_by_row_writer(
         self, tmp_path, n_test, ids, labels, smoothed, epsilons
@@ -473,6 +485,35 @@ class TestRegionsWriter:
         # The column writer merges values that compare equal only where their
         # text is the same, and p-values are never -0.0.
         assert not any(np.signbit(column).any() for column in result.p_values)
+        # At epsilon 0 every region keeps both labels, at 1 neither.
+        for value, kind in ((0.0, PredictionRegion.BOTH), (1.0, PredictionRegion.EMPTY)):
+            if value in result.regions:
+                assert set(result.regions[value].tolist()) == {REGIONS.index(kind)}
+        assert regions_csv(result) == oracles.regions_csv_rows(result)
+
+    @pytest.mark.parametrize("odd", ["a,b", 'say "hi"', "two\nlines", "cr\rid"])
+    def test_one_id_among_many_that_csv_may_quote(self, odd):
+        ids = [f"t{i}" for i in range(300)]
+        ids[150] = odd
+        test = Dataset.from_columns(ids, [POSITIVE] * 300, None, np.full((300, 2), 0.5))
+        p_pos, p_neg = np.linspace(0.0, 1.0, 300), np.linspace(1.0, 0.0, 300)
+        codes = region(p_pos, p_neg, SignificanceLevel(0.1))
+        result = PipelineResult({}, (p_pos, p_neg), {0.1: codes}, test)
+        assert regions_csv(result) == oracles.regions_csv_rows(result)
+
+    def test_one_block_holds_every_region(self):
+        test = Dataset.from_columns(
+            ["a", "b,c", "d", "e"],
+            [POSITIVE, NEGATIVE, UNKNOWN, POSITIVE],
+            None,
+            np.full((4, 2), 0.5),
+        )
+        # Positive, negative, both and empty at epsilon 0.1, then all both.
+        p_pos, p_neg = np.array([0.5, 0.05, 0.5, 0.1]), np.array([0.1, 0.5, 0.25, 0.05])
+        codes = region(p_pos, p_neg, SignificanceLevel(0.1))
+        assert codes.tolist() == [REGIONS.index(kind) for kind in REGIONS]
+        both = np.full(4, REGIONS.index(PredictionRegion.BOTH))
+        result = PipelineResult({}, (p_pos, p_neg), {0.1: codes, 0.0: both}, test)
         assert regions_csv(result) == oracles.regions_csv_rows(result)
 
     def test_negative_zero_keeps_its_own_text(self):
