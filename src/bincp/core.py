@@ -25,8 +25,6 @@ PROBABILITY_SUM_TOL = 1e-9
 # guarantees exact round-trips for values with up to four decimal digits.
 _ROUND_DIGITS = 12
 
-FeatureVector = tuple[float, ...]
-
 # Codes of the label column.
 UNKNOWN, NEGATIVE, POSITIVE = -1, 0, 1
 
@@ -36,9 +34,6 @@ class Label(Enum):
 
     POSITIVE = "positive"
     NEGATIVE = "negative"
-
-    def flipped(self) -> "Label":
-        return Label.NEGATIVE if self is Label.POSITIVE else Label.POSITIVE
 
     def __str__(self) -> str:
         return self.value
@@ -138,12 +133,6 @@ class ScorePair:
     def __post_init__(self) -> None:
         _check_rows(_score_checks(np.array([[self.s_pos, self.s_neg]]), self.probability))
 
-    def for_label(self, label: Label) -> float:
-        return self.s_pos if label is Label.POSITIVE else self.s_neg
-
-    def swapped(self) -> "ScorePair":
-        return ScorePair(self.s_neg, self.s_pos, self.probability)
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -153,7 +142,7 @@ class Sample:
     """
 
     id: str
-    features: FeatureVector | None = None
+    features: tuple[float, ...] | None = None
     scores: ScorePair | None = None
     true_label: Label | None = None
 
@@ -305,10 +294,6 @@ class Dataset:
     def fully_labelled(self) -> bool:
         return not (self.labels == UNKNOWN).any()
 
-    def count(self, label: Label) -> int:
-        code = POSITIVE if label is Label.POSITIVE else NEGATIVE
-        return int((self.labels == code).sum())
-
 
 @dataclass(frozen=True)
 class SignificanceLevel:
@@ -361,12 +346,6 @@ class PredictionRegion(Enum):
     @property
     def is_singleton(self) -> bool:
         return self in (PredictionRegion.SINGLE_POSITIVE, PredictionRegion.SINGLE_NEGATIVE)
-
-    @property
-    def size(self) -> int:
-        if self is PredictionRegion.BOTH:
-            return 2
-        return 1 if self.is_singleton else 0
 
     def __str__(self) -> str:
         return self.value

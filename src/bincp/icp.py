@@ -3,8 +3,8 @@
 The p-value of a label hypothesis is rank-based: the fraction of calibration
 scores (of the matching class when Mondrian, pooled otherwise) that conform
 no better than the test sample, counting the test sample itself.  Ties are
-counted inclusively, which keeps the engine deterministic; smoothed p-values
-that randomize over ties are available behind an explicit generator.
+counted inclusively, which keeps the engine deterministic; passing a
+generator as `rng` gives smoothed p-values, which randomize over ties.
 
 P-values do not depend on epsilon, so a run computes the two p-value
 columns of its test set once; the region at each epsilon is one comparison
@@ -86,7 +86,6 @@ class CalibrationTable:
 
     pos_scores: np.ndarray
     neg_scores: np.ndarray
-    mondrian: bool = True
 
     def __post_init__(self) -> None:
         for name in ("pos_scores", "neg_scores"):
@@ -100,14 +99,6 @@ class CalibrationTable:
                 raise ValueError(f"{name} must be sorted ascending")
             scores.flags.writeable = False
             object.__setattr__(self, name, scores)
-
-    @property
-    def n_pos(self) -> int:
-        return int(self.pos_scores.size)
-
-    @property
-    def n_neg(self) -> int:
-        return int(self.neg_scores.size)
 
 
 def build_calibration_table(
@@ -128,28 +119,24 @@ def build_calibration_table(
         if not pos.size or not neg.size:
             empty = Label.POSITIVE if not pos.size else Label.NEGATIVE
             raise ValueError(f"calibration has no {empty} samples")
-        return CalibrationTable(pos, neg, mondrian=True)
+        return CalibrationTable(pos, neg)
     pooled = np.sort(np.where(positive, scores[:, 0], scores[:, 1]))
-    return CalibrationTable(pooled, pooled, mondrian=False)
+    return CalibrationTable(pooled, pooled)
 
 
 def p_values(
-    table: CalibrationTable,
-    s_pos,
-    s_neg,
-    *,
-    smoothed: bool = False,
-    rng: np.random.Generator | None = None,
+    table: CalibrationTable, s_pos, s_neg, *, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """p-values (positive, negative) of test score columns of any one shape.
 
     A p-value counts the calibration scores below the test score, plus tau
-    times the ties and the test sample itself, over n + 1.  The deterministic
-    form takes tau = 1; the smoothed form needs `rng` and draws tau in (0, 1]
-    as one block with a trailing axis of two: row by row, the positive
-    hypothesis first.  Each side's scores are sorted once and counted against
-    the sorted table in that order, so each search starts where the last one
-    ended; the counts are scattered back to the input order.
+    times the ties and the test sample itself, over n + 1.  Without `rng`
+    tau = 1; with one the p-values are smoothed: tau is drawn from `rng` in
+    (0, 1] as one block with a trailing axis of two, row by row, the
+    positive hypothesis first.  Each side's scores are sorted once and
+    counted against the sorted table in that order, so each search starts
+    where the last one ended; the counts are scattered back to the input
+    order.
     """
     s_pos = np.asarray(s_pos, dtype=float)
     s_neg = np.asarray(s_neg, dtype=float)
@@ -157,10 +144,8 @@ def p_values(
         raise ValueError(f"score shapes differ: {s_pos.shape} and {s_neg.shape}")
     if np.isnan(s_pos).any() or np.isnan(s_neg).any():
         raise ValueError("test scores must not be NaN")
-    if smoothed and rng is None:
-        raise ValueError("smoothed p-values need an rng")
     shape = s_pos.shape + (2,)
-    tau = 1.0 - rng.random(shape) if smoothed else np.ones(shape)
+    tau = np.ones(shape) if rng is None else 1.0 - rng.random(shape)
     columns = []
     for side, (calibration_scores, scores) in enumerate(
         ((table.pos_scores, s_pos), (table.neg_scores, s_neg))
@@ -183,16 +168,13 @@ def region(p_pos, p_neg, eps: SignificanceLevel) -> np.ndarray:
 
 
 def predict_set(
-    table: CalibrationTable,
-    tests: Dataset,
-    *,
-    smoothed: bool = False,
-    rng: np.random.Generator | None = None,
+    table: CalibrationTable, tests: Dataset, *, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The p-value columns (positive, negative) of every test sample, in input order."""
+    """The p-value columns (positive, negative) of every test sample, in input order.
+
+    They are smoothed exactly when `rng` is given, as in `p_values`.
+    """
     missing = tests.missing("scores")
     if missing:
         raise ValueError(f"test samples need scores, missing for {missing}")
-    return p_values(
-        table, tests.scores[:, 0], tests.scores[:, 1], smoothed=smoothed, rng=rng
-    )
+    return p_values(table, tests.scores[:, 0], tests.scores[:, 1], rng=rng)

@@ -96,11 +96,12 @@ class TrainingBag:
 
 
 def _distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.sqrt(((points - x) ** 2).sum(axis=1))
+    """Euclidean distances between `points` and `x`, over their last axis."""
+    return np.sqrt(((points - x) ** 2).sum(axis=-1))
 
 
 def _ratio_array(d_same: np.ndarray, d_diff: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         quotient = d_same / d_diff
     same_zero, diff_zero = d_same == 0.0, d_diff == 0.0
     same_inf, diff_inf = np.isinf(d_same), np.isinf(d_diff)
@@ -116,15 +117,22 @@ def _ratio_array(d_same: np.ndarray, d_diff: np.ndarray) -> np.ndarray:
     )
 
 
-def _row_means(sorted_block: np.ndarray) -> np.ndarray:
-    """Row means, each summed left to right; +inf for rows of an empty pool.
+def _pool_means(block: np.ndarray) -> np.ndarray:
+    """Mean of each column's finite entries, summed top down; +inf if none.
 
-    The cumulative sum fixes the order of additions, so a row's mean does
-    not depend on the block's shape or memory layout.
+    Columns are sorted neighbour distances, so the sum runs smallest first
+    and the +inf padding of a pool smaller than k comes last; a block of no
+    rows (an empty pool) gives +inf throughout.  The cumulative sum adds row
+    after row whatever the block's layout, so batch scoring and the on-line
+    engine get the same bits.
     """
-    if sorted_block.shape[1] == 0:
-        return np.full(sorted_block.shape[0], np.inf)
-    return np.cumsum(sorted_block, axis=1)[:, -1] / sorted_block.shape[1]
+    if not len(block):
+        return np.full(block.shape[1], np.inf)
+    finite = np.isfinite(block)
+    sums = np.cumsum(np.where(finite, block, 0.0), axis=0)[-1]
+    counts = finite.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, sums / counts, np.inf)
 
 
 # Scratch memory one query block of `_k_nearest` may use, in bytes.
@@ -231,7 +239,7 @@ def _k_nearest(
             proven = last - kth > 2 * slack + direct_error * (
                 np.abs(last) + np.abs(kth) + 2 * slack
             )
-        d = np.sqrt(((points[cand] - block[:, None, :]) ** 2).sum(axis=2))
+        d = _distances(points[cand], block[:, None, :])
         order = np.argsort(d, axis=1, kind="stable")[:, :k]
         index[start:stop] = np.take_along_axis(cand, order, axis=1)
         dist[start:stop] = np.take_along_axis(d, order, axis=1)
@@ -281,7 +289,7 @@ def score_dataset(
         frac_pos = bag.is_positive[nearest].mean(axis=1)
         return data.with_scores(np.column_stack([frac_pos, 1.0 - frac_pos]), True)
     mean_pos, mean_neg = (
-        _row_means(_k_nearest(queries, bag.points[pool], measure.k)[1])
+        _pool_means(_k_nearest(queries, bag.points[pool], measure.k)[1].T)
         for pool in (bag.is_positive, ~bag.is_positive)
     )
     alphas = np.column_stack(

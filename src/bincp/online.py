@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Label, PredictionRegion, SignificanceLevel, _feature_limit
-from .nonconformity import TrainingBag, _distances, _k_nearest, _ratio_array
+from .nonconformity import TrainingBag, _distances, _k_nearest, _pool_means, _ratio_array
 
 # Row 0 is the positive hypothesis, row 1 the negative one.
 _HYPOTHESES = np.array([[True], [False]])
@@ -35,20 +35,6 @@ def _insert(block: np.ndarray, values: np.ndarray) -> np.ndarray:
     before[0] = -np.inf
     before[1:] = block[:-1]
     return np.minimum(block, np.maximum(before, values))
-
-
-def _pool_means(block: np.ndarray) -> np.ndarray:
-    """Mean of each column's finite entries, summed top down; +inf if none.
-
-    Columns are sorted, so the +inf padding of a pool smaller than k comes
-    last, and the sum runs smallest first, as in batch scoring.
-    """
-    finite = np.isfinite(block)
-    # A cumulative sum adds row after row, whatever the block's layout.
-    sums = np.cumsum(np.where(finite, block, 0.0), axis=0)[-1]
-    counts = finite.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, sums / counts, np.inf)
 
 
 class _OnlineSession:

@@ -10,8 +10,6 @@ regions writers format whole columns.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from contextlib import contextmanager
@@ -19,13 +17,12 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .core import REGIONS, Dataset, Label, SignificanceLevel, label_names
-from .data import load_dataset
+from .data import _quoted, load_dataset
 from .evaluate import (
     SCORED_ACCURACY_MODES,
     CalibrationReport,
@@ -301,7 +298,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         if config.smoothed:
             rng = np.random.default_rng(config.smoothing_seed)
         with _stage("predict"):
-            p_values = predict_set(table, test, smoothed=config.smoothed, rng=rng)
+            p_values = predict_set(table, test, rng=rng)
         labelled = test.fully_labelled()
         for value in dict.fromkeys(config.epsilons):
             regions[value] = region(*p_values, SignificanceLevel(value))
@@ -430,12 +427,10 @@ def emit_report(document: dict, fmt: str) -> bytes:
     if fmt == "json":
         text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(REPORT_CSV_COLUMNS)
-        for row in _flat_rows(document):
-            writer.writerow(map(_cell, row))
-        text = buffer.getvalue()
+        # Cells go through `_quoted`: `report --in` renders outside documents.
+        rows = [list(REPORT_CSV_COLUMNS)]
+        rows += ([_cell(value) for value in row] for row in _flat_rows(document))
+        text = "".join(",".join(_quoted(row)) + "\n" for row in rows)
     else:
         text = _render_text(document)
     return text.encode("utf-8")
@@ -486,24 +481,15 @@ def regions_csv(result: PipelineResult) -> bytes:
     A row is three pieces: the epsilon, the fields every epsilon shares and
     the region name.  Each block is one `str.join` of those pieces, encoded
     on its own, so the bytes join holds a handful of blocks, not a buffer
-    per piece.
+    per piece.  Ids are quoted by `data._quoted`, so a `csv.reader` reads
+    every id back as it was; labels, p-values and region names never need
+    quotes.
     """
     blocks = ["epsilon,id,true_label,p_pos,p_neg,region\n".encode("utf-8")]
     if result.regions:
-        # The fields shared by every epsilon are formatted once.  Labels and
-        # the p-values of `_reprs` never need quoting.  The csv writer quotes
-        # only a field that holds a comma, a quote or a line break, so it
-        # writes ids, one row each, only when one of them holds such a
-        # character.
+        # The fields shared by every epsilon are formatted once.
         test = result.test
-        ids = test.ids.tolist()
-        joined = "".join(ids)
-        if any(char in joined for char in ',"\r\n'):
-            lines: list[str] = []
-            csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
-                zip(ids)
-            )
-            ids = [line[:-1] for line in lines]
+        ids = _quoted(test.ids.tolist())
         p_pos, p_neg = map(_reprs, result.p_values)
         shared = [
             f"{id_},{label},{pos},{neg},"
@@ -521,17 +507,11 @@ def regions_csv(result: PipelineResult) -> bytes:
 
 
 def trajectory_csv(rounds: list[OnlineRound]) -> bytes:
-    """One row per on-line round."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["round", "region", "true_label", "cumulative_error_rate"])
-    for item in rounds:
-        writer.writerow(
-            [
-                item.round_index,
-                str(item.region),
-                str(item.true_label),
-                repr(item.cumulative_error_rate),
-            ]
-        )
-    return buffer.getvalue().encode("utf-8")
+    """One row per on-line round; no field of it ever needs quotes."""
+    lines = ["round,region,true_label,cumulative_error_rate\n"]
+    lines += [
+        f"{item.round_index},{item.region},{item.true_label},"
+        f"{item.cumulative_error_rate!r}\n"
+        for item in rounds
+    ]
+    return "".join(lines).encode("utf-8")

@@ -63,10 +63,8 @@ class TestPredictionRegion:
             PredictionRegion.from_membership(p, n) for p, n in zip(keep_pos, keep_neg)
         ]
 
-    def test_size_and_singleton_flags(self):
-        assert PredictionRegion.BOTH.size == 2
-        assert PredictionRegion.EMPTY.size == 0
-        assert PredictionRegion.SINGLE_POSITIVE.size == 1
+    def test_singleton_flags(self):
+        assert PredictionRegion.SINGLE_POSITIVE.is_singleton
         assert PredictionRegion.SINGLE_NEGATIVE.is_singleton
         assert not PredictionRegion.BOTH.is_singleton
         assert not PredictionRegion.EMPTY.is_singleton
@@ -102,8 +100,7 @@ class TestSignificanceLevel:
 class TestScorePair:
     def test_probability_pair_accepts_complement(self):
         pair = ScorePair(0.48, 0.52, probability=True)
-        assert pair.for_label(Label.POSITIVE) == 0.48
-        assert pair.for_label(Label.NEGATIVE) == 0.52
+        assert (pair.s_pos, pair.s_neg) == (0.48, 0.52)
 
     def test_probability_pair_rejects_bad_sum(self):
         with pytest.raises(ValueError):
@@ -124,10 +121,6 @@ class TestScorePair:
     def test_generic_pair_may_be_infinite(self):
         pair = ScorePair(-math.inf, -0.5)
         assert pair.s_pos == -math.inf
-
-    def test_swapped_exchanges_scores(self):
-        pair = ScorePair(0.2, 0.8, probability=True)
-        assert pair.swapped() == ScorePair(0.8, 0.2, probability=True)
 
 
 class TestSample:
@@ -176,7 +169,7 @@ class TestDataset:
             )
         )
         assert len(data) == 3
-        assert data.count(Label.POSITIVE) == 1
+        assert data.positive.sum() == 1
         assert not data.fully_labelled()
         assert data.labels.tolist() == [POSITIVE, NEGATIVE, UNKNOWN]
 

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from bincp.core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, Label, Sample, ScorePair
+from bincp.core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, Sample, ScorePair
 from bincp.data import (
     _CHUNK_ROWS,
     DataFormatError,
@@ -27,8 +27,8 @@ class TestBundledFixtures:
     def test_figure_one_fixture_contents(self):
         data = load_dataset(figure1_path(), positive_class="B")
         assert len(data) == 21
-        assert data.count(Label.POSITIVE) == 11
-        assert data.count(Label.NEGATIVE) == 10
+        assert data.positive.sum() == 11
+        assert (~data.positive).sum() == 10
         assert data.feature_dim is None
         assert data.probability
         assert sorted(data.scores[data.positive, 0].tolist()) == sorted(FIGURE1_POS)
@@ -36,8 +36,8 @@ class TestBundledFixtures:
 
     def test_positive_class_mapping_is_symmetric(self):
         flipped = load_dataset(figure1_path(), positive_class="A")
-        assert flipped.count(Label.POSITIVE) == 10
-        assert flipped.count(Label.NEGATIVE) == 11
+        assert flipped.positive.sum() == 10
+        assert (~flipped.positive).sum() == 11
 
     def test_demo_test_fixture_contents(self):
         data = load_dataset(demo_test_path(), positive_class="B")
@@ -354,6 +354,14 @@ class TestWriteDataset:
             )
         assert not (tmp_path / "bad.csv").exists()
 
+    @pytest.mark.parametrize("odd", ["cr\rid", "x\r\ny", "a,b", 'say "hi"', "two\nlines"])
+    def test_ids_that_need_quotes_round_trip(self, tmp_path, odd):
+        ids = ["a", odd, "b"]
+        data = Dataset.from_columns(ids, [POSITIVE] * 3, None, [(0.5, 0.5)] * 3, True)
+        path = tmp_path / "quoted.csv"
+        write_dataset(data, path)
+        assert load_dataset(path, positive_class="positive").ids.tolist() == ids
+
     def test_output_uses_unix_newlines(self, tmp_path):
         data = Dataset.from_columns(["a"], [POSITIVE], [(1.0,)])
         path = tmp_path / "nl.csv"
@@ -380,7 +388,7 @@ class TestSyntheticGenerator:
         data = generate_synthetic(SyntheticSpec(n_per_class=10, dim=3, seed=0))
         assert len(data) == 20
         assert data.feature_dim == 3
-        assert data.count(Label.NEGATIVE) == 10
+        assert (~data.positive).sum() == 10
         assert data.ids.tolist()[:2] == ["n01", "n02"]
         assert data.ids.tolist()[10:12] == ["p01", "p02"]
         assert data.fully_labelled()

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from bincp.core import Label, PredictionRegion, SignificanceLevel, _feature_limit
-from bincp.nonconformity import TrainingBag
-from bincp.online import (
-    OnlineRound,
-    _OnlineSession,
-    _pool_means,
-    full_cp_pvalue,
-    run_online,
-)
+from bincp.nonconformity import TrainingBag, _pool_means
+from bincp.online import OnlineRound, _OnlineSession, full_cp_pvalue, run_online
 
 import oracles
 
