@@ -11,9 +11,7 @@ from .core import (
 from .data import DataFormatError, SyntheticSpec, generate_synthetic, load_dataset
 from .evaluate import (
     auroc,
-    binary_metrics,
     calibration_report,
-    conditional_singleton_metrics,
     efficiency,
     region_distribution,
     scored_accuracy,
@@ -50,10 +48,8 @@ __all__ = [
     "SyntheticSpec",
     "TrainingBag",
     "auroc",
-    "binary_metrics",
     "build_calibration_table",
     "calibration_report",
-    "conditional_singleton_metrics",
     "efficiency",
     "emit_report",
     "full_cp_pvalue",

@@ -120,6 +120,8 @@ def _split_config(args: argparse.Namespace) -> SplitConfig | None:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
+    if args.smoothed != (args.smoothing_seed is not None):
+        raise CliError("--smoothed and --smoothing-seed must be given together")
     return RunConfig(
         positive_class=args.positive_class,
         epsilons=_epsilons(args),
@@ -131,7 +133,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         proper_path=args.proper,
         test_path=args.test,
         split=_split_config(args),
-        smoothed=args.smoothed,
         smoothing_seed=args.smoothing_seed,
         schema=args.schema,
     )

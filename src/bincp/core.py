@@ -39,6 +39,13 @@ class Label(Enum):
         return self.value
 
 
+def _check_label(label) -> Label:
+    """`label` itself; anything but a `Label` member, such as its text, is an error."""
+    if not isinstance(label, Label):
+        raise ValueError(f"label must be a Label member, got {label!r}")
+    return label
+
+
 def label_names(labels: np.ndarray) -> list[str]:
     """The file text of each label code: a class name, or '' when unknown."""
     return np.array(["", str(Label.NEGATIVE), str(Label.POSITIVE)])[labels + 1].tolist()

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import REGION_BOTH, REGIONS, Dataset, SignificanceLevel
+from .icp import _check_calibration
 
 SCORED_ACCURACY_MODES = ("both_correct", "both_wrong")
 
@@ -166,15 +167,6 @@ def scored_accuracy(mode: str, regions, positive) -> float:
     return _RegionCounts.of(*_region_columns(regions, positive)).scored_accuracy(mode)
 
 
-@dataclass(frozen=True)
-class BinaryMetrics:
-    """Plain thresholded rates; sensitivity/specificity are None when undefined."""
-
-    accuracy: float
-    sensitivity: float | None
-    specificity: float | None
-
-
 def _check_threshold(threshold: float) -> None:
     if not (math.isfinite(threshold) and 0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -187,21 +179,6 @@ def _threshold_confusion(
     cells = np.where(positive, 0, 2) + (s_pos < threshold)
     tp, fn, fp, tn = np.bincount(cells, minlength=4).tolist()
     return tp, fn, fp, tn
-
-
-def binary_metrics(s_pos, positive, threshold: float = 0.5) -> BinaryMetrics:
-    """Threshold probability scores into forced-choice predictions and score them.
-
-    A sample is called positive when s_pos >= threshold (ties go positive).
-    Sensitivity is TP / (TP + FN), specificity TN / (TN + FP); a missing
-    class leaves the corresponding rate undefined.
-    """
-    s_pos, positive = np.asarray(s_pos, dtype=float), np.asarray(positive, dtype=bool)
-    _check_paired("s_pos", s_pos, "positive", positive)
-    if not ((s_pos >= 0.0) & (s_pos <= 1.0)).all():
-        raise ValueError("binary metrics need probability scores in [0, 1]")
-    _check_threshold(threshold)
-    return BinaryMetrics(*_forced_choice(*_threshold_confusion(s_pos, positive, threshold)))
 
 
 def _auroc(s_pos: np.ndarray, positive: np.ndarray) -> float:
@@ -234,78 +211,12 @@ def auroc(s_pos, positive) -> float:
 
 
 @dataclass(frozen=True)
-class CalibrationReport:
-    """Scoring-quality summary of a calibration set: AUROC, accuracy, size."""
-
-    auroc: float
-    accuracy: float
-    n: int
-
-
-def calibration_report(calibration: Dataset, threshold: float = 0.5) -> CalibrationReport:
-    """Report how well the ingested probabilities separate the calibration classes.
-
-    This is the health check that tells a reader whether downstream regions
-    are built on an informative score or on noise.
-    """
-    missing = calibration.missing("scores", "labels")
-    if missing:
-        raise ValueError(
-            f"calibration samples need scores and labels, missing for {missing}"
-        )
-    if len(calibration) == 0:
-        raise ValueError("calibration set must not be empty")
-    s_pos, positive = calibration.scores[:, 0], calibration.positive
-    rates = binary_metrics(s_pos, positive, threshold)
-    return CalibrationReport(auroc(s_pos, positive), rates.accuracy, len(calibration))
-
-
-@dataclass(frozen=True)
-class ConditionalSingletonMetrics:
-    """Forced-choice quality restricted to the single-label predictions.
-
-    Rates are None whenever their denominator is empty on the restricted set;
-    the counts are always present.
-    """
-
-    accuracy: float | None
-    sensitivity: float | None
-    specificity: float | None
-    auroc: float | None
-    n_singleton: int
-    false_positives_in_singletons: int
-
-
-def _singleton_metrics(
-    counts: _RegionCounts, regions: np.ndarray, s_pos: np.ndarray, positive: np.ndarray
-) -> ConditionalSingletonMetrics:
-    tp, fn, fp, tn = counts[:4]
-    n_singleton = tp + fn + fp + tn
-    if not n_singleton:
-        return ConditionalSingletonMetrics(None, None, None, None, 0, 0)
-    single = regions < REGION_BOTH
-    area = _auroc(s_pos[single], positive[single]) if tp + fn and fp + tn else None
-    return ConditionalSingletonMetrics(
-        *_forced_choice(tp, fn, fp, tn), area, n_singleton, fp
-    )
-
-
-def conditional_singleton_metrics(regions, s_pos, positive) -> ConditionalSingletonMetrics:
-    """Evaluate only the samples that received a single-label region.
-
-    The singleton itself is the forced-choice prediction, so this answers
-    "when the predictor commits, how often is it right", which is the
-    fair companion number to overall validity.
-    """
-    regions, positive = _region_columns(regions, positive)
-    s_pos = np.asarray(s_pos, dtype=float)
-    _check_paired("regions", regions, "s_pos", s_pos)
-    return _singleton_metrics(_RegionCounts.of(regions, positive), regions, s_pos, positive)
-
-
-@dataclass(frozen=True)
 class MetricPanel:
-    """Forced-choice block of a report; entries are None when not computable."""
+    """Forced-choice block of a report: calls positive where s_pos >= threshold.
+
+    An entry is None when not computable: the rates need probability scores,
+    a class rate needs its class, and AUROC needs both classes.
+    """
 
     accuracy: float | None
     sensitivity: float | None
@@ -322,6 +233,56 @@ def _metric_panel(
     _check_threshold(threshold)
     return MetricPanel(
         *_forced_choice(*_threshold_confusion(s_pos, positive, threshold)), area
+    )
+
+
+@dataclass(frozen=True)
+class CalibrationReport:
+    """Scoring-quality summary of a calibration set: AUROC, accuracy, size."""
+
+    auroc: float | None
+    accuracy: float | None
+    n: int
+
+
+def calibration_report(calibration: Dataset, threshold: float = 0.5) -> CalibrationReport:
+    """Report how well the ingested probabilities separate the calibration classes.
+
+    This is the health check that tells a reader whether downstream regions
+    are built on an informative score or on noise.  Both figures come from
+    the test block's `MetricPanel`, so AUROC is None when a class is absent;
+    scores that are not probabilities report only the size.
+    """
+    _check_calibration(calibration)
+    if not calibration.probability:
+        return CalibrationReport(None, None, len(calibration))
+    panel = _metric_panel(calibration.scores[:, 0], calibration.positive, True, threshold)
+    return CalibrationReport(panel.auroc, panel.accuracy, len(calibration))
+
+
+@dataclass(frozen=True)
+class ConditionalSingletonMetrics(MetricPanel):
+    """The forced-choice panel of the single-label predictions, plus two counts.
+
+    The singleton is the forced choice: "when the predictor commits, how
+    often is it right".  Rates are None when their denominator is empty.
+    """
+
+    n_singleton: int
+    false_positives_in_singletons: int
+
+
+def _singleton_metrics(
+    counts: _RegionCounts, regions: np.ndarray, s_pos: np.ndarray, positive: np.ndarray
+) -> ConditionalSingletonMetrics:
+    tp, fn, fp, tn = counts[:4]
+    n_singleton = tp + fn + fp + tn
+    if not n_singleton:
+        return ConditionalSingletonMetrics(None, None, None, None, 0, 0)
+    single = regions < REGION_BOTH
+    area = _auroc(s_pos[single], positive[single]) if tp + fn and fp + tn else None
+    return ConditionalSingletonMetrics(
+        *_forced_choice(tp, fn, fp, tn), area, n_singleton, fp
     )
 
 

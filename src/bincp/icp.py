@@ -101,10 +101,8 @@ class CalibrationTable:
             object.__setattr__(self, name, scores)
 
 
-def build_calibration_table(
-    calibration: Dataset, mondrian: bool = True
-) -> CalibrationTable:
-    """Collect calibration scores into the sorted per-class (or pooled) table."""
+def _check_calibration(calibration: Dataset) -> None:
+    """Raise unless the calibration set has rows, each with scores and a label."""
     missing = calibration.missing("scores", "labels")
     if missing:
         raise ValueError(
@@ -112,6 +110,13 @@ def build_calibration_table(
         )
     if len(calibration) == 0:
         raise ValueError("calibration set must not be empty")
+
+
+def build_calibration_table(
+    calibration: Dataset, mondrian: bool = True
+) -> CalibrationTable:
+    """Collect calibration scores into the sorted per-class (or pooled) table."""
+    _check_calibration(calibration)
     scores, positive = calibration.scores, calibration.positive
     if mondrian:
         pos = np.sort(scores[positive, 0])

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Dataset, Label, _feature_limit
+from .core import Dataset, Label, _check_label, _feature_limit
 
 MEASURE_KINDS = ("knn_ratio", "knn_prob", "passthrough")
 
@@ -71,12 +71,12 @@ class TrainingBag:
     def from_pairs(
         cls, pairs: Iterable[tuple[Sequence[float], Label]]
     ) -> "TrainingBag":
+        """A bag of (features, label) pairs; each label must be a `Label` member."""
         pairs = list(pairs)
         if not pairs:
             raise ValueError("bag must not be empty")
-        points = np.array([list(features) for features, _ in pairs], dtype=float)
-        labels = np.array([label is Label.POSITIVE for _, label in pairs], dtype=bool)
-        return cls(points, labels)
+        points = [list(features) for features, _ in pairs]
+        return cls(points, [_check_label(label) is Label.POSITIVE for _, label in pairs])
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "TrainingBag":

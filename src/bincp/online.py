@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Label, PredictionRegion, SignificanceLevel, _feature_limit
+from .core import Label, PredictionRegion, SignificanceLevel, _check_label, _feature_limit
 from .nonconformity import TrainingBag, _distances, _k_nearest, _pool_means, _ratio_array
 
 # Row 0 is the positive hypothesis, row 1 the negative one.
@@ -157,6 +157,7 @@ def full_cp_pvalue(
     over n + 1, the candidate counting for itself.
     """
     features, label = candidate
+    label = _check_label(label)
     p_pos, p_neg = _OnlineSession(bag, k).p_values(features)
     return p_pos if label is Label.POSITIVE else p_neg
 
@@ -177,11 +178,15 @@ def run_online(
     eps: SignificanceLevel,
     k: int = 1,
 ) -> list[OnlineRound]:
-    """Run the full predict-reveal-absorb protocol over a stream, one item a round."""
+    """Run the full predict-reveal-absorb protocol over a stream, one item a round.
+
+    A stream item is (features, label); a label not a `Label` member is an error.
+    """
     session = _OnlineSession(initial, k)
     rounds: list[OnlineRound] = []
     errors = 0
     for index, (features, label) in enumerate(stream, start=1):
+        label = _check_label(label)
         p_pos, p_neg = session.p_values(features)
         predicted = PredictionRegion.from_membership(
             p_pos > eps.epsilon, p_neg > eps.epsilon

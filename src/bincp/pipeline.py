@@ -11,7 +11,6 @@ regions writers format whole columns.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -25,7 +24,7 @@ from .core import REGIONS, Dataset, Label, SignificanceLevel, label_names
 from .data import _quoted, load_dataset
 from .evaluate import (
     SCORED_ACCURACY_MODES,
-    CalibrationReport,
+    _check_threshold,
     calibration_report,
     evaluate_predictions,
 )
@@ -159,7 +158,10 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One batch run: where the data lives and how to score and calibrate it."""
+    """One batch run: where the data lives and how to score and calibrate it.
+
+    A `smoothing_seed` smooths the test p-values with ties drawn from it.
+    """
 
     positive_class: str
     epsilons: tuple[float, ...]
@@ -171,7 +173,6 @@ class RunConfig:
     proper_path: Path | None = None
     test_path: Path | None = None
     split: SplitConfig | None = None
-    smoothed: bool = False
     smoothing_seed: int | None = None
     schema: str = "auto"
 
@@ -203,26 +204,13 @@ def _validate_config(config: RunConfig) -> None:
         raise ValueError("at least one epsilon is required")
     for value in config.epsilons:
         SignificanceLevel(value)
-    if config.smoothed and config.smoothing_seed is None:
-        raise ValueError("smoothed p-values need smoothing_seed")
-    if not (math.isfinite(config.threshold) and 0.0 <= config.threshold <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {config.threshold}")
+    _check_threshold(config.threshold)
     if config.measure.needs_bag:
         if config.calibration_path is not None and config.proper_path is None:
             raise ValueError(
                 f"measure {config.measure.kind!r} needs proper_path when "
                 "calibration_path is given"
             )
-
-
-def _calibration_block(calibration: Dataset, threshold: float) -> dict:
-    if calibration.probability:
-        summary = calibration_report(calibration, threshold)
-    else:
-        # Non-probability scores have no meaningful threshold, so only the
-        # size is reported.
-        summary = CalibrationReport(auroc=None, accuracy=None, n=len(calibration))
-    return _json_block(_CALIBRATION_FIELDS, summary)
 
 
 def _config_block(config: RunConfig) -> dict:
@@ -238,7 +226,7 @@ def _config_block(config: RunConfig) -> dict:
         "measure": {"kind": config.measure.kind, "k": int(config.measure.k)},
         "mondrian": bool(config.mondrian),
         "threshold": float(config.threshold),
-        "smoothed": bool(config.smoothed),
+        "smoothed": config.smoothing_seed is not None,
         "smoothing_seed": config.smoothing_seed,
         "split": split,
         "epsilons": [float(e) for e in config.epsilons],
@@ -286,7 +274,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         table = build_calibration_table(calibration, config.mondrian)
 
     with _stage("calibration-report"):
-        calibration_block = _calibration_block(calibration, config.threshold)
+        calibration_block = _json_block(
+            _CALIBRATION_FIELDS, calibration_report(calibration, config.threshold)
+        )
 
     p_values = None
     regions: dict[float, np.ndarray] = {}
@@ -295,7 +285,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         # P-values do not depend on epsilon: one draw of smoothing ties
         # serves every level, so regions nest across epsilon.
         rng = None
-        if config.smoothed:
+        if config.smoothing_seed is not None:
             rng = np.random.default_rng(config.smoothing_seed)
         with _stage("predict"):
             p_values = predict_set(table, test, rng=rng)

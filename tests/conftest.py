@@ -17,3 +17,15 @@ def figure1():
 @pytest.fixture(scope="session")
 def figure1_table(figure1):
     return build_calibration_table(figure1, mondrian=True)
+
+
+@pytest.fixture()
+def figure1_a_rows(tmp_path):
+    """A calibration file of figure1.csv's ten rows of class A alone."""
+    lines = figure1_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "figure1_a.csv"
+    path.write_text(
+        lines[0] + "".join(line for line in lines[1:] if line.split(",")[1] == "A"),
+        encoding="utf-8",
+    )
+    return path

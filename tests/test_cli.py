@@ -156,6 +156,24 @@ class TestEvaluateCommand:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    @pytest.mark.parametrize(
+        "flags", [("--smoothed",), ("--smoothing-seed", "4")], ids=["flag", "seed"]
+    )
+    def test_smoothing_flags_go_together(self, capsys, flags):
+        code, out, err = run(capsys, *demo_args(*flags))
+        assert (code, out) == (1, "")
+        assert err == "error: --smoothed and --smoothing-seed must be given together\n"
+
+    def test_pooled_calibration_of_one_class_reports_null_auroc(
+        self, capsys, figure1_a_rows
+    ):
+        args = demo_args("--no-mondrian", "--format", "json")
+        args[args.index(FIG)] = str(figure1_a_rows)
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        document = json.loads(out)
+        assert document["calibration"] == {"accuracy": 0.5, "auroc": None, "n": 10}
+
     def test_repeated_epsilons_make_multiple_rows(self, capsys):
         code, out, _ = run(
             capsys,
@@ -266,6 +284,24 @@ class TestEvaluateCommand:
         code_b, out_b, _ = run(capsys, *args)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    @pytest.mark.parametrize(
+        "flags", [("--smoothed",), ("--smoothing-seed", "4")], ids=["flag", "seed"]
+    )
+    def test_smoothing_flags_go_together(self, capsys, flags):
+        code, out, err = run(capsys, *demo_args(*flags))
+        assert (code, out) == (1, "")
+        assert err == "error: --smoothed and --smoothing-seed must be given together\n"
+
+    def test_pooled_calibration_of_one_class_reports_null_auroc(
+        self, capsys, figure1_a_rows
+    ):
+        args = demo_args("--no-mondrian", "--format", "json")
+        args[args.index(FIG)] = str(figure1_a_rows)
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        document = json.loads(out)
+        assert document["calibration"] == {"accuracy": 0.5, "auroc": None, "n": 10}
 
 
 class TestPredictCommand:

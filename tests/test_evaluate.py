@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bincp.core import REGIONS, UNKNOWN, Dataset, PredictionRegion, SignificanceLevel
+from bincp.data import SyntheticSpec, generate_synthetic
 from bincp.evaluate import (
-    BinaryMetrics,
+    CalibrationReport,
     RegionDistribution,
     auroc,
-    binary_metrics,
     calibration_report,
-    conditional_singleton_metrics,
     efficiency,
     evaluate_predictions,
     region_distribution,
@@ -18,6 +17,7 @@ from bincp.evaluate import (
     validity,
 )
 from bincp.icp import predict_set, region
+from bincp.nonconformity import MeasureSpec, TrainingBag, score_dataset
 
 # Region codes.
 POS, NEG, BOTH, EMPTY = (
@@ -170,29 +170,40 @@ class TestScoredAccuracy:
         assert round(dist.frac_both * n) == sum(1 for r in regions if r == BOTH)
 
 
+def binary_panel(s_pos, positive, threshold=0.5):
+    """The thresholded panel of probability scores; it does not read the regions."""
+    regions = [BOTH] * len(s_pos)
+    return evaluate_predictions(
+        regions, s_pos, positive, threshold, probability=True
+    ).binary
+
+
+def singleton_panel(regions, s_pos, positive):
+    return evaluate_predictions(
+        regions, s_pos, positive, probability=True
+    ).singleton_conditional
+
+
 class TestBinaryMetrics:
     def test_small_confusion_matrix(self):
-        m = binary_metrics([0.9, 0.3, 0.5, 0.2], [True, True, False, False], threshold=0.5)
+        m = binary_panel([0.9, 0.3, 0.5, 0.2], [True, True, False, False], threshold=0.5)
         # the 0.5 ties to a positive call, so it lands as a false positive
-        assert m == BinaryMetrics(0.5, 0.5, 0.5)
+        assert (m.accuracy, m.sensitivity, m.specificity) == (0.5, 0.5, 0.5)
 
     def test_threshold_zero_calls_everything_positive(self):
-        m = binary_metrics([0.0, 1.0], [False, True], threshold=0.0)
+        m = binary_panel([0.0, 1.0], [False, True], threshold=0.0)
         assert m.sensitivity == 1.0
         assert m.specificity == 0.0
 
     def test_missing_class_leaves_rate_undefined(self):
-        m = binary_metrics([0.9, 0.1], [True] * 2)
+        m = binary_panel([0.9, 0.1], [True] * 2)
         assert m.specificity is None
         assert m.sensitivity == 0.5
-
-    def test_requires_probability_scores(self):
-        with pytest.raises(ValueError):
-            binary_metrics([-1.0], [True])
+        assert m.auroc is None
 
     def test_threshold_must_be_a_unit_interval_value(self):
         with pytest.raises(ValueError):
-            binary_metrics([0.5], [True], threshold=1.5)
+            binary_panel([0.5], [True], threshold=1.5)
 
 
 class TestAuroc:
@@ -257,6 +268,23 @@ class TestCalibrationReport:
         with pytest.raises(ValueError, match="x"):
             calibration_report(bare)
 
+    def test_one_class_gives_no_auroc_and_the_panel_accuracy(self, figure1):
+        negatives = figure1.take(~figure1.positive)
+        report = calibration_report(negatives)
+        # Every s_pos >= 0.5 is a false positive.
+        called = int((negatives.scores[:, 0] >= 0.5).sum())
+        assert report == CalibrationReport(None, 1 - called / 10, 10)
+        assert report.accuracy == binary_panel(
+            negatives.scores[:, 0], negatives.positive
+        ).accuracy
+
+    def test_scores_that_are_not_probabilities_report_the_size_alone(self):
+        data = generate_synthetic(SyntheticSpec(n_per_class=15, dim=2, seed=4))
+        bag = TrainingBag.from_dataset(data.take(slice(0, None, 2)))
+        scored = score_dataset(MeasureSpec("knn_ratio", 1), bag, data.take(slice(1, None, 2)))
+        assert not scored.probability
+        assert calibration_report(scored) == CalibrationReport(None, None, 15)
+
 
 class TestConditionalSingletonMetrics:
     def test_figure_one_self_evaluation(self, figure1, figure1_table):
@@ -267,7 +295,7 @@ class TestConditionalSingletonMetrics:
         assert validity(regions, truths) == 19 / 21
         assert efficiency(regions) == 5 / 21
 
-        cond = conditional_singleton_metrics(regions, scores, truths)
+        cond = singleton_panel(regions, scores, truths)
         assert cond.n_singleton == 5
         assert cond.accuracy == 3 / 5
         assert cond.false_positives_in_singletons == 1
@@ -277,7 +305,7 @@ class TestConditionalSingletonMetrics:
 
     def test_no_singletons_reports_counts_only(self):
         regions, truths = mixture(0, 0, 3, 1)
-        cond = conditional_singleton_metrics(regions, [0.5] * 4, truths)
+        cond = singleton_panel(regions, [0.5] * 4, truths)
         assert cond.n_singleton == 0
         assert cond.false_positives_in_singletons == 0
         assert cond.accuracy is None
@@ -285,7 +313,7 @@ class TestConditionalSingletonMetrics:
 
     def test_single_class_restriction_skips_auroc(self):
         regions = [POS, NEG, BOTH]
-        cond = conditional_singleton_metrics(regions, [0.9, 0.2, 0.5], [True, True, False])
+        cond = singleton_panel(regions, [0.9, 0.2, 0.5], [True, True, False])
         assert cond.n_singleton == 2
         assert cond.auroc is None
         assert cond.sensitivity == 0.5

@@ -290,6 +290,12 @@ class TestTrainingBag:
         with pytest.raises(ValueError):
             TrainingBag.from_pairs([])
 
+    @pytest.mark.parametrize("label", ["positive", True, None])
+    def test_labels_that_are_not_label_members_are_rejected(self, label):
+        # The text of a label is not a label: it once read as negative.
+        with pytest.raises(ValueError, match=f"got {label!r}"):
+            TrainingBag.from_pairs([((10.0,), label), ((0.0,), Label.NEGATIVE)])
+
     def test_arrays_are_read_only(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((1.0,), Label.POSITIVE))
         with pytest.raises(ValueError):

@@ -127,6 +127,10 @@ class TestFullCpPValue:
                 p = full_cp_pvalue(bag, ((float(x),), label))
                 assert 1 / (len(bag) + 1) <= p <= 1.0
 
+    def test_candidate_label_must_be_a_label_member(self):
+        with pytest.raises(ValueError, match="got 'positive'"):
+            full_cp_pvalue(two_point_bag(), ((1.0,), "positive"))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             full_cp_pvalue(two_point_bag(), ((1.0, 2.0), Label.POSITIVE))
@@ -184,6 +188,11 @@ class TestRunOnline:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             run_online(two_point_bag(), [], SignificanceLevel(0.2))
+
+    def test_stream_labels_must_be_label_members(self):
+        stream = [((9.0,), "positive"), ((1.0,), "negative")]
+        with pytest.raises(ValueError, match="got 'positive'"):
+            run_online(two_point_bag(), stream, SignificanceLevel(0.2))
 
     def test_round_indices_count_from_one(self):
         rounds = run_online(two_point_bag(), random_stream(10, 1, 5), SignificanceLevel(0.2))

@@ -178,6 +178,12 @@ class TestRunPipeline:
         assert result.document["config"]["mondrian"] is False
         assert len(result.regions[0.2]) == 3
 
+    def test_pooled_calibration_of_one_class_has_no_auroc(self, figure1_a_rows):
+        result = run_pipeline(demo_config(mondrian=False, calibration_path=figure1_a_rows))
+        # Five of figure1's ten A rows have s_pos >= 0.5: false positives.
+        assert result.document["calibration"] == {"accuracy": 0.5, "auroc": None, "n": 10}
+        assert len(result.document["results"]) == 1
+
     def test_without_test_data_only_calibration_is_reported(self):
         result = run_pipeline(demo_config(test_path=None))
         assert result.document["n_test"] is None
@@ -197,19 +203,23 @@ class TestRunPipeline:
         assert result.document["n_test"] == 2
 
     def test_smoothed_runs_reproduce_by_seed(self):
-        config = demo_config(smoothed=True, smoothing_seed=7)
+        config = demo_config(smoothing_seed=7)
         first = run_pipeline(config)
         second = run_pipeline(config)
         assert regions_csv(first) == regions_csv(second)
-        other = run_pipeline(demo_config(smoothed=True, smoothing_seed=8))
+        other = run_pipeline(demo_config(smoothing_seed=8))
         assert regions_csv(first) != regions_csv(other)
+        assert first.document["config"]["smoothed"] is True
+        assert first.document["config"]["smoothing_seed"] == 7
+        plain = run_pipeline(demo_config()).document["config"]
+        assert (plain["smoothed"], plain["smoothing_seed"]) == (False, None)
 
     def test_smoothed_regions_nest_across_epsilons(self):
         both = run_pipeline(
-            demo_config(epsilons=(0.1, 0.2), smoothed=True, smoothing_seed=0)
+            demo_config(epsilons=(0.1, 0.2), smoothing_seed=0)
         )
         alone = run_pipeline(
-            demo_config(epsilons=(0.2,), smoothed=True, smoothing_seed=0)
+            demo_config(epsilons=(0.2,), smoothing_seed=0)
         )
         assert both.regions[0.2].tolist() == alone.regions[0.2].tolist()
         assert both.document["results"][1] == alone.document["results"][0]
@@ -220,7 +230,7 @@ class TestRunPipeline:
 
     def test_smoothed_p_values_stay_below_plain_ones(self):
         plain = run_pipeline(demo_config()).p_values
-        smooth = run_pipeline(demo_config(smoothed=True, smoothing_seed=3)).p_values
+        smooth = run_pipeline(demo_config(smoothing_seed=3)).p_values
         for a, b in zip(smooth, plain):
             assert (a <= b).all()
 
@@ -253,10 +263,6 @@ class TestConfigValidation:
             run_pipeline(demo_config(epsilons=()))
         with pytest.raises(PipelineError, match="config:"):
             run_pipeline(demo_config(epsilons=(1.5,)))
-
-    def test_smoothing_needs_a_seed(self):
-        with pytest.raises(PipelineError, match="smoothing_seed"):
-            run_pipeline(demo_config(smoothed=True))
 
     def test_bag_measures_need_a_proper_set_on_the_calibration_route(self):
         with pytest.raises(PipelineError, match="proper_path"):
@@ -491,8 +497,7 @@ class TestRegionsWriter:
             epsilons=epsilons,
             calibration_path=calibration,
             test_path=test,
-            smoothed=smoothed,
-            smoothing_seed=3,
+            smoothing_seed=3 if smoothed else None,
         ))
         distinct = [np.unique(column).size for column in result.p_values]
         if smoothed:
