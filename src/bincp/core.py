@@ -154,6 +154,8 @@ class Sample:
     true_label: Label | None = None
 
     def __post_init__(self) -> None:
+        if self.true_label is not None:
+            _check_label(self.true_label)
         if self.features is not None:
             object.__setattr__(self, "features", tuple(float(v) for v in self.features))
         Dataset((self,))

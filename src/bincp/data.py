@@ -5,14 +5,19 @@ Columns are `id,label[,x1..xm][,s_pos,s_neg]`; score columns carry class
 probabilities (s_pos belongs to whichever class the caller names positive).
 An empty label field means the label is unknown.
 
-A file is read through one csv reader a fixed chunk of rows at a time, each
-chunk transposed onto per-column lists, so no list of every row is built.
-Reading stops at the first row of the wrong width or that the csv module
-cannot read (such as a field over `csv.field_size_limit()`), and every row
-before it is checked too: an error names the earliest bad line.  Faults are
-found by record, and a quoted field may hold line breaks, so an error message
-re-reads the file to name the physical line where its record starts.  Every
-CSV the package writes quotes its fields by one rule, `_quoted`.
+A plain file (`_read_plain`) is parsed by one `np.loadtxt` call, so no
+numeric field becomes a Python string.  Any other file, and one that call
+rejects, is read by the csv module (`_read_csv`) a fixed chunk of rows at a
+time, each chunk transposed onto per-column lists, so no list of every row
+is built.  Both paths give the same dataset and share the header and row
+checks, and a bad field or row width sends a file to the csv path, so the
+messages are the same too.  The csv path stops at the first row of the
+wrong width or that the csv module cannot read (such as a field over
+`csv.field_size_limit()`), and every row before it is checked too: an
+error names the earliest bad line.  Faults are found by record, and a
+quoted field may hold line breaks, so an error message re-reads the file
+to name the physical line where its record starts.  Every CSV the package
+writes quotes its fields by one rule, `_quoted`.
 """
 
 from __future__ import annotations
@@ -36,6 +41,12 @@ SCHEMAS = ("auto", "features", "scores", "both")
 _CHUNK_ROWS = 256
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+# Bytes that send a file to the csv path: a quote, a CR, and a NUL, which
+# the csv module of Python 3.10 rejects, are csv grammar; U+001C-U+001F are
+# white space to numpy's C reader around a number, where `float()` rejects
+# them.
+_NOT_PLAIN = (b'"', b"\r", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class DataFormatError(ValueError):
@@ -66,8 +77,8 @@ def demo_test_path() -> Path:
     return Path(str(importlib.resources.files("bincp").joinpath("data/demo_test.csv")))
 
 
-def _parse_header(columns: list[str], path: Path) -> tuple[int, bool]:
-    """Validate the header and return (feature count, has score columns)."""
+def _parse_header(columns: list[str], path: Path, schema: str) -> tuple[int, bool]:
+    """Validate the header against `schema`; return (feature count, has score columns)."""
     if len(columns) < 2 or columns[0] != "id" or columns[1] != "label":
         raise DataFormatError(
             f"{path}: header must start with 'id,label', got {columns[:2]}"
@@ -82,6 +93,14 @@ def _parse_header(columns: list[str], path: Path) -> tuple[int, bool]:
         )
     if not features and not has_scores:
         raise DataFormatError(f"{path}: need feature or score columns")
+    if schema == "features" and has_scores:
+        raise DataFormatError(f"{path}: schema 'features' forbids score columns")
+    if schema == "scores" and features:
+        raise DataFormatError(f"{path}: schema 'scores' forbids feature columns")
+    if schema in ("scores", "both") and not has_scores:
+        raise DataFormatError(f"{path}: schema {schema!r} requires score columns")
+    if schema == "both" and not features:
+        raise DataFormatError(f"{path}: schema 'both' requires feature columns")
     return len(features), has_scores
 
 
@@ -164,29 +183,52 @@ def _read_columns(
             return columns, fault
 
 
-def load_dataset(
-    path: Path | str,
-    positive_class: str,
-    schema: str = "auto",
-    *,
-    class_names: set[str] | None = None,
-) -> Dataset:
-    """Read a dataset, mapping the named class to positive and the other to negative.
+def _read_plain(path: Path, schema: str) -> tuple | None:
+    """`_read_csv`'s tuple from one `np.loadtxt` call, or None if the file is not plain.
 
-    The file is read in chunks of rows straight into columns.  Errors raise
-    `DataFormatError` as `path:line: reason`, for the earliest bad line: a
-    wrong column count, a field the csv module cannot read (one longer than
-    `csv.field_size_limit()`, say), a field that is not a number or is NaN,
-    a row `Dataset` rejects, or a repeated id, which also names the line of
-    its first occurrence.  Files may hold at most two class
-    names; when two appear, `positive_class` must be one of them.  Files read
-    for one run share `class_names`: the names of this file are added to it,
-    and the rule holds for the union, so that a file naming a third class
-    (such as a typo of the negative one) is rejected.
+    A file is plain when it decodes as UTF-8, holds no byte of `_NOT_PLAIN`
+    and no empty line, has no field longer than `csv.field_size_limit()`
+    bytes, and `np.loadtxt` reads it with one row per line and no NaN.  Each
+    line of a plain file is its fields joined by commas, as the csv module
+    reads them, and the C reader parses every number it accepts there to the
+    bits of `float()`, so the csv path would build the same dataset.  The
+    header is checked by `_parse_header`, as on the csv path.
     """
-    path = Path(path)
-    if schema not in SCHEMAS:
-        raise DataFormatError(f"schema must be one of {SCHEMAS}, got {schema!r}")
+    raw = path.read_bytes()
+    if raw.startswith(b"\n") or b"\n\n" in raw or any(byte in raw for byte in _NOT_PLAIN):
+        return None
+    codes = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    if np.diff(ends, prepend=-1, append=codes.size).max() - 1 > csv.field_size_limit():
+        return None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    first, *lines = text.removesuffix("\n").split("\n")
+    if not lines:
+        return None
+    header = first.split(",")
+    n_features, has_scores = _parse_header(header, path, schema)
+    dtype = np.dtype(
+        [("id", object), ("label", object), ("values", float, (len(header) - 2,))]
+    )
+    try:
+        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(table) != len(lines) or np.isnan(table["values"]).any():
+        return None
+    return n_features, has_scores, table["id"], table["label"], table["values"], None
+
+
+def _read_csv(path: Path, schema: str) -> tuple:
+    """Read `path` with the csv module: (feature count, has score columns, ids,
+    labels, values, fault).
+
+    `ids` and `labels` hold every row read, `values` the rows before the
+    first bad line, and `fault` that line and why it is bad, or None.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -198,22 +240,46 @@ def load_dataset(
         # The rows before the first bad line are checked too, so that the
         # error reported is the one on the earliest line.
         columns, fault = _read_columns(reader, len(header), path)
-    n_features, has_scores = _parse_header(header, path)
-    if schema == "features" and has_scores:
-        raise DataFormatError(f"{path}: schema 'features' forbids score columns")
-    if schema == "scores" and n_features:
-        raise DataFormatError(f"{path}: schema 'scores' forbids feature columns")
-    if schema in ("scores", "both") and not has_scores:
-        raise DataFormatError(f"{path}: schema {schema!r} requires score columns")
-    if schema == "both" and not n_features:
-        raise DataFormatError(f"{path}: schema 'both' requires feature columns")
-
+    n_features, has_scores = _parse_header(header, path, schema)
     ids, raw_labels, *numeric = columns
     if not ids and fault is None:
         raise DataFormatError(f"{path}: no data rows")
     values, stop, reason = _parse_floats(numeric, header[2:])
     if reason is not None:
         fault = (_record_lines(path, stop)[0], reason)
+    return n_features, has_scores, ids, raw_labels, values, fault
+
+
+def load_dataset(
+    path: Path | str,
+    positive_class: str,
+    schema: str = "auto",
+    *,
+    class_names: set[str] | None = None,
+) -> Dataset:
+    """Read a dataset, mapping the named class to positive and the other to negative.
+
+    A plain file is parsed by numpy's C reader (`_read_plain`), any other
+    one by the csv module in chunks of rows straight into columns
+    (`_read_csv`); the file's text alone decides.  Both paths give the same
+    dataset, and a bad field or row width sends a file to the csv path, which
+    names its line.  Errors raise `DataFormatError` as `path:line: reason`,
+    for the earliest bad line: a wrong column count, a field the csv module
+    cannot read (one longer than `csv.field_size_limit()`, say), a field
+    that is not a number or is NaN, a row `Dataset` rejects, or a repeated
+    id, which also names the line of its first occurrence.  Files may hold
+    at most two class names; when two appear, `positive_class` must be one
+    of them.  Files read for one run share `class_names`: the names of this
+    file are added to it, and the rule holds for the union, so that a file
+    naming a third class (such as a typo of the negative one) is rejected.
+    """
+    path = Path(path)
+    if schema not in SCHEMAS:
+        raise DataFormatError(f"schema must be one of {SCHEMAS}, got {schema!r}")
+    n_features, has_scores, ids, raw_labels, values, fault = _read_plain(
+        path, schema
+    ) or _read_csv(path, schema)
+    stop = len(values)
     names = set() if class_names is None else class_names
     names.update(set(raw_labels) - {""})
     raw_labels = np.array(raw_labels[:stop], dtype=object)

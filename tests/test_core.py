@@ -140,6 +140,10 @@ class TestSample:
         sample = Sample(id="x", features=(1, 2))
         assert sample.features == (1.0, 2.0)
 
+    def test_label_text_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="label must be a Label member, got 'positive'"):
+            Sample("x", (1.0,), None, "positive")
+
 
 class TestDataset:
     def test_rejects_duplicate_ids(self):

@@ -1,6 +1,11 @@
 import csv
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bincp.core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, Sample, ScorePair
 from bincp.data import (
@@ -312,6 +317,188 @@ class TestChunkedRead:
             f"r{CHUNK - 3}", "a,b", 'say "hi"', "two\nlines", "x\r\ny", f"r{CHUNK + 2}",
         ]
         assert data.features[:, 0].tolist() == [i + 0.5 for i in range(2 * CHUNK)]
+
+
+# Files on which the csv module and numpy's C reader differ, each with what
+# `load_dataset` gives: the ids and x1 values of rows labelled yes, no, yes,
+# ..., or the error message after the path.
+GRAMMAR_CASES = {
+    "empty-line-inside": ("id,label,x1\na,yes,1\n\nb,no,2\n", ":3: expected 3 columns, got 0"),
+    "empty-line-at-end": ("id,label,x1\na,yes,1\nb,no,2\n\n", ":4: expected 3 columns, got 0"),
+    "empty-line-only": ("id,label,x1\n\n", ":2: expected 3 columns, got 0"),
+    "empty-first-line": ("\nid,label,x1\na,yes,1\n", ": header must start with 'id,label', got []"),
+    "no-final-newline": ("id,label,x1\na,yes,1\nb,no,2", (["a", "b"], [1.0, 2.0])),
+    "crlf": ("id,label,x1\r\na,yes,1\r\nb,no,2\r\n", (["a", "b"], [1.0, 2.0])),
+    "bare-cr": ("id,label,x1\ra,yes,1\rb,no,2\r", (["a", "b"], [1.0, 2.0])),
+    "quoted-id": ('id,label,x1\n"a",yes,1\nb,no,2\n', (["a", "b"], [1.0, 2.0])),
+    "quoted-line-break": ('id,label,x1\n"a\nb",yes,1\nc,no,2\n', (["a\nb", "c"], [1.0, 2.0])),
+    "underscore": ("id,label,x1\na,yes,1_0\nb,no,2\n", (["a", "b"], [10.0, 2.0])),
+    "arabic-indic-digit": ("id,label,x1\na,yes,١\nb,no,2\n", (["a", "b"], [1.0, 2.0])),
+    "full-width-digit": ("id,label,x1\na,yes,１\nb,no,2\n", (["a", "b"], [1.0, 2.0])),
+    "hash-in-id": ("id,label,x1\na#1,yes,1\nb,no,2\n", (["a#1", "b"], [1.0, 2.0])),
+    "hash-after-number": ("id,label,x1\na,yes,1#\nb,no,2\n", ":2: column 'x1' is not a number: '1#'"),
+    "spaces-and-tabs": ("id,label,x1\n a\t,yes, 1\t\nb,no,\t2 \n", ([" a\t", "b"], [1.0, 2.0])),
+    "header-only-no-newline": ("id,label,x1", ": no data rows"),
+    "one-row": ("id,label,x1\na,yes,1\n", (["a"], [1.0])),
+    "one-row-no-newline": ("id,label,x1\na,yes,1", (["a"], [1.0])),
+    **{
+        f"U+{ord(char):04X}-{side}": (
+            f"id,label,x1\na,yes,{field}\nb,no,2\n",
+            f":2: column 'x1' is not a number: {field!r}",
+        )
+        for char in "\x1c\x1d\x1e\x1f"
+        for side, field in (("before", char + "1"), ("after", "1" + char))
+    },
+}
+
+
+def _csv_takes_nul():
+    """Whether this Python's csv module reads a NUL (3.11 on) or rejects its line."""
+    try:
+        next(csv.reader(["\x00\n"]))
+    except csv.Error:
+        return False
+    return True
+
+
+def check_load(path, expected):
+    """Load `path` and check it against an expected (ids, x1) or error suffix."""
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError) as caught:
+            load_dataset(path, positive_class="yes")
+        assert str(caught.value) == f"{path}{expected}"
+        return
+    ids, x1 = expected
+    data = load_dataset(path, positive_class="yes")
+    assert data.ids.tolist() == ids
+    assert data.labels.tolist() == [(POSITIVE, NEGATIVE)[i % 2] for i in range(len(ids))]
+    assert data.features.tolist() == [[value] for value in x1]
+
+
+class _ReaderCalled(Exception):
+    pass
+
+
+ID_TEXT = st.text(alphabet="ab#_-. \t\x0bé١", min_size=1, max_size=5)
+NUMBER = st.tuples(
+    st.floats(min_value=-1e100, max_value=1e100),
+    st.sampled_from([repr, "{:.3g}".format, "{:e}".format, "{:.17g}".format, " {!r}\t".format]),
+).map(lambda drawn: drawn[1](drawn[0]))
+
+
+@st.composite
+def plain_files(draw):
+    """(lines, final line end) of a file both readers accept."""
+    ids = draw(st.lists(ID_TEXT, min_size=1, max_size=10, unique=True))
+    n_features = draw(st.integers(0, 3))
+    scored = n_features == 0 or draw(st.booleans())
+    header = ["id", "label", *(f"x{i}" for i in range(1, n_features + 1))]
+    header += ["s_pos", "s_neg"] if scored else []
+    lines = [",".join(header)]
+    for row_id in ids:
+        fields = [row_id, draw(st.sampled_from(["yes", "no", ""]))]
+        fields += draw(st.lists(NUMBER, min_size=n_features, max_size=n_features))
+        if scored:
+            s_pos = draw(st.floats(min_value=0.0, max_value=1.0))
+            fields += [repr(s_pos), repr(1.0 - s_pos)]
+        lines.append(",".join(fields))
+    return lines, draw(st.sampled_from(["\n", ""]))
+
+
+def same_bits(a, b):
+    return (a is None and b is None) or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def check_both_readers_agree(directory, lines, end="\n"):
+    """Load `lines` as written, with `csv.reader` refused, and with the first
+    id quoted, which sends the same content to the csv module ("c1" reads
+    back as c1); the two datasets must be equal to the bit."""
+    first_id = lines[1].split(",")[0]
+    quoted = [lines[0], f'"{first_id}"' + lines[1][len(first_id):], *lines[2:]]
+    plain_path, quoted_path = Path(directory, "plain.csv"), Path(directory, "quoted.csv")
+    plain_path.write_text("\n".join(lines) + end, encoding="utf-8")
+    quoted_path.write_text("\n".join(quoted) + end, encoding="utf-8")
+    with mock.patch("bincp.data.csv.reader", side_effect=_ReaderCalled):
+        fast = load_dataset(plain_path, positive_class="yes")
+    slow = load_dataset(quoted_path, positive_class="yes")
+    assert fast.ids.tolist() == slow.ids.tolist()
+    assert fast.labels.tolist() == slow.labels.tolist()
+    assert fast.probability == slow.probability
+    assert same_bits(fast.features, slow.features)
+    assert same_bits(fast.scores, slow.scores)
+
+
+class TestPlainFiles:
+    """Plain files go to numpy's C reader, every other one to the csv module."""
+
+    @pytest.mark.parametrize("text, expected", GRAMMAR_CASES.values(), ids=GRAMMAR_CASES)
+    def test_each_grammar_difference_reads_as_the_csv_module_does(
+        self, tmp_path, text, expected
+    ):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        check_load(path, expected)
+
+    @pytest.mark.parametrize(
+        "text, read",
+        [
+            ("id,label,x1\na\x00b,yes,1\nc,no,2\n", (["a\x00b", "c"], [1.0, 2.0])),
+            ("id,label,x1\na,yes,1\x00\nc,no,2\n", ":2: column 'x1' is not a number: '1\\x00'"),
+        ],
+        ids=["in-id", "after-number"],
+    )
+    def test_a_nul_reads_as_the_csv_module_does(self, tmp_path, text, read):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        check_load(path, read if _csv_takes_nul() else ":2: line contains NUL")
+
+    def test_the_field_size_limit_is_read_at_call_time(self, tmp_path):
+        old = csv.field_size_limit(8)
+        try:
+            # Eight characters in sixteen bytes are within the limit too.
+            check_load(
+                write_csv(tmp_path, "id,label,x1\naaaaaaaa,yes,1\n" + "é" * 8 + ",no,2\n"),
+                (["aaaaaaaa", "é" * 8], [1.0, 2.0]),
+            )
+            check_load(
+                write_csv(tmp_path, "id,label,x1\naaaaaaaaa,yes,1\n"),
+                ":2: field larger than field limit (8)",
+            )
+        finally:
+            csv.field_size_limit(old)
+
+    def test_plain_files_never_reach_the_csv_module(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _ReaderCalled
+
+        monkeypatch.setattr("bincp.data.csv.reader", refuse)
+        data = generate_synthetic(SyntheticSpec(n_per_class=30, dim=3, seed=5))
+        write_dataset(data, tmp_path / "features.csv")
+        back = load_dataset(tmp_path / "features.csv", positive_class="positive")
+        assert back.ids.tolist() == data.ids.tolist()
+        assert same_bits(back.features, data.features)
+        # Vote fractions of a 100-tree forest, as the benchmark writes them.
+        votes = range(0, 101, 7)
+        rows = [
+            f"c{i:06d},{('negative', 'positive')[i % 2]},{v / 100!r},{(100 - v) / 100!r}"
+            for i, v in enumerate(votes)
+        ]
+        path = write_csv(tmp_path, "\n".join(["id,label,s_pos,s_neg", *rows]) + "\n")
+        scored = load_dataset(path, positive_class="positive")
+        assert scored.scores[:, 0].tolist() == [v / 100 for v in votes]
+        quoted = write_csv(tmp_path, 'id,label,x1\n"a",yes,1\n', name="quoted.csv")
+        with pytest.raises(_ReaderCalled):
+            load_dataset(quoted, positive_class="yes")
+
+    @given(plain_files())
+    @settings(max_examples=40, deadline=None)
+    def test_both_readers_give_the_same_dataset(self, file):
+        with tempfile.TemporaryDirectory() as tmp:
+            check_both_readers_agree(tmp, *file)
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK])
+    def test_both_readers_agree_across_chunk_boundaries(self, tmp_path, n):
+        check_both_readers_agree(tmp_path, [HEADER, *(good_row(i) for i in range(n))])
 
 
 class TestWriteDataset:
