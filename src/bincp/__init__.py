@@ -5,7 +5,6 @@ from .core import (
     Label,
     PredictionRegion,
     Sample,
-    ScorePair,
     SignificanceLevel,
 )
 from .data import DataFormatError, SyntheticSpec, generate_synthetic, load_dataset
@@ -42,7 +41,6 @@ __all__ = [
     "PredictionRegion",
     "RunConfig",
     "Sample",
-    "ScorePair",
     "SignificanceLevel",
     "SplitConfig",
     "SyntheticSpec",

@@ -12,10 +12,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import SignificanceLevel
-from .data import SyntheticSpec, generate_synthetic, write_dataset
+from .data import SCHEMAS, SyntheticSpec, generate_synthetic, write_dataset
 from .nonconformity import MeasureSpec
 from .icp import SplitConfig
 from .pipeline import (
+    REPORT_FORMATS,
     OnlineConfig,
     RunConfig,
     emit_report,
@@ -48,7 +49,7 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--schema",
-        choices=("auto", "features", "scores", "both"),
+        choices=SCHEMAS,
         default="auto",
         help="expected column layout (default: auto)",
     )
@@ -225,7 +226,7 @@ def _build_parser() -> _Parser:
         "evaluate", help="run the pipeline and emit an evaluation report"
     )
     _add_data_arguments(evaluate)
-    evaluate.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    evaluate.add_argument("--format", choices=REPORT_FORMATS, default="text")
     evaluate.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
     evaluate.add_argument(
         "--regions-out", type=Path, default=None, help="also write per-sample regions"
@@ -237,7 +238,8 @@ def _build_parser() -> _Parser:
     )
     simulate.add_argument("--data", type=Path, required=True, help="feature dataset; first rows seed the bag")
     simulate.add_argument("--positive-class", required=True)
-    simulate.add_argument("--schema", choices=("auto", "features", "both"), default="auto")
+    # The on-line protocol scores features, so it reads no scores-only file.
+    simulate.add_argument("--schema", choices=[s for s in SCHEMAS if s != "scores"], default="auto")
     simulate.add_argument("--epsilon", type=float, default=None)
     simulate.add_argument("--confidence", type=float, default=None)
     simulate.add_argument("--initial-size", type=int, default=10)
@@ -258,7 +260,7 @@ def _build_parser() -> _Parser:
         "report", help="re-render a saved JSON report in another format"
     )
     report.add_argument("--in", dest="input", type=Path, required=True)
-    report.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    report.add_argument("--format", choices=REPORT_FORMATS, default="text")
     report.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
     report.set_defaults(handler=_cmd_report)
 

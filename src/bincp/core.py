@@ -5,7 +5,11 @@ their layout and checks them: ids, an int8 label column (`POSITIVE`,
 `NEGATIVE`, or `UNKNOWN` for a missing label), features as an (n, m) float
 array of finite values small enough to square (`_feature_limit`) and scores
 as an (n, 2) float array, either absent for every row, and one
-`probability` flag for the whole dataset.  Region kinds are coded by their
+`probability` flag for the whole dataset.  Scores are conformity scores,
+higher meaning more conforming, and never NaN; probability scores are class
+probabilities in [0, 1] that sum to 1, while generic ones may be infinite.
+`Dataset.from_columns` is the one way to hold scores; `Sample` rows remain
+only for the benchmark's input preparation.  Region kinds are coded by their
 index in `REGIONS`.
 """
 
@@ -122,43 +126,12 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScorePair:
-    """Conformity scores for the two hypothesized labels of one sample.
-
-    Higher means more conforming.  Pairs tagged ``probability=True`` hold
-    class probabilities (for example vote fractions of a tree ensemble) and
-    must lie in [0, 1] with s_pos + s_neg = 1.  Untagged pairs are generic
-    conformity scores and may be infinite (a maximally nonconforming label
-    hypothesis maps to -inf), but never NaN.  A pair is checked as a score
-    column of one row.
-    """
-
-    s_pos: float
-    s_neg: float
-    probability: bool = False
-
-    def __post_init__(self) -> None:
-        _check_rows(_score_checks(np.array([[self.s_pos, self.s_neg]]), self.probability))
-
-
-@dataclass(frozen=True)
 class Sample:
-    """One row of a dataset, for callers that build or read datasets row by row.
-
-    A sample is checked as a dataset of one row.
-    """
+    """One unchecked row of a feature dataset; `Dataset(samples)` checks the rows."""
 
     id: str
     features: tuple[float, ...] | None = None
-    scores: ScorePair | None = None
     true_label: Label | None = None
-
-    def __post_init__(self) -> None:
-        if self.true_label is not None:
-            _check_label(self.true_label)
-        if self.features is not None:
-            object.__setattr__(self, "features", tuple(float(v) for v in self.features))
-        Dataset((self,))
 
 
 class Dataset:
@@ -166,7 +139,7 @@ class Dataset:
 
     Build one from columns with `from_columns`.  Arrays are stored
     read-only.  `Dataset(samples, feature_dim)` and `samples` convert from
-    and to `Sample` rows.
+    and to `Sample` rows, which carry no scores.
     """
 
     ids: np.ndarray
@@ -177,24 +150,19 @@ class Dataset:
 
     def __init__(self, samples: Iterable[Sample] = (), feature_dim: int | None = None):
         rows = tuple(samples)
-        for name in ("features", "scores"):
-            if len({getattr(s, name) is None for s in rows}) > 1:
-                raise ValueError(f"only some samples have {name}")
-        dims = sorted({len(s.features) for s in rows if s.features is not None})
+        dims = {None if s.features is None else len(s.features) for s in rows}
         if len(dims) > 1 or dims and feature_dim not in (None, *dims):
             raise ValueError(
                 f"inconsistent feature dimensions: {dims}, feature_dim {feature_dim}"
             )
-        flags = {s.scores.probability for s in rows if s.scores is not None}
-        if len(flags) > 1:
-            raise ValueError("samples mix probability and generic scores")
-        codes = {None: UNKNOWN, Label.NEGATIVE: NEGATIVE, Label.POSITIVE: POSITIVE}
+        codes = {Label.NEGATIVE: NEGATIVE, Label.POSITIVE: POSITIVE}
         self._set_columns(
             [s.id for s in rows],
-            [codes[s.true_label] for s in rows],
-            [s.features for s in rows] if dims else None,
-            [(s.scores.s_pos, s.scores.s_neg) for s in rows] if flags else None,
-            flags == {True},
+            [UNKNOWN if s.true_label is None else codes[_check_label(s.true_label)]
+             for s in rows],
+            None if dims <= {None} else [s.features for s in rows],
+            None,
+            False,
         )
 
     @classmethod
@@ -288,14 +256,11 @@ class Dataset:
 
     @functools.cached_property
     def samples(self) -> tuple[Sample, ...]:
-        """The rows as `Sample`s."""
+        """The rows as `Sample`s, built from the checked columns."""
         n = len(self)
-        features = [None] * n if self.features is None else self.features.tolist()
-        scores = [None] * n
-        if self.scores is not None:
-            scores = [ScorePair(a, b, self.probability) for a, b in self.scores.tolist()]
+        features = [None] * n if self.features is None else map(tuple, self.features.tolist())
         labels = [(Label.NEGATIVE, Label.POSITIVE, None)[c] for c in self.labels.tolist()]
-        return tuple(map(Sample, self.ids.tolist(), features, scores, labels))
+        return tuple(map(Sample, self.ids.tolist(), features, labels))
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -336,12 +301,6 @@ class PredictionRegion(Enum):
     SINGLE_NEGATIVE = "negative"
     BOTH = "both"
     EMPTY = "empty"
-
-    @classmethod
-    def from_membership(
-        cls, include_positive: bool, include_negative: bool
-    ) -> "PredictionRegion":
-        return REGIONS[region_codes(include_positive, include_negative)]
 
     def contains(self, label: Label) -> bool:
         if self is PredictionRegion.BOTH:

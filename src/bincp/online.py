@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Label, PredictionRegion, SignificanceLevel, _check_label, _feature_limit
+from .core import REGIONS, Label, PredictionRegion, SignificanceLevel, _check_label, _feature_limit
+from .icp import region
 from .nonconformity import TrainingBag, _distances, _k_nearest, _pool_means, _ratio_array
 
 # Row 0 is the positive hypothesis, row 1 the negative one.
@@ -188,9 +189,7 @@ def run_online(
     for index, (features, label) in enumerate(stream, start=1):
         label = _check_label(label)
         p_pos, p_neg = session.p_values(features)
-        predicted = PredictionRegion.from_membership(
-            p_pos > eps.epsilon, p_neg > eps.epsilon
-        )
+        predicted = REGIONS[region(p_pos, p_neg, eps)]
         if not predicted.contains(label):
             errors += 1
         rounds.append(OnlineRound(index, predicted, label, errors / index))

@@ -196,6 +196,8 @@ def _validate_config(config: RunConfig) -> None:
         raise ValueError("exactly one of train_path and calibration_path is required")
     if config.train_path is not None and config.proper_path is not None:
         raise ValueError("proper_path only applies when calibration_path is given")
+    if config.proper_path is not None and not config.measure.needs_bag:
+        raise ValueError(f"proper_path does not apply to measure {config.measure.kind!r}")
     if config.train_path is not None and config.split is None:
         raise ValueError("train_path requires a split configuration")
     if config.calibration_path is not None and config.split is not None:

@@ -1,4 +1,5 @@
-"""Brute-force references: scorers one query point at a time, a row-by-row writer.
+"""Brute-force references: scorers one query point at a time, a row-by-row
+writer and the region of each pair of kept labels.
 
 The scorers use only the public `TrainingBag` and `Label` of bincp:
 distances, the stable sort and the means of the k smallest distances are
@@ -15,7 +16,15 @@ import operator
 
 import numpy as np
 
-from bincp.core import REGIONS, Label
+from bincp.core import REGIONS, Label, PredictionRegion
+
+# The region that keeps the positive label, the negative label, both or neither.
+REGION_KEEPING = {
+    (True, True): PredictionRegion.BOTH,
+    (True, False): PredictionRegion.SINGLE_POSITIVE,
+    (False, True): PredictionRegion.SINGLE_NEGATIVE,
+    (False, False): PredictionRegion.EMPTY,
+}
 
 
 def distances(points, x):

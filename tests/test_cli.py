@@ -644,6 +644,11 @@ class TestExitCodes:
         assert code == 1
         assert "--train" in err
 
+    def test_proper_set_with_the_passthrough_measure_is_rejected(self, capsys):
+        code, out, err = run(capsys, *demo_args("--proper", FIG, "--epsilon", "0.2"))
+        assert (code, out) == (1, "")
+        assert "config: proper_path does not apply to measure 'passthrough'" in err
+
     def test_train_route_via_cli(self, capsys, tmp_path):
         train = tmp_path / "train.csv"
         test = tmp_path / "test.csv"

@@ -16,10 +16,10 @@ from bincp.core import (
     PredictionRegion,
     RowError,
     Sample,
-    ScorePair,
     SignificanceLevel,
     region_codes,
 )
+from oracles import REGION_KEEPING
 
 
 class TestPredictionRegion:
@@ -43,25 +43,14 @@ class TestPredictionRegion:
     def test_singleton_contains_only_its_label(self, region, label, expected):
         assert region.contains(label) is expected
 
-    def test_from_membership_covers_all_four_kinds(self):
-        assert PredictionRegion.from_membership(True, True) is PredictionRegion.BOTH
-        assert (
-            PredictionRegion.from_membership(True, False)
-            is PredictionRegion.SINGLE_POSITIVE
-        )
-        assert (
-            PredictionRegion.from_membership(False, True)
-            is PredictionRegion.SINGLE_NEGATIVE
-        )
-        assert PredictionRegion.from_membership(False, False) is PredictionRegion.EMPTY
-
     def test_region_codes_match_membership_row_by_row(self):
         keep_pos = np.array([True, True, False, False])
         keep_neg = np.array([True, False, True, False])
         codes = region_codes(keep_pos, keep_neg)
         assert [REGIONS[c] for c in codes] == [
-            PredictionRegion.from_membership(p, n) for p, n in zip(keep_pos, keep_neg)
+            REGION_KEEPING[p, n] for p, n in zip(keep_pos, keep_neg)
         ]
+        assert {REGIONS[c] for c in codes} == set(PredictionRegion)
 
     def test_singleton_flags(self):
         assert PredictionRegion.SINGLE_POSITIVE.is_singleton
@@ -97,52 +86,29 @@ class TestSignificanceLevel:
         assert again.epsilon == eps.epsilon
 
 
-class TestScorePair:
-    def test_probability_pair_accepts_complement(self):
-        pair = ScorePair(0.48, 0.52, probability=True)
-        assert (pair.s_pos, pair.s_neg) == (0.48, 0.52)
-
-    def test_probability_pair_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            ScorePair(0.3, 0.8, probability=True)
-
-    def test_probability_pair_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ScorePair(1.5, -0.5, probability=True)
-
-    def test_probability_pair_rejects_infinity(self):
-        with pytest.raises(ValueError):
-            ScorePair(math.inf, -math.inf, probability=True)
-
-    def test_nan_always_rejected(self):
-        with pytest.raises(ValueError):
-            ScorePair(math.nan, 0.5)
-
-    def test_generic_pair_may_be_infinite(self):
-        pair = ScorePair(-math.inf, -0.5)
-        assert pair.s_pos == -math.inf
-
-
 class TestSample:
+    """A `Sample` is checked once, by the `Dataset` of its rows."""
+
     def test_needs_features_or_scores(self):
-        with pytest.raises(ValueError):
-            Sample(id="x")
+        with pytest.raises(ValueError, match="features or scores"):
+            Dataset((Sample(id="x"),))
 
     def test_rejects_non_finite_features(self):
-        with pytest.raises(ValueError):
-            Sample(id="x", features=(1.0, math.inf))
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset((Sample(id="x", features=(1.0, math.inf)),))
 
     def test_rejects_empty_id(self):
-        with pytest.raises(ValueError):
-            Sample(id="", features=(1.0,))
+        with pytest.raises(ValueError, match="nonempty"):
+            Dataset((Sample(id="", features=(1.0,)),))
 
     def test_features_coerced_to_floats(self):
-        sample = Sample(id="x", features=(1, 2))
+        (sample,) = Dataset((Sample(id="x", features=(1, 2)),)).samples
         assert sample.features == (1.0, 2.0)
+        assert all(type(v) is float for v in sample.features)
 
     def test_label_text_is_rejected_by_name(self):
         with pytest.raises(ValueError, match="label must be a Label member, got 'positive'"):
-            Sample("x", (1.0,), None, "positive")
+            Dataset((Sample("x", (1.0,), "positive"),))
 
 
 class TestDataset:
@@ -179,14 +145,13 @@ class TestDataset:
 
     def test_samples_round_trip(self):
         rows = (
-            Sample(id="a", features=(0.5,), scores=ScorePair(0.2, 0.8, True),
-                   true_label=Label.NEGATIVE),
-            Sample(id="b", features=(1.5,), scores=ScorePair(1.0, 0.0, True)),
+            Sample(id="a", features=(0.5, 1.0), true_label=Label.NEGATIVE),
+            Sample(id="b", features=(1.5, -2.0)),
         )
-        data = Dataset(rows)
+        data = Dataset(rows, 2)
         assert data.samples == rows
-        assert data.probability
-        assert data.scores.tolist() == [[0.2, 0.8], [1.0, 0.0]]
+        assert data.scores is None and not data.probability
+        assert data.features.tolist() == [[0.5, 1.0], [1.5, -2.0]]
 
 
 class TestDatasetColumns:
@@ -222,6 +187,35 @@ class TestDatasetColumns:
         given.update(columns)
         with pytest.raises(ValueError, match=message):
             Dataset.from_columns(**given)
+
+    @pytest.mark.parametrize(
+        "row, probability, message",
+        [
+            ((0.48, 0.52), True, None),
+            ((0.3, 0.8), True, "sum to 1"),
+            ((1.5, -0.5), True, r"in \[0, 1\]"),
+            ((math.inf, -math.inf), True, "finite"),
+            ((math.nan, 0.5), False, "NaN"),
+            ((-math.inf, -0.5), False, None),
+        ],
+        ids=[
+            "complement-accepted",
+            "bad-sum",
+            "out-of-range",
+            "infinite-probability",
+            "nan",
+            "generic-infinity-accepted",
+        ],
+    )
+    def test_score_rows_are_checked(self, row, probability, message):
+        def build():
+            return Dataset.from_columns(["a"], [1], scores=[row], probability=probability)
+
+        if message is None:
+            assert build().scores.tolist() == [list(row)]
+        else:
+            with pytest.raises(RowError, match=message):
+                build()
 
     def test_the_first_failing_row_is_named(self):
         scores = [(0.5, 0.5), (0.2, 0.2), (1.5, -0.5)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bincp.core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, Sample, ScorePair
+from bincp.core import NEGATIVE, POSITIVE, UNKNOWN, Dataset
 from bincp.data import (
     _CHUNK_ROWS,
     DataFormatError,
@@ -529,14 +529,11 @@ class TestWriteDataset:
         assert back.labels.tolist() == [POSITIVE, UNKNOWN]
 
     def test_partially_scored_dataset_is_rejected(self, tmp_path):
-        # A score column covers every row, so rows with and without scores
-        # make no dataset, and nothing is written.
-        with pytest.raises(ValueError, match="some samples"):
+        # A score column covers every row, so scores for some rows make no
+        # dataset, and nothing is written.
+        with pytest.raises(ValueError, match=r"\(2, 2\)"):
             write_dataset(
-                Dataset((
-                    Sample(id="a", features=(1.0,), scores=ScorePair(0.5, 0.5, True)),
-                    Sample(id="b", features=(2.0,)),
-                )),
+                Dataset.from_columns(["a", "b"], [1, 1], [(1.0,), (2.0,)], [(0.5, 0.5)], True),
                 tmp_path / "bad.csv",
             )
         assert not (tmp_path / "bad.csv").exists()

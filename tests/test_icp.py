@@ -27,6 +27,7 @@ from bincp.icp import (
 )
 
 from conftest import FIGURE1_NEG, FIGURE1_POS
+from oracles import REGION_KEEPING
 
 
 def oracle_p(calibration, score):
@@ -409,7 +410,7 @@ class TestPredictSet:
         for pp, pn, code, (a, b) in zip(p_pos, p_neg, codes, rows, strict=True):
             assert pp == oracle_p(pos, a)
             assert pn == oracle_p(neg, b)
-            assert REGIONS[code] is PredictionRegion.from_membership(pp > 0.2, pn > 0.2)
+            assert REGIONS[code] is REGION_KEEPING[pp > 0.2, pn > 0.2]
 
     @pytest.mark.parametrize("mondrian", [True, False])
     def test_smoothed_batch_equals_successive_single_rows(self, figure1, mondrian):

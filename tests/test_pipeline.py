@@ -268,6 +268,12 @@ class TestConfigValidation:
         with pytest.raises(PipelineError, match="proper_path"):
             run_pipeline(demo_config(measure=MeasureSpec("knn_ratio", 1)))
 
+    def test_a_proper_set_is_rejected_for_measures_without_a_bag(self, tmp_path):
+        # The file does not exist: the config stage rejects it before loading.
+        message = "config: proper_path does not apply to measure 'passthrough'"
+        with pytest.raises(PipelineError, match=message):
+            run_pipeline(demo_config(proper_path=tmp_path / "absent.csv"))
+
     def test_load_errors_name_the_stage(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,label\n", encoding="utf-8")
