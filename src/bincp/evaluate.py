@@ -7,6 +7,12 @@ actually informative.  The two deliberately pull apart: predicting both
 labels everywhere is 100% valid and 0% efficient.  The region distribution
 and the two scored-accuracy conventions make that tension explicit, and the
 singleton-conditional block reports how good the informative subset really is.
+
+`evaluate_predictions`, `binary_report` and `calibration_report` return the
+report's own blocks: dicts keyed as the report writes them, so each figure
+is named once, here.  One confusion table (`_panel`) makes all three
+forced-choice blocks: the threshold call on the calibration rows and on the
+test rows, and the call the singletons make.
 """
 
 from __future__ import annotations
@@ -17,10 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import REGION_BOTH, REGIONS, Dataset, SignificanceLevel
-from .icp import _check_calibration
+from .core import REGION_BOTH, REGIONS, Dataset, PredictionRegion
+from .icp import _check_scored
 
 SCORED_ACCURACY_MODES = ("both_correct", "both_wrong")
+# The four ways a region can meet the truth; `RegionDistribution` holds the
+# fraction of each as `frac_<kind>`.
+REGION_KINDS = ("correct_single", "false_single", "both", "empty")
+
+_SINGLE_POSITIVE = REGIONS.index(PredictionRegion.SINGLE_POSITIVE)
 
 
 def _check_paired(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) -> None:
@@ -41,17 +52,6 @@ def _region_columns(regions, positive) -> tuple[np.ndarray, np.ndarray]:
     return regions, positive
 
 
-def _forced_choice(
-    tp: int, fn: int, fp: int, tn: int
-) -> tuple[float, float | None, float | None]:
-    """Accuracy, sensitivity and specificity; a rate with no denominator is None."""
-    return (
-        (tp + tn) / (tp + fn + fp + tn),
-        tp / (tp + fn) if tp + fn else None,
-        tn / (tn + fp) if tn + fp else None,
-    )
-
-
 @dataclass(frozen=True)
 class RegionDistribution:
     """How the four region kinds divide the test set.
@@ -67,12 +67,8 @@ class RegionDistribution:
 
     def __post_init__(self) -> None:
         total = 0.0
-        for name in (
-            "frac_correct_single",
-            "frac_false_single",
-            "frac_both",
-            "frac_empty",
-        ):
+        for kind in REGION_KINDS:
+            name = "frac_" + kind
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -172,15 +168,6 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
 
-def _threshold_confusion(
-    s_pos: np.ndarray, positive: np.ndarray, threshold: float
-) -> tuple[int, int, int, int]:
-    """(tp, fn, fp, tn) of calling positive every s_pos >= threshold."""
-    cells = np.where(positive, 0, 2) + (s_pos < threshold)
-    tp, fn, fp, tn = np.bincount(cells, minlength=4).tolist()
-    return tp, fn, fp, tn
-
-
 def _auroc(s_pos: np.ndarray, positive: np.ndarray) -> float:
     """Win fraction of the positive scores over the negative ones, ties half.
 
@@ -210,130 +197,86 @@ def auroc(s_pos, positive) -> float:
     return _auroc(s_pos, positive)
 
 
-@dataclass(frozen=True)
-class MetricPanel:
-    """Forced-choice block of a report: calls positive where s_pos >= threshold.
+def _panel(calls: np.ndarray, s_pos: np.ndarray, positive: np.ndarray) -> dict:
+    """The forced-choice block of calling positive the rows where `calls` is set.
 
-    An entry is None when not computable: the rates need probability scores,
-    a class rate needs its class, and AUROC needs both classes.
+    The four figures read one confusion table; a rate is None when its
+    denominator is empty, and AUROC, which ranks s_pos, needs both classes.
     """
+    cells = np.where(positive, 0, 2) + ~calls
+    tp, fn, fp, tn = np.bincount(cells, minlength=4).tolist()
+    n = tp + fn + fp + tn
+    return {
+        "accuracy": (tp + tn) / n if n else None,
+        "sensitivity": tp / (tp + fn) if tp + fn else None,
+        "specificity": tn / (tn + fp) if tn + fp else None,
+        "auroc": _auroc(s_pos, positive) if tp + fn and fp + tn else None,
+    }
 
-    accuracy: float | None
-    sensitivity: float | None
-    specificity: float | None
-    auroc: float | None
 
+def binary_report(test: Dataset, threshold: float = 0.5) -> dict:
+    """The `binary` block: calls positive every row whose s_pos >= threshold.
 
-def _metric_panel(
-    s_pos: np.ndarray, positive: np.ndarray, probability: bool, threshold: float
-) -> MetricPanel:
-    area = _auroc(s_pos, positive) if positive.any() and not positive.all() else None
-    if not probability:
-        return MetricPanel(None, None, None, area)
+    It does not depend on epsilon, so a run computes it once for its test
+    set.  Scores that are not probabilities have no threshold to call at:
+    their three rates are None and only AUROC, which ranks any scores, is
+    given.
+    """
+    _check_scored(test, "test")
     _check_threshold(threshold)
-    return MetricPanel(
-        *_forced_choice(*_threshold_confusion(s_pos, positive, threshold)), area
-    )
+    s_pos, positive = test.scores[:, 0], test.positive
+    block = _panel(s_pos >= threshold, s_pos, positive)
+    if not test.probability:
+        block.update(accuracy=None, sensitivity=None, specificity=None)
+    return block
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
-    """Scoring-quality summary of a calibration set: AUROC, accuracy, size."""
-
-    auroc: float | None
-    accuracy: float | None
-    n: int
-
-
-def calibration_report(calibration: Dataset, threshold: float = 0.5) -> CalibrationReport:
-    """Report how well the ingested probabilities separate the calibration classes.
+def calibration_report(calibration: Dataset, threshold: float = 0.5) -> dict:
+    """The calibration block: how well the ingested probabilities separate the classes.
 
     This is the health check that tells a reader whether downstream regions
-    are built on an informative score or on noise.  Both figures come from
-    the test block's `MetricPanel`, so AUROC is None when a class is absent;
-    scores that are not probabilities report only the size.
+    are built on an informative score or on noise.  Accuracy and AUROC come
+    from the `binary` block of the calibration rows, so AUROC is None when a
+    class is absent; scores that are not probabilities report only the size.
     """
-    _check_calibration(calibration)
-    if not calibration.probability:
-        return CalibrationReport(None, None, len(calibration))
-    panel = _metric_panel(calibration.scores[:, 0], calibration.positive, True, threshold)
-    return CalibrationReport(panel.auroc, panel.accuracy, len(calibration))
+    _check_scored(calibration, "calibration")
+    block = {"accuracy": None, "auroc": None, "n": len(calibration)}
+    if calibration.probability:
+        panel = binary_report(calibration, threshold)
+        block.update(accuracy=panel["accuracy"], auroc=panel["auroc"])
+    return block
 
 
-@dataclass(frozen=True)
-class ConditionalSingletonMetrics(MetricPanel):
-    """The forced-choice panel of the single-label predictions, plus two counts.
-
-    The singleton is the forced choice: "when the predictor commits, how
-    often is it right".  Rates are None when their denominator is empty.
-    """
-
-    n_singleton: int
-    false_positives_in_singletons: int
-
-
-def _singleton_metrics(
-    counts: _RegionCounts, regions: np.ndarray, s_pos: np.ndarray, positive: np.ndarray
-) -> ConditionalSingletonMetrics:
-    tp, fn, fp, tn = counts[:4]
-    n_singleton = tp + fn + fp + tn
-    if not n_singleton:
-        return ConditionalSingletonMetrics(None, None, None, None, 0, 0)
-    single = regions < REGION_BOTH
-    area = _auroc(s_pos[single], positive[single]) if tp + fn and fp + tn else None
-    return ConditionalSingletonMetrics(
-        *_forced_choice(tp, fn, fp, tn), area, n_singleton, fp
-    )
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """All test-set metrics for one significance level."""
-
-    epsilon: float
-    n: int
-    validity: float
-    efficiency: float
-    distribution: RegionDistribution
-    scored_accuracy_both_correct: float
-    scored_accuracy_both_wrong: float
-    binary: MetricPanel
-    singleton_conditional: ConditionalSingletonMetrics
-
-    @property
-    def confidence_percent(self) -> float:
-        return SignificanceLevel(self.epsilon).confidence_percent
-
-
-def evaluate_predictions(
-    regions,
-    s_pos,
-    positive,
-    threshold: float = 0.5,
-    epsilon: float = 0.0,
-    *,
-    probability: bool,
-) -> EvaluationReport:
-    """Every metric this module defines for one significance level.
+def evaluate_predictions(regions, s_pos, positive) -> dict:
+    """The blocks of one result that depend on epsilon, keyed as in the report.
 
     Takes the region codes, the s_pos scores and the mask of positive rows
-    of a test set; `probability` says whether the scores are probabilities,
-    which the thresholded rates need.  The region metrics all read one
-    region-count table, so validity equals the both_correct accuracy and
-    the correct-single fraction the both_wrong one, bit for bit.
+    of a test set.  The region metrics all read one region-count table, so
+    validity equals the both_correct accuracy and the correct-single
+    fraction the both_wrong one, bit for bit.  The singleton block is the
+    forced choice the singletons make, on those rows alone: "when the
+    predictor commits, how often is it right".
     """
     regions, positive = _region_columns(regions, positive)
     s_pos = np.asarray(s_pos, dtype=float)
     _check_paired("regions", regions, "s_pos", s_pos)
     counts = _RegionCounts.of(regions, positive)
-    return EvaluationReport(
-        epsilon=epsilon,
-        n=len(regions),
-        validity=counts.validity,
-        efficiency=counts.efficiency,
-        distribution=counts.distribution(),
-        scored_accuracy_both_correct=counts.scored_accuracy("both_correct"),
-        scored_accuracy_both_wrong=counts.scored_accuracy("both_wrong"),
-        binary=_metric_panel(s_pos, positive, probability, threshold),
-        singleton_conditional=_singleton_metrics(counts, regions, s_pos, positive),
-    )
+    distribution = counts.distribution()
+    single = regions < REGION_BOTH
+    singleton = _panel(regions[single] == _SINGLE_POSITIVE, s_pos[single], positive[single])
+    return {
+        "n": len(regions),
+        "validity": counts.validity,
+        "efficiency": counts.efficiency,
+        "distribution": {
+            kind: getattr(distribution, "frac_" + kind) for kind in REGION_KINDS
+        },
+        "scored_accuracy": {
+            mode: counts.scored_accuracy(mode) for mode in SCORED_ACCURACY_MODES
+        },
+        "singleton_conditional": {
+            **singleton,
+            "n_singleton": counts.tp + counts.fn + counts.fp + counts.tn,
+            "false_positives_in_singletons": counts.fp,
+        },
+    }

@@ -101,22 +101,20 @@ class CalibrationTable:
             object.__setattr__(self, name, scores)
 
 
-def _check_calibration(calibration: Dataset) -> None:
-    """Raise unless the calibration set has rows, each with scores and a label."""
-    missing = calibration.missing("scores", "labels")
+def _check_scored(data: Dataset, name: str) -> None:
+    """Raise unless the `name` set has rows, each with scores and a label."""
+    missing = data.missing("scores", "labels")
     if missing:
-        raise ValueError(
-            f"calibration samples need scores and labels, missing for {missing}"
-        )
-    if len(calibration) == 0:
-        raise ValueError("calibration set must not be empty")
+        raise ValueError(f"{name} samples need scores and labels, missing for {missing}")
+    if len(data) == 0:
+        raise ValueError(f"{name} set must not be empty")
 
 
 def build_calibration_table(
     calibration: Dataset, mondrian: bool = True
 ) -> CalibrationTable:
     """Collect calibration scores into the sorted per-class (or pooled) table."""
-    _check_calibration(calibration)
+    _check_scored(calibration, "calibration")
     scores, positive = calibration.scores, calibration.positive
     if mondrian:
         pos = np.sort(scores[positive, 0])

@@ -6,15 +6,21 @@ reproduces the output byte for byte.  Data moves between the stages as
 `Dataset` columns: a run computes the p-value columns of its test set once,
 derives the region codes of each epsilon from them, and the report and
 regions writers format whole columns.
+
+The evaluation layer returns the report's own blocks, keyed by their report
+paths, so a report figure is named once, where `evaluate` writes it; the
+field table below only says where each format puts it.  The `binary` block
+does not depend on epsilon, so a run computes it once and each result row
+carries it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -23,8 +29,10 @@ import numpy as np
 from .core import REGIONS, Dataset, Label, SignificanceLevel, label_names
 from .data import _quoted, load_dataset
 from .evaluate import (
+    REGION_KINDS,
     SCORED_ACCURACY_MODES,
     _check_threshold,
+    binary_report,
     calibration_report,
     evaluate_predictions,
 )
@@ -43,10 +51,6 @@ REPORT_FORMATS = ("json", "csv", "text")
 _ABSENT_TEXT = "—"
 
 
-def _opt(value: float | None) -> float | None:
-    return None if value is None else float(value)
-
-
 def _text_value(value) -> str:
     if value is None:
         return _ABSENT_TEXT
@@ -59,33 +63,26 @@ def _text_value(value) -> str:
 class _Field:
     """One report figure and where each report format puts it.
 
-    `path` holds its keys inside a JSON block, `source` the dotted attribute
-    of the report object it is read from, `cast` its JSON type, and `label`
-    and `text` its name and format on a text line.
+    `path` holds its keys inside a JSON block, `column` its CSV column, and
+    `label` and `text` its name and format on a text line.
     """
 
     path: tuple[str, ...]
     column: str
     label: str
-    source: str
-    cast: Callable[[object], object]
     text: Callable[[object], str]
 
 
-def _field(*path, column=None, label=None, source=None, cast=float, text=_text_value):
+def _field(*path, column=None, label=None, text=_text_value):
     key = path[-1]
-    return _Field(path, column or key, label or key, source or ".".join(path), cast, text)
+    return _Field(path, column or key, label or key, text)
 
 
-def _group(block, keys, prefix, source=None, cast=float) -> tuple[_Field, ...]:
-    """Fields `block.key` with CSV column `prefix + key`, read from `source + key`."""
-    return tuple(
-        _field(block, key, column=prefix + key, source=source and source + key, cast=cast)
-        for key in keys
-    )
+def _group(block, keys, prefix) -> tuple[_Field, ...]:
+    """Fields `block.key` with CSV column `prefix + key`."""
+    return tuple(_field(block, key, column=prefix + key) for key in keys)
 
 
-_REGION_KINDS = ("correct_single", "false_single", "both", "empty")
 _RATES = ("accuracy", "sensitivity", "specificity", "auroc")
 
 # Every figure of a result row, as (text line heading, fields on that line).
@@ -95,45 +92,32 @@ _RESULT_LINES = (
     ("", (
         _field("epsilon", text=str),
         _field("confidence_percent", label="confidence", text="{}%".format),
-        _field("n", cast=int, text=str),
+        _field("n", text=str),
     )),
     ("  ", (_field("validity"), _field("efficiency"))),
-    ("  regions  ", _group(
-        "distribution", _REGION_KINDS, "frac_", "distribution.frac_"
-    )),
+    ("  regions  ", _group("distribution", REGION_KINDS, "frac_")),
     ("  scored_accuracy  ", _group(
-        "scored_accuracy", SCORED_ACCURACY_MODES, "scored_accuracy_", "scored_accuracy_"
+        "scored_accuracy", SCORED_ACCURACY_MODES, "scored_accuracy_"
     )),
-    ("  binary  ", _group("binary", _RATES, "binary_", cast=_opt)),
-    ("  singleton  ", _group("singleton_conditional", _RATES, "singleton_", cast=_opt) + (
-        _field("singleton_conditional", "n_singleton", cast=int, text=str),
+    ("  binary  ", _group("binary", _RATES, "binary_")),
+    ("  singleton  ", _group("singleton_conditional", _RATES, "singleton_") + (
+        _field("singleton_conditional", "n_singleton", text=str),
         _field(
             "singleton_conditional", "false_positives_in_singletons",
-            label="false_positives", cast=int, text=str,
+            label="false_positives", text=str,
         ),
     )),
 )
 _RESULT_FIELDS = tuple(field for _, fields in _RESULT_LINES for field in fields)
 _CALIBRATION_FIELDS = (
-    _field("accuracy", column="calibration_accuracy", cast=_opt),
-    _field("auroc", column="calibration_auroc", cast=_opt),
-    _field("n", column="calibration_n", cast=int),
+    _field("accuracy", column="calibration_accuracy"),
+    _field("auroc", column="calibration_auroc"),
+    _field("n", column="calibration_n"),
 )
 
 REPORT_CSV_COLUMNS = tuple(
     field.column for field in _RESULT_FIELDS + _CALIBRATION_FIELDS
 )
-
-
-def _json_block(fields: tuple[_Field, ...], report) -> dict:
-    block: dict = {}
-    for field in fields:
-        *parents, key = field.path
-        node = block
-        for parent in parents:
-            node = node.setdefault(parent, {})
-        node[key] = field.cast(attrgetter(field.source)(report))
-    return block
 
 
 def _value(block: dict, path: tuple[str, ...]):
@@ -276,9 +260,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         table = build_calibration_table(calibration, config.mondrian)
 
     with _stage("calibration-report"):
-        calibration_block = _json_block(
-            _CALIBRATION_FIELDS, calibration_report(calibration, config.threshold)
-        )
+        calibration_block = calibration_report(calibration, config.threshold)
 
     p_values = None
     regions: dict[float, np.ndarray] = {}
@@ -292,19 +274,23 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         with _stage("predict"):
             p_values = predict_set(table, test, rng=rng)
         labelled = test.fully_labelled()
+        if labelled:
+            with _stage("evaluate"):
+                binary = binary_report(test, config.threshold)
         for value in dict.fromkeys(config.epsilons):
-            regions[value] = region(*p_values, SignificanceLevel(value))
+            level = SignificanceLevel(value)
+            regions[value] = region(*p_values, level)
             if labelled:
                 with _stage("evaluate"):
-                    report = evaluate_predictions(
-                        regions=regions[value],
-                        s_pos=test.scores[:, 0],
-                        positive=test.positive,
-                        threshold=config.threshold,
-                        epsilon=value,
-                        probability=test.probability,
+                    blocks = evaluate_predictions(
+                        regions=regions[value], s_pos=test.scores[:, 0], positive=test.positive
                     )
-                results.append(_json_block(_RESULT_FIELDS, report))
+                results.append({
+                    "epsilon": float(value),
+                    "confidence_percent": float(level.confidence_percent),
+                    **blocks,
+                    "binary": dict(binary),
+                })
 
     document = {
         "config": _config_block(config),
@@ -428,11 +414,24 @@ def emit_report(document: dict, fmt: str) -> bytes:
     return text.encode("utf-8")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def parse_report(data: bytes) -> dict:
-    """Read back a JSON report document."""
+    """Read back a JSON report document.
+
+    bincp writes no NaN or infinity, so a document holding one (as a
+    constant, or as a number too large for a float) is not a report.
+    """
     try:
-        document = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        document = json.loads(
+            data.decode("utf-8"), parse_constant=_finite, parse_float=_finite
+        )
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError too
         raise ValueError(f"not a report document: {err}") from None
     if not isinstance(document, dict) or "results" not in document:
         raise ValueError("not a report document: missing 'results'")

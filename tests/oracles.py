@@ -1,5 +1,6 @@
 """Brute-force references: scorers one query point at a time, a row-by-row
-writer and the region of each pair of kept labels.
+writer, the region of each pair of kept labels, and the forced-choice
+figures counted row by row and pair by pair.
 
 The scorers use only the public `TrainingBag` and `Label` of bincp:
 distances, the stable sort and the means of the k smallest distances are
@@ -128,3 +129,33 @@ def regions_csv_rows(result):
                 repr(float(p_pos)), repr(float(p_neg)), str(REGIONS[code]),
             ])
     return buffer.getvalue().encode("utf-8")
+
+
+def all_pairs_auroc(s_pos, positive):
+    """All-pairs comparison with half credit for ties."""
+    pos = [s for s, t in zip(s_pos, positive) if t]
+    neg = [s for s, t in zip(s_pos, positive) if not t]
+    total = 0.0
+    for p in pos:
+        for q in neg:
+            total += 1.0 if p > q else (0.5 if p == q else 0.0)
+    return total / (len(pos) * len(neg))
+
+
+def forced_choice(calls, s_pos, positive):
+    """Accuracy, sensitivity, specificity and AUROC of calling positive each row
+    whose call is true, counted one row at a time; None where a figure has no
+    denominator, and AUROC only when both classes are present."""
+    tp = fn = fp = tn = 0
+    for call, truth in zip(calls, positive):
+        if truth:
+            tp, fn = (tp + 1, fn) if call else (tp, fn + 1)
+        else:
+            fp, tn = (fp + 1, tn) if call else (fp, tn + 1)
+    n = tp + fn + fp + tn
+    return {
+        "accuracy": (tp + tn) / n if n else None,
+        "sensitivity": tp / (tp + fn) if tp + fn else None,
+        "specificity": tn / (tn + fp) if tn + fp else None,
+        "auroc": all_pairs_auroc(s_pos, positive) if tp + fn and fp + tn else None,
+    }

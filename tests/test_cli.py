@@ -603,6 +603,21 @@ class TestReportCommand:
             assert (code, out) == (1, "")
             assert err == f"error: not a report document: {block!r} is not an object\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_a_figure_that_is_not_finite_is_a_validation_error(
+        self, capsys, tmp_path, constant, fmt
+    ):
+        saved = tmp_path / "r.json"
+        run(capsys, *demo_args("--format", "json", "--out", str(saved)))
+        text = saved.read_text(encoding="utf-8")
+        edited = text.replace('"validity": 1.0', f'"validity": {constant}', 1)
+        assert edited != text
+        saved.write_text(edited, encoding="utf-8")
+        code, out, err = run(capsys, "report", "--in", str(saved), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: not a report document: {constant} is not a finite number\n"
+
     def test_a_row_missing_a_nested_figure_is_named(self, capsys, tmp_path):
         saved = tmp_path / "r.json"
         run(capsys, *demo_args("--format", "json", "--out", str(saved)))

@@ -3,12 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bincp.core import REGIONS, UNKNOWN, Dataset, PredictionRegion, SignificanceLevel
+from bincp.core import (
+    NEGATIVE,
+    POSITIVE,
+    REGIONS,
+    UNKNOWN,
+    Dataset,
+    PredictionRegion,
+    SignificanceLevel,
+)
 from bincp.data import SyntheticSpec, generate_synthetic
 from bincp.evaluate import (
-    CalibrationReport,
     RegionDistribution,
     auroc,
+    binary_report,
     calibration_report,
     efficiency,
     evaluate_predictions,
@@ -18,6 +26,7 @@ from bincp.evaluate import (
 )
 from bincp.icp import predict_set, region
 from bincp.nonconformity import MeasureSpec, TrainingBag, score_dataset
+from oracles import all_pairs_auroc, forced_choice
 
 # Region codes.
 POS, NEG, BOTH, EMPTY = (
@@ -40,17 +49,6 @@ def mixture(correct_single, false_single, both, empty):
         [True] * correct_single + [False] * false_single + [True] * both + [False] * empty
     )
     return regions, positive
-
-
-def oracle_auroc(s_pos, positive):
-    """All-pairs comparison with half credit for ties."""
-    pos = [s for s, t in zip(s_pos, positive) if t]
-    neg = [s for s, t in zip(s_pos, positive) if not t]
-    total = 0.0
-    for p in pos:
-        for q in neg:
-            total += 1.0 if p > q else (0.5 if p == q else 0.0)
-    return total / (len(pos) * len(neg))
 
 
 class TestValidity:
@@ -170,36 +168,43 @@ class TestScoredAccuracy:
         assert round(dist.frac_both * n) == sum(1 for r in regions if r == BOTH)
 
 
-def binary_panel(s_pos, positive, threshold=0.5):
-    """The thresholded panel of probability scores; it does not read the regions."""
-    regions = [BOTH] * len(s_pos)
-    return evaluate_predictions(
-        regions, s_pos, positive, threshold, probability=True
-    ).binary
+def scored_set(s_pos, positive, probability=True):
+    """A labelled dataset of s_pos scores: probabilities (s, 1 - s) or generic (s, 0)."""
+    s_pos = np.asarray(s_pos, dtype=float)
+    s_neg = 1.0 - s_pos if probability else np.zeros_like(s_pos)
+    return Dataset.from_columns(
+        [f"r{i}" for i in range(len(s_pos))],
+        np.where(positive, POSITIVE, NEGATIVE),
+        scores=np.column_stack([s_pos, s_neg]),
+        probability=probability,
+    )
+
+
+def binary_panel(s_pos, positive, threshold=0.5, probability=True):
+    """The thresholded panel of the scores; it does not read any region."""
+    return binary_report(scored_set(s_pos, positive, probability), threshold)
 
 
 def singleton_panel(regions, s_pos, positive):
-    return evaluate_predictions(
-        regions, s_pos, positive, probability=True
-    ).singleton_conditional
+    return evaluate_predictions(regions, s_pos, positive)["singleton_conditional"]
 
 
 class TestBinaryMetrics:
     def test_small_confusion_matrix(self):
         m = binary_panel([0.9, 0.3, 0.5, 0.2], [True, True, False, False], threshold=0.5)
         # the 0.5 ties to a positive call, so it lands as a false positive
-        assert (m.accuracy, m.sensitivity, m.specificity) == (0.5, 0.5, 0.5)
+        assert (m["accuracy"], m["sensitivity"], m["specificity"]) == (0.5, 0.5, 0.5)
 
     def test_threshold_zero_calls_everything_positive(self):
         m = binary_panel([0.0, 1.0], [False, True], threshold=0.0)
-        assert m.sensitivity == 1.0
-        assert m.specificity == 0.0
+        assert m["sensitivity"] == 1.0
+        assert m["specificity"] == 0.0
 
     def test_missing_class_leaves_rate_undefined(self):
         m = binary_panel([0.9, 0.1], [True] * 2)
-        assert m.specificity is None
-        assert m.sensitivity == 0.5
-        assert m.auroc is None
+        assert m["specificity"] is None
+        assert m["sensitivity"] == 0.5
+        assert m["auroc"] is None
 
     def test_threshold_must_be_a_unit_interval_value(self):
         with pytest.raises(ValueError):
@@ -233,7 +238,7 @@ class TestAuroc:
             truths[0] = True
             truths[-1] = False
         scores = [float(v) for v in values]
-        assert auroc(scores, truths) == oracle_auroc(scores, truths)
+        assert auroc(scores, truths) == all_pairs_auroc(scores, truths)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_all_pairs_oracle_on_signed_zeros_and_infinities(self, seed):
@@ -247,8 +252,8 @@ class TestAuroc:
         scores = values.tolist()
         order = rng.permutation(n).tolist()
         shuffled = [scores[i] for i in order], [truths[i] for i in order]
-        assert auroc(scores, truths) == oracle_auroc(scores, truths)
-        assert auroc(*shuffled) == oracle_auroc(scores, truths)
+        assert auroc(scores, truths) == all_pairs_auroc(scores, truths)
+        assert auroc(*shuffled) == all_pairs_auroc(scores, truths)
 
     def test_works_on_unbounded_conformity_scores(self):
         assert auroc([-0.5, -2.0], [True, False]) == 1.0
@@ -257,11 +262,9 @@ class TestAuroc:
 class TestCalibrationReport:
     def test_figure_one_numbers(self, figure1):
         report = calibration_report(figure1)
-        assert report.auroc == 58 / 110
-        assert report.accuracy == 11 / 21
-        assert report.n == 21
-        assert abs(report.auroc - 0.527) <= 0.0005
-        assert abs(report.accuracy - 0.524) <= 0.0005
+        assert report == {"accuracy": 11 / 21, "auroc": 58 / 110, "n": 21}
+        assert abs(report["auroc"] - 0.527) <= 0.0005
+        assert abs(report["accuracy"] - 0.524) <= 0.0005
 
     def test_requires_scores_and_labels(self):
         bare = Dataset.from_columns(["x"], [UNKNOWN], [(1.0,)])
@@ -273,17 +276,17 @@ class TestCalibrationReport:
         report = calibration_report(negatives)
         # Every s_pos >= 0.5 is a false positive.
         called = int((negatives.scores[:, 0] >= 0.5).sum())
-        assert report == CalibrationReport(None, 1 - called / 10, 10)
-        assert report.accuracy == binary_panel(
+        assert report == {"accuracy": 1 - called / 10, "auroc": None, "n": 10}
+        assert report["accuracy"] == binary_panel(
             negatives.scores[:, 0], negatives.positive
-        ).accuracy
+        )["accuracy"]
 
     def test_scores_that_are_not_probabilities_report_the_size_alone(self):
         data = generate_synthetic(SyntheticSpec(n_per_class=15, dim=2, seed=4))
         bag = TrainingBag.from_dataset(data.take(slice(0, None, 2)))
         scored = score_dataset(MeasureSpec("knn_ratio", 1), bag, data.take(slice(1, None, 2)))
         assert not scored.probability
-        assert calibration_report(scored) == CalibrationReport(None, None, 15)
+        assert calibration_report(scored) == {"accuracy": None, "auroc": None, "n": 15}
 
 
 class TestConditionalSingletonMetrics:
@@ -295,52 +298,104 @@ class TestConditionalSingletonMetrics:
         assert validity(regions, truths) == 19 / 21
         assert efficiency(regions) == 5 / 21
 
-        cond = singleton_panel(regions, scores, truths)
-        assert cond.n_singleton == 5
-        assert cond.accuracy == 3 / 5
-        assert cond.false_positives_in_singletons == 1
-        assert cond.sensitivity == 1 / 2
-        assert cond.specificity == 2 / 3
-        assert cond.auroc == 1 / 3
+        assert singleton_panel(regions, scores, truths) == {
+            "accuracy": 3 / 5,
+            "sensitivity": 1 / 2,
+            "specificity": 2 / 3,
+            "auroc": 1 / 3,
+            "n_singleton": 5,
+            "false_positives_in_singletons": 1,
+        }
 
     def test_no_singletons_reports_counts_only(self):
         regions, truths = mixture(0, 0, 3, 1)
         cond = singleton_panel(regions, [0.5] * 4, truths)
-        assert cond.n_singleton == 0
-        assert cond.false_positives_in_singletons == 0
-        assert cond.accuracy is None
-        assert cond.auroc is None
+        assert cond["n_singleton"] == 0
+        assert cond["false_positives_in_singletons"] == 0
+        assert cond["accuracy"] is None
+        assert cond["auroc"] is None
 
     def test_single_class_restriction_skips_auroc(self):
         regions = [POS, NEG, BOTH]
         cond = singleton_panel(regions, [0.9, 0.2, 0.5], [True, True, False])
-        assert cond.n_singleton == 2
-        assert cond.auroc is None
-        assert cond.sensitivity == 0.5
-        assert cond.specificity is None
+        assert cond["n_singleton"] == 2
+        assert cond["auroc"] is None
+        assert cond["sensitivity"] == 0.5
+        assert cond["specificity"] is None
 
 
 class TestEvaluatePredictions:
     def test_report_is_internally_consistent(self):
         regions, truths = mixture(18, 5, 25, 2)
         scores = [0.9 if t else 0.1 for t in truths]
-        report = evaluate_predictions(
-            regions, scores, truths, epsilon=0.2, probability=True
-        )
-        assert report.epsilon == 0.2
-        assert report.n == 50
-        assert abs(report.validity - report.distribution.validity) <= 1e-12
-        assert abs(report.efficiency - report.distribution.efficiency) <= 1e-12
-        gap = report.scored_accuracy_both_correct - report.scored_accuracy_both_wrong
-        assert abs(gap - report.distribution.frac_both) <= 1e-12
-        assert report.binary.auroc == 1.0
-        assert report.binary.accuracy == 1.0
+        report = evaluate_predictions(regions, scores, truths)
+        assert list(report) == [
+            "n", "validity", "efficiency", "distribution", "scored_accuracy",
+            "singleton_conditional",
+        ]
+        assert report["n"] == 50
+        dist = report["distribution"]
+        assert abs(report["validity"] - (dist["correct_single"] + dist["both"])) <= 1e-12
+        assert abs(
+            report["efficiency"] - (dist["correct_single"] + dist["false_single"])
+        ) <= 1e-12
+        gap = report["scored_accuracy"]["both_correct"] - report["scored_accuracy"]["both_wrong"]
+        assert abs(gap - dist["both"]) <= 1e-12
+        binary = binary_panel(scores, truths)
+        assert binary["auroc"] == 1.0
+        assert binary["accuracy"] == 1.0
 
     def test_non_probability_scores_skip_thresholded_rates(self):
-        regions, truths = mixture(1, 1, 1, 1)
-        report = evaluate_predictions(
-            regions, [-0.1, -0.2, -0.9, -0.8], truths, probability=False
-        )
-        assert report.binary.accuracy is None
-        assert report.binary.sensitivity is None
-        assert report.binary.auroc is not None
+        _, truths = mixture(1, 1, 1, 1)
+        binary = binary_panel([-0.1, -0.2, -0.9, -0.8], truths, probability=False)
+        assert binary["accuracy"] is None
+        assert binary["sensitivity"] is None
+        assert binary["auroc"] is not None
+
+
+# Probability scores from a grid, so thresholds and scores tie; generic
+# scores add signed zeros and infinities.
+GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+PROBABILITY_SCORES = st.sampled_from(GRID) | st.floats(0.0, 1.0)
+GENERIC_SCORES = st.sampled_from([-np.inf, -1.0, -0.0, *GRID, np.inf]) | st.floats(
+    allow_nan=False
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_forced_choice_blocks_match_the_row_by_row_oracle(data):
+    probability = data.draw(st.booleans())
+    rows = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from([POS, NEG, BOTH, EMPTY]),
+            st.booleans(),
+            PROBABILITY_SCORES if probability else GENERIC_SCORES,
+        ),
+        min_size=1,
+        max_size=40,
+    ))
+    threshold = data.draw(st.sampled_from(GRID) | st.floats(0.0, 1.0))
+    regions, truths, s_pos = (list(column) for column in zip(*rows))
+    dataset = scored_set(s_pos, truths, probability)
+
+    binary = forced_choice([s >= threshold for s in s_pos], s_pos, truths)
+    calibration = {"accuracy": None, "auroc": None, "n": len(rows)}
+    if probability:
+        calibration.update(accuracy=binary["accuracy"], auroc=binary["auroc"])
+    else:
+        binary.update(accuracy=None, sensitivity=None, specificity=None)
+    assert binary_report(dataset, threshold) == binary
+    assert calibration_report(dataset, threshold) == calibration
+
+    singles = [row for row in rows if row[0] in (POS, NEG)]
+    singleton = forced_choice(
+        [code == POS for code, _, _ in singles],
+        [s for _, _, s in singles],
+        [truth for _, truth, _ in singles],
+    )
+    singleton["n_singleton"] = len(singles)
+    singleton["false_positives_in_singletons"] = sum(
+        code == POS and not truth for code, truth, _ in singles
+    )
+    assert evaluate_predictions(regions, s_pos, truths)["singleton_conditional"] == singleton

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from bincp.cli import main
+from bincp.data import demo_test_path, figure1_path
+from bincp.pipeline import RunConfig, emit_report, run_pipeline
 
 EPSILONS = ("--epsilon", "0.05", "--epsilon", "0.1", "--epsilon", "0.2")
 
@@ -94,3 +96,77 @@ def test_predict_knn_ratio_pooled_smoothed_bytes(capsys, tmp_path):
     assert digests(capsys, argv, {}) == {
         "stdout": "d95c9b24f9884cd8162de7936d5c72c36ec887fb9c8a0b77b0d253dd81d33d29",
     }
+
+
+def cli_report(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out.encode("utf-8")
+
+
+def knn_ratio_report(capsys, tmp_path, fmt):
+    """Scores that are not probabilities: no thresholded rate, no calibration figure."""
+    files = write_synth(tmp_path)
+    return cli_report(capsys, [
+        "evaluate", "--train", str(files["train"]), "--test", str(files["test"]),
+        "--positive-class", "positive", "--measure", "knn-ratio", "--k", "3",
+        "--split-fraction", "0.7", "--split-seed", "3", *EPSILONS, "--format", fmt,
+    ])
+
+
+def figure1_report(capsys, *extra):
+    return cli_report(capsys, [
+        "evaluate", "--calibration", str(figure1_path()), "--positive-class", "B", *extra,
+    ])
+
+
+def integer_epsilons_report(fmt):
+    """Epsilons given as ints still print as floats."""
+    config = RunConfig(
+        positive_class="B", epsilons=(0, 1),
+        calibration_path=figure1_path(), test_path=demo_test_path(),
+    )
+    return emit_report(run_pipeline(config).document, fmt)
+
+
+# Report shapes with absent figures or unusual epsilons, built by each case
+# from (capsys, tmp_path, format).
+SHAPES = {
+    "knn-ratio": knn_ratio_report,
+    # Every region is `both` at 0.01, so the singleton block has no figure.
+    "no-singletons": lambda capsys, tmp_path, fmt: figure1_report(
+        capsys, "--test", str(demo_test_path()), "--epsilon", "0.01", "--format", fmt
+    ),
+    "pooled-epsilon-and-confidence": lambda capsys, tmp_path, fmt: figure1_report(
+        capsys, "--test", str(demo_test_path()), "--no-mondrian", "--epsilon", "0.3",
+        "--confidence", "80", "--epsilon", "0.1", "--format", fmt,
+    ),
+    "calibration-only": lambda capsys, tmp_path, fmt: figure1_report(
+        capsys, "--format", fmt
+    ),
+    "integer-epsilons": lambda capsys, tmp_path, fmt: integer_epsilons_report(fmt),
+}
+PINNED_SHAPES = {
+    ("knn-ratio", "csv"): "ce04c512950da3b086fc137f778642a7af513edf4df1c11eb0b5a771efa72c3d",
+    ("knn-ratio", "json"): "7136b13a4c555d520ff7f3d9599eb16e43fbc84b2afa4a27f7bcb30bf4efd25c",
+    ("knn-ratio", "text"): "ba9bb518e93da911724a26348ddfaf74aa7a4ac5a29ad53f1771d1f895351739",
+    ("no-singletons", "csv"): "dbd03e51e3f48f1fc637e6439b96c237032831f40e0b6cc5fe9cae99e12f1e86",
+    ("no-singletons", "json"): "ab60351d99359c5bd8c1f259ce3d4dbdc3e7ab476c8ff6f17635b0369119d7e0",
+    ("no-singletons", "text"): "3df3f3c5c9b51ffeb8a0fec0d8640fc3a69055dfe355b05eb99b384f31156d31",
+    ("pooled-epsilon-and-confidence", "csv"): "9c889017fb1aa964c20edfc3c5c9fee34de034db49d2720100273364a97b8162",
+    ("pooled-epsilon-and-confidence", "json"): "989f7723aeb729030c4bfa4a519a4d80ac00a6e2ba5f5caeea6a893befe937e3",
+    ("pooled-epsilon-and-confidence", "text"): "7f4bcba7631cbedbaae0b78862ad01809cb06e2031974ed595fa1368d66e9346",
+    ("calibration-only", "csv"): "fae052ecbe713094b1052ba55fa8ed02ff8a77110b11ac17087dd6608d2d1928",
+    ("calibration-only", "json"): "c08c83c3e38fa4433fac216d4554885442a06363e3cf2ce44d3b89dd48621734",
+    ("calibration-only", "text"): "bb749f599d00ed80b16bbe4de2557d6d8f1b5971639b5de3132d0dcc88cb6744",
+    ("integer-epsilons", "csv"): "f02ce2888982ec0f804c5d082f49a93c1ffcc5916b394dd3eb2c77ee8263c0e2",
+    ("integer-epsilons", "json"): "8f95633b33e01846a175193615dc5c1cb9b5d2e84f1db03d1acc9e36adca311d",
+    ("integer-epsilons", "text"): "cd915c39f32fe2f52a53b02cb4f2290f8b7b114fcffe07044c32e821c3d735ef",
+}
+
+
+@pytest.mark.parametrize("shape, fmt", sorted(PINNED_SHAPES))
+def test_report_shape_bytes(capsys, tmp_path, shape, fmt):
+    report = SHAPES[shape](capsys, tmp_path, fmt)
+    assert hashlib.sha256(report).hexdigest() == PINNED_SHAPES[shape, fmt]

@@ -22,6 +22,7 @@ from bincp.data import (
     generate_synthetic,
     write_dataset,
 )
+from bincp import evaluate, pipeline
 from bincp.nonconformity import MeasureSpec
 from bincp.icp import SplitConfig, region
 from bincp.pipeline import (
@@ -172,6 +173,19 @@ class TestRunPipeline:
         row = document["results"][0]
         assert row["binary"]["accuracy"] is None
         assert row["binary"]["auroc"] is not None
+
+    def test_binary_block_is_computed_once_and_carried_by_every_row(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            pipeline, "binary_report",
+            lambda *args: calls.append(args) or evaluate.binary_report(*args),
+        )
+        results = run_pipeline(demo_config(epsilons=(0.1, 0.2, 0.3))).document["results"]
+        assert len(calls) == 1
+        assert [row["epsilon"] for row in results] == [0.1, 0.2, 0.3]
+        first = results[0]["binary"]
+        assert first == evaluate.binary_report(calls[0][0], 0.5)
+        assert all(row["binary"] == first for row in results)
 
     def test_pooled_calibration_route(self):
         result = run_pipeline(demo_config(mondrian=False))
