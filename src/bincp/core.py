@@ -11,6 +11,10 @@ probabilities in [0, 1] that sum to 1, while generic ones may be infinite.
 `Dataset.from_columns` is the one way to hold scores; `Sample` rows remain
 only for the benchmark's input preparation.  Region kinds are coded by their
 index in `REGIONS`.
+
+`COVERAGE` is the one statement of which region covers which label (a region
+keeps a label when its p-value is above epsilon): evaluation, the on-line
+loop's error count and `PredictionRegion.contains` all read it.
 """
 
 from __future__ import annotations
@@ -303,13 +307,8 @@ class PredictionRegion(Enum):
     EMPTY = "empty"
 
     def contains(self, label: Label) -> bool:
-        if self is PredictionRegion.BOTH:
-            return True
-        if self is PredictionRegion.EMPTY:
-            return False
-        if self is PredictionRegion.SINGLE_POSITIVE:
-            return label is Label.POSITIVE
-        return label is Label.NEGATIVE
+        code = POSITIVE if _check_label(label) is Label.POSITIVE else NEGATIVE
+        return bool(COVERAGE[code, REGIONS.index(self)])
 
     @property
     def is_singleton(self) -> bool:
@@ -340,6 +339,12 @@ _MEMBERSHIP = np.array(
     ],
     dtype=np.int8,
 )
+
+# COVERAGE[label code, region code]: whether the region keeps the label, as
+# the indices of _MEMBERSHIP[keeps positive, keeps negative] say.
+COVERAGE = np.empty((2, len(REGIONS)), dtype=bool)
+COVERAGE[POSITIVE, _MEMBERSHIP], COVERAGE[NEGATIVE, _MEMBERSHIP] = np.indices((2, 2)) == 1
+COVERAGE.flags.writeable = False
 
 
 def region_codes(keep_positive, keep_negative) -> np.ndarray:

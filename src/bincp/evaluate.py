@@ -10,20 +10,22 @@ singleton-conditional block reports how good the informative subset really is.
 
 `evaluate_predictions`, `binary_report` and `calibration_report` return the
 report's own blocks: dicts keyed as the report writes them, so each figure
-is named once, here.  One confusion table (`_panel`) makes all three
-forced-choice blocks: the threshold call on the calibration rows and on the
-test rows, and the call the singletons make.
+is named once, here.  Every region figure reads one class-by-region count
+table (`_region_figures`), and which of its cells count as covered is
+`core.COVERAGE`, the rule the on-line loop counts its errors by too.  One
+confusion table (`_panel`) makes all three forced-choice blocks: the
+threshold call on the calibration rows and on the test rows, and the call
+the singletons make.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import REGION_BOTH, REGIONS, Dataset, PredictionRegion
+from .core import COVERAGE, NEGATIVE, POSITIVE, REGION_BOTH, REGIONS, Dataset, PredictionRegion
 from .icp import _check_scored
 
 SCORED_ACCURACY_MODES = ("both_correct", "both_wrong")
@@ -43,13 +45,14 @@ def _check_paired(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) -> Non
         )
 
 
-def _region_columns(regions, positive) -> tuple[np.ndarray, np.ndarray]:
-    """Region codes (see `core.REGIONS`) and the positive mask, as checked arrays."""
-    regions, positive = np.asarray(regions, dtype=np.intp), np.asarray(positive, dtype=bool)
-    _check_paired("regions", regions, "positive", positive)
+def _region_codes(regions) -> np.ndarray:
+    """Region codes (see `core.REGIONS`) as a checked, nonempty array."""
+    regions = np.asarray(regions, dtype=np.intp)
+    if len(regions) == 0:
+        raise ValueError("regions must not be empty")
     if not (0 <= regions.min() and regions.max() < len(REGIONS)):
         raise ValueError(f"region codes must be in [0, {len(REGIONS)})")
-    return regions, positive
+    return regions
 
 
 @dataclass(frozen=True)
@@ -85,66 +88,54 @@ class RegionDistribution:
         return self.frac_correct_single + self.frac_false_single
 
 
-class _RegionCounts(NamedTuple):
-    """The region-count table of a test set: true class by region kind.
+def _region_figures(regions, positive) -> dict:
+    """Every region figure of a test set, keyed as in the report.
 
-    tp and fn count the positive rows given a positive or a negative
-    singleton, fp and tn the negative rows; both and empty count all rows.
-    Each region metric is a sum of these ints over their total, one rounding
-    from the exact ratio, so the identities between the metrics hold exactly.
+    They all read one class-by-region count table, `counts[label code, region
+    code]`, whose covered cells are those `core.COVERAGE` marks.  Each figure
+    is a sum of its ints over n, divided once, so the identities between the
+    figures hold exactly: validity equals the both_correct accuracy and the
+    correct-single fraction the both_wrong one, bit for bit.
     """
-
-    tp: int
-    fn: int
-    fp: int
-    tn: int
-    both: int
-    empty: int
-
-    @classmethod
-    def of(cls, regions: np.ndarray, positive: np.ndarray) -> "_RegionCounts":
-        cells = np.where(positive, 0, len(REGIONS)) + regions
-        counts = np.bincount(cells, minlength=2 * len(REGIONS)).reshape(2, -1)
-        (tp, fn, pos_both, pos_empty), (fp, tn, neg_both, neg_empty) = counts.tolist()
-        return cls(tp, fn, fp, tn, pos_both + neg_both, pos_empty + neg_empty)
-
-    @property
-    def n(self) -> int:
-        return sum(self)
-
-    @property
-    def validity(self) -> float:
-        return (self.tp + self.tn + self.both) / self.n
-
-    @property
-    def efficiency(self) -> float:
-        return (self.tp + self.tn + self.fn + self.fp) / self.n
-
-    def distribution(self) -> RegionDistribution:
-        correct, false, n = self.tp + self.tn, self.fn + self.fp, self.n
-        return RegionDistribution(correct / n, false / n, self.both / n, self.empty / n)
-
-    def scored_accuracy(self, mode: str) -> float:
-        if mode == "both_wrong":
-            return (self.tp + self.tn) / self.n
-        return self.validity
+    regions, positive = _region_codes(regions), np.asarray(positive, dtype=bool)
+    _check_paired("regions", regions, "positive", positive)
+    cells = np.where(positive, POSITIVE, NEGATIVE) * len(REGIONS) + regions
+    counts = np.bincount(cells, minlength=COVERAGE.size).reshape(COVERAGE.shape)
+    single = np.arange(len(REGIONS)) < REGION_BOTH
+    covered, correct, wrong = (
+        int(counts[mask].sum()) for mask in (COVERAGE, COVERAGE & single, ~COVERAGE & single)
+    )
+    # The codes after the singletons are both and empty.
+    both, empty = counts[:, REGION_BOTH:].sum(axis=0).tolist()
+    n, n_single = correct + wrong + both + empty, correct + wrong
+    return {
+        "n": n,
+        "validity": covered / n,
+        "efficiency": n_single / n,
+        "distribution": dict(zip(REGION_KINDS, (correct / n, wrong / n, both / n, empty / n))),
+        "scored_accuracy": dict(zip(SCORED_ACCURACY_MODES, (covered / n, correct / n))),
+        "singleton_conditional": {
+            "n_singleton": n_single,
+            "false_positives_in_singletons": int(counts[NEGATIVE, _SINGLE_POSITIVE]),
+        },
+    }
 
 
 def validity(regions, positive) -> float:
     """Fraction of regions containing the true label."""
-    return _RegionCounts.of(*_region_columns(regions, positive)).validity
+    return _region_figures(regions, positive)["validity"]
 
 
 def efficiency(regions) -> float:
-    """Fraction of single-label regions."""
-    # Efficiency ignores the truth, so every row may count as positive.
-    regions, positive = _region_columns(regions, np.ones(len(regions), dtype=bool))
-    return _RegionCounts.of(regions, positive).efficiency
+    """Fraction of single-label regions; it needs no truth."""
+    regions = _region_codes(regions)
+    return np.count_nonzero(regions < REGION_BOTH) / len(regions)
 
 
 def region_distribution(regions, positive) -> RegionDistribution:
     """Split the predictions into correct singles, wrong singles, both, empty."""
-    return _RegionCounts.of(*_region_columns(regions, positive)).distribution()
+    fractions = _region_figures(regions, positive)["distribution"]
+    return RegionDistribution(*(fractions[kind] for kind in REGION_KINDS))
 
 
 def scored_accuracy(mode: str, regions, positive) -> float:
@@ -160,7 +151,7 @@ def scored_accuracy(mode: str, regions, positive) -> float:
         raise ValueError(
             f"mode must be one of {SCORED_ACCURACY_MODES}, got {mode!r}"
         )
-    return _RegionCounts.of(*_region_columns(regions, positive)).scored_accuracy(mode)
+    return _region_figures(regions, positive)["scored_accuracy"][mode]
 
 
 def _check_threshold(threshold: float) -> None:
@@ -251,32 +242,17 @@ def evaluate_predictions(regions, s_pos, positive) -> dict:
     """The blocks of one result that depend on epsilon, keyed as in the report.
 
     Takes the region codes, the s_pos scores and the mask of positive rows
-    of a test set.  The region metrics all read one region-count table, so
+    of a test set.  The region figures come from `_region_figures`, so
     validity equals the both_correct accuracy and the correct-single
     fraction the both_wrong one, bit for bit.  The singleton block is the
     forced choice the singletons make, on those rows alone: "when the
     predictor commits, how often is it right".
     """
-    regions, positive = _region_columns(regions, positive)
+    regions, positive = _region_codes(regions), np.asarray(positive, dtype=bool)
     s_pos = np.asarray(s_pos, dtype=float)
+    blocks = _region_figures(regions, positive)
     _check_paired("regions", regions, "s_pos", s_pos)
-    counts = _RegionCounts.of(regions, positive)
-    distribution = counts.distribution()
     single = regions < REGION_BOTH
     singleton = _panel(regions[single] == _SINGLE_POSITIVE, s_pos[single], positive[single])
-    return {
-        "n": len(regions),
-        "validity": counts.validity,
-        "efficiency": counts.efficiency,
-        "distribution": {
-            kind: getattr(distribution, "frac_" + kind) for kind in REGION_KINDS
-        },
-        "scored_accuracy": {
-            mode: counts.scored_accuracy(mode) for mode in SCORED_ACCURACY_MODES
-        },
-        "singleton_conditional": {
-            **singleton,
-            "n_singleton": counts.tp + counts.fn + counts.fp + counts.tn,
-            "false_positives_in_singletons": counts.fp,
-        },
-    }
+    blocks["singleton_conditional"] = {**singleton, **blocks["singleton_conditional"]}
+    return blocks

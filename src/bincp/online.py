@@ -1,18 +1,20 @@
 """On-line transductive prediction with the nearest-neighbour distance ratio.
 
 Each round follows the same protocol: score a fresh candidate against the
-current bag under both label hypotheses, emit the induced region, then reveal
-the true label and absorb the candidate into the bag.  The p-value of a
-hypothesis comes from the augmented bag itself: every member (candidate
-included) is scored leave-one-out, and the p-value is the fraction of members
-at least as strange as the candidate.  No separate calibration set exists.
+current bag under both label hypotheses, then reveal the true label and
+absorb the candidate into the bag.  The p-value of a hypothesis comes from
+the augmented bag itself: every member (candidate included) is scored
+leave-one-out, and the p-value is the fraction of members at least as
+strange as the candidate.  No separate calibration set exists.
 
 One engine, `_OnlineSession`, implements this.  It caches every member's k
 nearest same-label and other-label distances, their means and its alpha, so
 a round computes the candidate's distances once and rescores only the members
 U whose k nearest it enters: O(n * d + k * |U|) for a bag of n points in d
 dimensions, plus amortised buffer growth.  `run_online` drives it over a
-stream; `full_cp_pvalue` is the p-value of a single candidate.
+stream, then reads every round's region off the p-value columns with one
+`icp.region` call and its errors off `core.COVERAGE`, as evaluation does.
+`full_cp_pvalue` is the p-value of a single candidate.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import REGIONS, Label, PredictionRegion, SignificanceLevel, _check_label, _feature_limit
+from .core import COVERAGE, NEGATIVE, POSITIVE, REGIONS, Label, PredictionRegion, SignificanceLevel
+from .core import _check_label, _feature_limit
 from .icp import region
 from .nonconformity import TrainingBag, _distances, _k_nearest, _pool_means, _ratio_array
 
@@ -182,18 +185,20 @@ def run_online(
     """Run the full predict-reveal-absorb protocol over a stream, one item a round.
 
     A stream item is (features, label); a label not a `Label` member is an error.
+    The rounds' regions and errors are read off their p-value columns once
+    the stream ends, as in a batch run.
     """
     session = _OnlineSession(initial, k)
-    rounds: list[OnlineRound] = []
-    errors = 0
-    for index, (features, label) in enumerate(stream, start=1):
-        label = _check_label(label)
-        p_pos, p_neg = session.p_values(features)
-        predicted = REGIONS[region(p_pos, p_neg, eps)]
-        if not predicted.contains(label):
-            errors += 1
-        rounds.append(OnlineRound(index, predicted, label, errors / index))
+    p_values, labels = [], []
+    for features, label in stream:
+        labels.append(_check_label(label))
+        p_values.append(session.p_values(features))
         session.absorb(label)
-    if not rounds:
+    if not labels:
         raise ValueError("stream must not be empty")
-    return rounds
+    index = np.arange(1, len(labels) + 1)
+    codes = region(*np.transpose(p_values), eps)
+    truth = np.where([label is Label.POSITIVE for label in labels], POSITIVE, NEGATIVE)
+    rates = np.cumsum(~COVERAGE[truth, codes]) / index
+    regions = [REGIONS[code] for code in codes.tolist()]
+    return list(map(OnlineRound, index.tolist(), regions, labels, rates.tolist()))

@@ -59,28 +59,44 @@ def _text_value(value) -> str:
     return str(value)
 
 
+# The kinds of value a report figure holds; `parse_report`'s JSON reader
+# already rejects non-finite floats.
+_FLOAT, _COUNT = "a finite float", "a count"
+
+
 @dataclass(frozen=True)
 class _Field:
-    """One report figure and where each report format puts it.
+    """One report figure: the kind of value it holds and where each format puts it.
 
     `path` holds its keys inside a JSON block, `column` its CSV column, and
-    `label` and `text` its name and format on a text line.
+    `label` and `text` its name and format on a text line.  `kind` is
+    `_FLOAT` or `_COUNT`, and an `optional` figure may also be None.
     """
 
     path: tuple[str, ...]
     column: str
     label: str
     text: Callable[[object], str]
+    kind: str
+    optional: bool
+
+    def holds(self, value) -> bool:
+        if value is None:
+            return self.optional
+        if self.kind == _COUNT:
+            # A bool is an int in Python, and no count.
+            return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+        return isinstance(value, float)
 
 
-def _field(*path, column=None, label=None, text=_text_value):
+def _field(*path, column=None, label=None, text=_text_value, kind=_FLOAT, optional=False):
     key = path[-1]
-    return _Field(path, column or key, label or key, text)
+    return _Field(path, column or key, label or key, text, kind, optional)
 
 
-def _group(block, keys, prefix) -> tuple[_Field, ...]:
-    """Fields `block.key` with CSV column `prefix + key`."""
-    return tuple(_field(block, key, column=prefix + key) for key in keys)
+def _group(block, keys, prefix, optional=False) -> tuple[_Field, ...]:
+    """Float fields `block.key` with CSV column `prefix + key`."""
+    return tuple(_field(block, key, column=prefix + key, optional=optional) for key in keys)
 
 
 _RATES = ("accuracy", "sensitivity", "specificity", "auroc")
@@ -92,27 +108,27 @@ _RESULT_LINES = (
     ("", (
         _field("epsilon", text=str),
         _field("confidence_percent", label="confidence", text="{}%".format),
-        _field("n", text=str),
+        _field("n", kind=_COUNT),
     )),
     ("  ", (_field("validity"), _field("efficiency"))),
     ("  regions  ", _group("distribution", REGION_KINDS, "frac_")),
     ("  scored_accuracy  ", _group(
         "scored_accuracy", SCORED_ACCURACY_MODES, "scored_accuracy_"
     )),
-    ("  binary  ", _group("binary", _RATES, "binary_")),
-    ("  singleton  ", _group("singleton_conditional", _RATES, "singleton_") + (
-        _field("singleton_conditional", "n_singleton", text=str),
+    ("  binary  ", _group("binary", _RATES, "binary_", optional=True)),
+    ("  singleton  ", _group("singleton_conditional", _RATES, "singleton_", optional=True) + (
+        _field("singleton_conditional", "n_singleton", kind=_COUNT),
         _field(
             "singleton_conditional", "false_positives_in_singletons",
-            label="false_positives", text=str,
+            label="false_positives", kind=_COUNT,
         ),
     )),
 )
 _RESULT_FIELDS = tuple(field for _, fields in _RESULT_LINES for field in fields)
 _CALIBRATION_FIELDS = (
-    _field("accuracy", column="calibration_accuracy"),
-    _field("auroc", column="calibration_auroc"),
-    _field("n", column="calibration_n"),
+    _field("accuracy", column="calibration_accuracy", optional=True),
+    _field("auroc", column="calibration_auroc", optional=True),
+    _field("n", column="calibration_n", kind=_COUNT),
 )
 
 REPORT_CSV_COLUMNS = tuple(
@@ -342,17 +358,14 @@ def simulate_online(config: OnlineConfig) -> list[OnlineRound]:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
 def _flat_rows(document: dict) -> list[list]:
-    calibration = document.get("calibration", {})
-    shared = [calibration.get(field.path[0]) for field in _CALIBRATION_FIELDS]
-    results = document.get("results", [])
+    shared = [_value(document["calibration"], field.path) for field in _CALIBRATION_FIELDS]
+    results = document["results"]
     if not results:
         return [[None] * len(_RESULT_FIELDS) + shared]
     return [
@@ -361,9 +374,9 @@ def _flat_rows(document: dict) -> list[list]:
     ]
 
 
-def _text_line(heading: str, fields: tuple[_Field, ...], values: list) -> str:
+def _text_line(heading: str, fields: tuple[_Field, ...], block: dict) -> str:
     return heading + "  ".join(
-        f"{field.label}={field.text(value)}" for field, value in zip(fields, values)
+        f"{field.label}={field.text(_value(block, field.path))}" for field in fields
     )
 
 
@@ -380,26 +393,21 @@ def _render_text(document: dict) -> str:
                 config.get("mondrian"),
             )
         )
-    calibration = document.get("calibration", {})
     # The text line leads with the calibration size.
     *rates, size = _CALIBRATION_FIELDS
-    fields = (size, *rates)
-    lines.append(
-        _text_line(
-            "calibration  ", fields, [calibration.get(f.path[0]) for f in fields]
-        )
-    )
-    for result in document.get("results", []):
+    lines.append(_text_line("calibration  ", (size, *rates), document["calibration"]))
+    for result in document["results"]:
         lines.append("")
-        for heading, fields in _RESULT_LINES:
-            lines.append(
-                _text_line(heading, fields, [_value(result, f.path) for f in fields])
-            )
+        lines += (_text_line(heading, fields, result) for heading, fields in _RESULT_LINES)
     return "\n".join(lines) + "\n"
 
 
 def emit_report(document: dict, fmt: str) -> bytes:
-    """Render a report document; json is canonical and emit(parse(x)) == x."""
+    """Render a report document; json is canonical and emit(parse(x)) == x.
+
+    The csv and text formats read every figure of the field tables, so they
+    take the documents `run_pipeline` writes and `parse_report` accepts.
+    """
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
     if fmt == "json":
@@ -424,7 +432,8 @@ def _finite(text: str) -> float:
 def parse_report(data: bytes) -> dict:
     """Read back a JSON report document.
 
-    bincp writes no NaN or infinity, so a document holding one (as a
+    Every result and calibration figure must be present and of its field's
+    kind.  bincp writes no NaN or infinity, so a document holding one (as a
     constant, or as a number too large for a float) is not a report.
     """
     try:
@@ -444,15 +453,19 @@ def parse_report(data: bytes) -> dict:
             raise ValueError(f"not a report document: {name!r} is not an object")
     if not isinstance(document["results"], list):
         raise ValueError("not a report document: 'results' is not a list")
-    for number, result in enumerate(document["results"], start=1):
-        for field in _RESULT_FIELDS:
+    blocks = [(f"result {number}", result, _RESULT_FIELDS)
+              for number, result in enumerate(document["results"], start=1)]
+    blocks.append(("calibration", document.get("calibration", {}), _CALIBRATION_FIELDS))
+    for where, block, fields in blocks:
+        for field in fields:
+            name = ".".join(field.path)
             try:
-                _value(result, field.path)
+                value = _value(block, field.path)
             except (KeyError, TypeError):
-                raise ValueError(
-                    f"not a report document: result {number} has no "
-                    f"{'.'.join(field.path)!r}"
-                ) from None
+                raise ValueError(f"not a report document: {where} has no {name!r}") from None
+            if not field.holds(value):
+                kind = field.kind + " or null" if field.optional else field.kind
+                raise ValueError(f"not a report document: {where} {name!r} is not {kind}")
     return document
 
 

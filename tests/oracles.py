@@ -1,6 +1,6 @@
 """Brute-force references: scorers one query point at a time, a row-by-row
-writer, the region of each pair of kept labels, and the forced-choice
-figures counted row by row and pair by pair.
+writer, the region of each pair of kept labels, and the region and
+forced-choice figures counted row by row and pair by pair.
 
 The scorers use only the public `TrainingBag` and `Label` of bincp:
 distances, the stable sort and the means of the k smallest distances are
@@ -26,6 +26,44 @@ REGION_KEEPING = {
     (False, True): PredictionRegion.SINGLE_NEGATIVE,
     (False, False): PredictionRegion.EMPTY,
 }
+
+
+def keeps(region):
+    """(keeps the positive label, keeps the negative label) of a region."""
+    return next(key for key, kind in REGION_KEEPING.items() if kind is region)
+
+
+def region_figures(regions, truths):
+    """The region figures of `evaluate_predictions`, counted one row at a time
+    from `REGION_KEEPING`: a row is covered when its region keeps its label.
+    Counts stay ints, and each figure divides once."""
+    n = covered = single = correct = both = empty = false_positives = 0
+    for code, truth in zip(regions, truths):
+        keeps_pos, keeps_neg = keeps(REGIONS[code])
+        n += 1
+        covered += keeps_pos if truth else keeps_neg
+        if keeps_pos != keeps_neg:
+            single += 1
+            correct += keeps_pos == truth
+            false_positives += keeps_pos and not truth
+        both += keeps_pos and keeps_neg
+        empty += not (keeps_pos or keeps_neg)
+    return {
+        "n": n,
+        "validity": covered / n,
+        "efficiency": single / n,
+        "distribution": {
+            "correct_single": correct / n,
+            "false_single": (single - correct) / n,
+            "both": both / n,
+            "empty": empty / n,
+        },
+        "scored_accuracy": {"both_correct": covered / n, "both_wrong": correct / n},
+        "singleton_conditional": {
+            "n_singleton": single,
+            "false_positives_in_singletons": false_positives,
+        },
+    }
 
 
 def distances(points, x):

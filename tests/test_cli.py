@@ -570,8 +570,9 @@ class TestReportCommand:
             ('[{"epsilon": 0.1}]', "result 1 has no 'confidence_percent'"),
             ("[7]", "result 1 has no 'epsilon'"),
             ('{"epsilon": 0.1}', "'results' is not a list"),
+            ("[]", "calibration has no 'accuracy'"),
         ],
-        ids=["missing-field", "row-not-an-object", "not-a-list"],
+        ids=["missing-field", "row-not-an-object", "not-a-list", "no-calibration"],
     )
     def test_incomplete_result_rows_are_a_validation_error(
         self, capsys, tmp_path, results, missing
@@ -617,6 +618,43 @@ class TestReportCommand:
         code, out, err = run(capsys, "report", "--in", str(saved), "--format", fmt)
         assert (code, out) == (1, "")
         assert err == f"error: not a report document: {constant} is not a finite number\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize(
+        "block, path, value, kind",
+        [
+            ("results", ("validity",), "0.97", "a finite float"),
+            ("results", ("n",), [1, 2], "a count"),
+            ("results", ("binary", "auroc"), {"value": 0.75}, "a finite float or null"),
+            ("results", ("efficiency",), True, "a finite float"),
+            ("results", ("singleton_conditional", "n_singleton"), False, "a count"),
+            ("results", ("distribution", "both"), None, "a finite float"),
+            ("results", ("n",), 3.0, "a count"),
+            ("results", ("n",), -1, "a count"),
+            ("calibration", ("accuracy",), "0.52", "a finite float or null"),
+            ("calibration", ("n",), None, "a count"),
+        ],
+        ids=[
+            "string", "list", "object", "bool-float", "bool-count", "null",
+            "float-count", "negative-count", "calibration-string", "calibration-null",
+        ],
+    )
+    def test_a_figure_of_the_wrong_kind_is_a_validation_error(
+        self, capsys, tmp_path, block, path, value, kind, fmt
+    ):
+        saved = tmp_path / "r.json"
+        run(capsys, *demo_args("--format", "json", "--out", str(saved)))
+        document = json.loads(saved.read_text(encoding="utf-8"))
+        target = document["calibration"] if block == "calibration" else document["results"][0]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        saved.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--in", str(saved), "--format", fmt)
+        where = "calibration" if block == "calibration" else "result 1"
+        assert (code, out) == (1, "")
+        name = ".".join(path)
+        assert err == f"error: not a report document: {where} {name!r} is not {kind}\n"
 
     def test_a_row_missing_a_nested_figure_is_named(self, capsys, tmp_path):
         saved = tmp_path / "r.json"

@@ -26,7 +26,7 @@ from bincp.evaluate import (
 )
 from bincp.icp import predict_set, region
 from bincp.nonconformity import MeasureSpec, TrainingBag, score_dataset
-from oracles import all_pairs_auroc, forced_choice
+from oracles import all_pairs_auroc, forced_choice, region_figures
 
 # Region codes.
 POS, NEG, BOTH, EMPTY = (
@@ -399,3 +399,30 @@ def test_forced_choice_blocks_match_the_row_by_row_oracle(data):
         code == POS and not truth for code, truth, _ in singles
     )
     assert evaluate_predictions(regions, s_pos, truths)["singleton_conditional"] == singleton
+
+
+@given(rows=st.lists(
+    st.tuples(st.sampled_from([POS, NEG, BOTH, EMPTY]), st.booleans()),
+    min_size=1,
+    max_size=60,
+))
+@settings(max_examples=200, deadline=None)
+def test_region_figures_match_the_row_by_row_oracle(rows):
+    regions, truths = (list(column) for column in zip(*rows))
+    expected = region_figures(regions, truths)
+    report = evaluate_predictions(regions, [0.5] * len(rows), truths)
+    singleton = report["singleton_conditional"]
+    report["singleton_conditional"] = {
+        key: singleton[key] for key in expected["singleton_conditional"]
+    }
+    # The reprs match too, so every figure is a Python int or float.
+    assert report == expected
+    assert repr(report) == repr(expected)
+    assert validity(regions, truths) == expected["validity"]
+    assert efficiency(regions) == expected["efficiency"]
+    dist = region_distribution(regions, truths)
+    assert {kind: getattr(dist, "frac_" + kind) for kind in expected["distribution"]} == (
+        expected["distribution"]
+    )
+    for mode, value in expected["scored_accuracy"].items():
+        assert scored_accuracy(mode, regions, truths) == value

@@ -211,14 +211,33 @@ class TestRunOnline:
         stream = random_stream(30, 2, 8, decimals=1)
         session = _OnlineSession(TrainingBag.from_pairs(initial), k)
         seen = list(initial)
+        expected_p = []
         for features, label in stream:
             bag = TrainingBag.from_pairs(seen)
-            assert session.p_values(features) == (
+            expected_p.append((
                 oracle_full_cp(bag, features, Label.POSITIVE, k),
                 oracle_full_cp(bag, features, Label.NEGATIVE, k),
-            )
+            ))
+            assert session.p_values(features) == expected_p[-1]
             session.absorb(label)
             seen.append((features, label))
+        # Each round's region and error recounted row by row from the
+        # oracle's p-values and `REGION_KEEPING`.
+        for epsilon in (0.1, 0.25, 0.5):
+            expected, errors = [], 0
+            for index, ((p_pos, p_neg), (_, label)) in enumerate(
+                zip(expected_p, stream), start=1
+            ):
+                region = oracles.REGION_KEEPING[p_pos > epsilon, p_neg > epsilon]
+                keeps_pos, keeps_neg = oracles.keeps(region)
+                errors += not (keeps_pos if label is Label.POSITIVE else keeps_neg)
+                expected.append(OnlineRound(index, region, label, errors / index))
+            rounds = run_online(
+                TrainingBag.from_pairs(initial), stream, SignificanceLevel(epsilon), k
+            )
+            # The reprs match too, so every rate is a Python float.
+            assert rounds == expected
+            assert repr(rounds) == repr(expected)
 
     @pytest.mark.parametrize("k", [1, 5, 40])
     def test_long_stream_matches_the_from_scratch_oracle(self, k):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bincp.core import (
     NEGATIVE,
@@ -354,6 +356,45 @@ class TestSimulateOnline:
         assert len(lines) == len(rounds) + 1
         assert lines[1].startswith("1,both,")
         assert lines[1].endswith(",0.0")
+
+
+def figure_values(field):
+    """Values of a report figure's kind, and None where the field allows it."""
+    if field.kind == pipeline._COUNT:
+        values = st.integers(min_value=0, max_value=2**63)
+    else:
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    return st.none() | values if field.optional else values
+
+
+def figure_block(fields):
+    """A block holding every field of `fields` at its path."""
+
+    def nest(values):
+        block = {}
+        for field, value in zip(fields, values):
+            *outer, key = field.path
+            inner = block
+            for name in outer:
+                inner = inner.setdefault(name, {})
+            inner[key] = value
+        return block
+
+    return st.tuples(*map(figure_values, fields)).map(nest)
+
+
+@given(
+    calibration=figure_block(pipeline._CALIBRATION_FIELDS),
+    results=st.lists(figure_block(pipeline._RESULT_FIELDS), max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_documents_built_from_the_field_table_round_trip(calibration, results):
+    document = {"calibration": calibration, "results": results}
+    payload = emit_report(document, "json")
+    assert parse_report(payload) == document
+    assert emit_report(parse_report(payload), "json") == payload
+    for fmt in ("csv", "text"):
+        assert emit_report(parse_report(payload), fmt) == emit_report(document, fmt)
 
 
 class TestReportRendering:

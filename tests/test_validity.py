@@ -30,16 +30,25 @@ at k = 15 scores the calibration and test rows against the proper ones.  At
 epsilon 0.1 the pooled marginal error stays within epsilon plus the band of
 the test size while more than half of the positive rows err; Mondrian keeps
 each class within epsilon plus the band of its size.
+
+The exact count needs no band.  Take any m rows and make each in turn the
+test row, the other m - 1 its calibration set.  Then at every epsilon at
+most floor(epsilon * m) of the m deterministic p-values are at most
+epsilon, for every dataset, not only on average: the proof of validity is
+this count.  Smoothed p-values meet epsilon * m exactly in expectation over
+tau.  Mondrian mode counts within each class, pooled mode over all rows.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bincp.core import NEGATIVE, POSITIVE, Dataset
 from bincp.data import SyntheticSpec, generate_synthetic
-from bincp.icp import build_calibration_table, predict_set
+from bincp.icp import build_calibration_table, p_values, predict_set
 from bincp.nonconformity import MeasureSpec, TrainingBag, score_dataset
 
 DRAWS = 1500
@@ -222,3 +231,70 @@ def test_band_holds_the_binomial_mass():
     # Binomial(200, 0.1): P(X <= 10) = 0.0081 and P(X <= 11) = 0.0168;
     # P(X >= 30) = 0.0163 and P(X >= 31) = 0.0095.
     assert (lo, hi) == (11, 30)
+
+
+class FixedTau:
+    """A generator stub: `p_values` draws tau = 1 - random(), here always `tau`."""
+
+    def __init__(self, tau: float):
+        self.tau = tau
+
+    def random(self, shape):
+        return np.full(shape, 1.0 - self.tau)
+
+
+def leave_one_out(data: Dataset, rows: np.ndarray, mondrian: bool, rng=None):
+    """The p-value of each of `rows`' own label against a table of the other
+    rows of `data`, and m, the size of that table plus one, which the rows of
+    one group share."""
+    p, sizes = [], set()
+    for row in rows.tolist():
+        table = build_calibration_table(data.take(np.arange(len(data)) != row), mondrian)
+        side = 0 if data.positive[row] else 1
+        p.append(p_values(table, *data.scores[row], rng=rng)[side])
+        sizes.add((table.pos_scores, table.neg_scores)[side].size + 1)
+    [m] = sizes
+    return np.array(p), m
+
+
+def assert_exact_counts(data: Dataset, rows: np.ndarray, mondrian: bool) -> None:
+    """The exact validity count over one group of rows, deterministic and smoothed.
+
+    Deterministic: m * p_i is a whole rank k_i.  #{i : p_i <= epsilon} <=
+    floor(epsilon * m) at every epsilon; the count steps only at p-values,
+    so it is enough that at epsilon = k_l / m the count of ranks at most k_l
+    is exactly k_l, the rows whose scores are at most row l's.
+
+    Smoothed: p_i is affine in tau, read at tau = 1 and 1/2, and tau is
+    uniform on (0, 1].  A tie group of g rows above b lower ones then errs
+    with expected count clip(epsilon * m - b, 0, g), and over the groups
+    these sum to epsilon * m exactly.
+    """
+    p, m = leave_one_out(data, rows, mondrian)
+    ranks = np.rint(p * m)
+    assert (ranks / m == p).all()
+    assert ((ranks[None, :] <= ranks[:, None]).sum(axis=1) == ranks).all()
+    half, _ = leave_one_out(data, rows, mondrian, FixedTau(0.5))
+    slope = 2.0 * (p - half)
+    for epsilon in np.linspace(0.0, 1.0, 21):
+        mass = np.clip((epsilon - p + slope) / slope, 0.0, 1.0).sum()
+        assert mass == pytest.approx(epsilon * m, abs=1e-9)
+
+
+# Scores with heavy ties and both infinities; each class holds at least two
+# rows, so every Mondrian table of the other rows has a row of each class.
+EXACT_SCORE = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, math.inf])
+EXACT_CLASS = st.lists(st.tuples(EXACT_SCORE, EXACT_SCORE), min_size=2, max_size=10)
+
+
+@given(positive=EXACT_CLASS, negative=EXACT_CLASS)
+@settings(max_examples=100, deadline=None)
+def test_icp_error_count_is_exact_for_every_test_row(positive, negative):
+    labels = [POSITIVE] * len(positive) + [NEGATIVE] * len(negative)
+    data = Dataset.from_columns(
+        [f"r{i}" for i in range(len(labels))], labels, scores=positive + negative
+    )
+    everyone = np.arange(len(data))
+    assert_exact_counts(data, everyone, mondrian=False)
+    for label in (POSITIVE, NEGATIVE):
+        assert_exact_counts(data, everyone[data.labels == label], mondrian=True)
