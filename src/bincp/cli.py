@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import SignificanceLevel
-from .data import SCHEMAS, SyntheticSpec, generate_synthetic, write_dataset
+from .data import SyntheticSpec, generate_synthetic, write_dataset
 from .nonconformity import MeasureSpec
 from .icp import SplitConfig
 from .pipeline import (
@@ -37,41 +37,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--train", type=Path, help="labelled dataset to split")
-    parser.add_argument("--calibration", type=Path, help="ready calibration dataset")
-    parser.add_argument(
-        "--proper", type=Path, help="proper training set for neighbour measures"
-    )
-    parser.add_argument("--test", type=Path, help="dataset to predict on")
+def _add_level_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags `predict`, `evaluate` and `simulate-online` read alike."""
     parser.add_argument(
         "--positive-class", required=True, help="class name mapped to positive"
     )
-    parser.add_argument(
-        "--schema",
-        choices=SCHEMAS,
-        default="auto",
-        help="expected column layout (default: auto)",
-    )
-    parser.add_argument(
-        "--measure",
-        choices=("passthrough", "knn-ratio", "knn-prob"),
-        default="passthrough",
-        help="score source (default: passthrough)",
-    )
     parser.add_argument("--k", type=int, default=1, help="neighbour count (default: 1)")
-    parser.add_argument(
-        "--no-mondrian",
-        action="store_true",
-        help="pool calibration scores instead of keeping classes apart",
-    )
     parser.add_argument(
         "--epsilon",
         type=float,
         action="append",
         default=None,
         metavar="E",
-        help="significance level, repeatable (default: 0.2)",
+        help="significance level (default: 0.2); simulate-online takes one",
     )
     parser.add_argument(
         "--confidence",
@@ -79,7 +57,28 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=None,
         metavar="C",
-        help="confidence percent, repeatable; converted to epsilon",
+        help="confidence percent, converted to epsilon; mixes with --epsilon",
+    )
+
+
+def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_level_arguments(parser)
+    parser.add_argument("--train", type=Path, help="labelled dataset to split")
+    parser.add_argument("--calibration", type=Path, help="ready calibration dataset")
+    parser.add_argument(
+        "--proper", type=Path, help="proper training set for neighbour measures"
+    )
+    parser.add_argument("--test", type=Path, help="dataset to predict on")
+    parser.add_argument(
+        "--measure",
+        choices=("passthrough", "knn-ratio", "knn-prob"),
+        default="passthrough",
+        help="score source (default: passthrough)",
+    )
+    parser.add_argument(
+        "--no-mondrian",
+        action="store_true",
+        help="pool calibration scores instead of keeping classes apart",
     )
     parser.add_argument("--split-fraction", type=float, default=None)
     parser.add_argument("--split-seed", type=int, default=None)
@@ -135,7 +134,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         test_path=args.test,
         split=_split_config(args),
         smoothing_seed=args.smoothing_seed,
-        schema=args.schema,
     )
 
 
@@ -167,21 +165,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_online(args: argparse.Namespace) -> int:
-    if args.epsilon is not None and args.confidence is not None:
-        raise CliError("give either --epsilon or --confidence, not both")
-    epsilon = 0.2
-    if args.epsilon is not None:
-        epsilon = args.epsilon
-    elif args.confidence is not None:
-        epsilon = SignificanceLevel.from_confidence(args.confidence).epsilon
+    # On-line validity holds at the one level a run is at.
+    epsilons = _epsilons(args)
+    if len(epsilons) != 1:
+        raise CliError(f"simulate-online takes one --epsilon or --confidence, got {len(epsilons)}")
     rounds = simulate_online(
         OnlineConfig(
             data_path=args.data,
             positive_class=args.positive_class,
-            epsilon=epsilon,
+            epsilon=epsilons[0],
             initial_size=args.initial_size,
             k=args.k,
-            schema=args.schema,
         )
     )
     _write_output(args.out, trajectory_csv(rounds))
@@ -237,13 +231,8 @@ def _build_parser() -> _Parser:
         "simulate-online", help="stream a dataset through the on-line protocol"
     )
     simulate.add_argument("--data", type=Path, required=True, help="feature dataset; first rows seed the bag")
-    simulate.add_argument("--positive-class", required=True)
-    # The on-line protocol scores features, so it reads no scores-only file.
-    simulate.add_argument("--schema", choices=[s for s in SCHEMAS if s != "scores"], default="auto")
-    simulate.add_argument("--epsilon", type=float, default=None)
-    simulate.add_argument("--confidence", type=float, default=None)
+    _add_level_arguments(simulate)
     simulate.add_argument("--initial-size", type=int, default=10)
-    simulate.add_argument("--k", type=int, default=1)
     simulate.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
     simulate.set_defaults(handler=_cmd_simulate_online)
 

@@ -34,8 +34,6 @@ import numpy as np
 
 from .core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, RowError, label_names
 
-SCHEMAS = ("auto", "features", "scores", "both")
-
 # Rows read and transposed at a time: enough to amortise the per-chunk
 # calls, few enough that the garbage collector never holds many row lists.
 _CHUNK_ROWS = 256
@@ -77,8 +75,11 @@ def demo_test_path() -> Path:
     return Path(str(importlib.resources.files("bincp").joinpath("data/demo_test.csv")))
 
 
-def _parse_header(columns: list[str], path: Path, schema: str) -> tuple[int, bool]:
-    """Validate the header against `schema`; return (feature count, has score columns)."""
+def _parse_header(columns: list[str], path: Path) -> tuple[int, bool]:
+    """Check the header; return (feature count, has score columns).
+
+    The header alone sets the layout; a stage that needs a missing column names it.
+    """
     if len(columns) < 2 or columns[0] != "id" or columns[1] != "label":
         raise DataFormatError(
             f"{path}: header must start with 'id,label', got {columns[:2]}"
@@ -93,14 +94,6 @@ def _parse_header(columns: list[str], path: Path, schema: str) -> tuple[int, boo
         )
     if not features and not has_scores:
         raise DataFormatError(f"{path}: need feature or score columns")
-    if schema == "features" and has_scores:
-        raise DataFormatError(f"{path}: schema 'features' forbids score columns")
-    if schema == "scores" and features:
-        raise DataFormatError(f"{path}: schema 'scores' forbids feature columns")
-    if schema in ("scores", "both") and not has_scores:
-        raise DataFormatError(f"{path}: schema {schema!r} requires score columns")
-    if schema == "both" and not features:
-        raise DataFormatError(f"{path}: schema 'both' requires feature columns")
     return len(features), has_scores
 
 
@@ -183,7 +176,7 @@ def _read_columns(
             return columns, fault
 
 
-def _read_plain(path: Path, schema: str) -> tuple | None:
+def _read_plain(path: Path) -> tuple | None:
     """`_read_csv`'s tuple from one `np.loadtxt` call, or None if the file is not plain.
 
     A file is plain when it decodes as UTF-8, holds no byte of `_NOT_PLAIN`
@@ -209,7 +202,7 @@ def _read_plain(path: Path, schema: str) -> tuple | None:
     if not lines:
         return None
     header = first.split(",")
-    n_features, has_scores = _parse_header(header, path, schema)
+    n_features, has_scores = _parse_header(header, path)
     dtype = np.dtype(
         [("id", object), ("label", object), ("values", float, (len(header) - 2,))]
     )
@@ -222,7 +215,7 @@ def _read_plain(path: Path, schema: str) -> tuple | None:
     return n_features, has_scores, table["id"], table["label"], table["values"], None
 
 
-def _read_csv(path: Path, schema: str) -> tuple:
+def _read_csv(path: Path) -> tuple:
     """Read `path` with the csv module: (feature count, has score columns, ids,
     labels, values, fault).
 
@@ -240,7 +233,7 @@ def _read_csv(path: Path, schema: str) -> tuple:
         # The rows before the first bad line are checked too, so that the
         # error reported is the one on the earliest line.
         columns, fault = _read_columns(reader, len(header), path)
-    n_features, has_scores = _parse_header(header, path, schema)
+    n_features, has_scores = _parse_header(header, path)
     ids, raw_labels, *numeric = columns
     if not ids and fault is None:
         raise DataFormatError(f"{path}: no data rows")
@@ -253,12 +246,12 @@ def _read_csv(path: Path, schema: str) -> tuple:
 def load_dataset(
     path: Path | str,
     positive_class: str,
-    schema: str = "auto",
     *,
     class_names: set[str] | None = None,
 ) -> Dataset:
     """Read a dataset, mapping the named class to positive and the other to negative.
 
+    The header alone sets which columns the dataset holds (`_parse_header`).
     A plain file is parsed by numpy's C reader (`_read_plain`), any other
     one by the csv module in chunks of rows straight into columns
     (`_read_csv`); the file's text alone decides.  Both paths give the same
@@ -274,11 +267,9 @@ def load_dataset(
     naming a third class (such as a typo of the negative one) is rejected.
     """
     path = Path(path)
-    if schema not in SCHEMAS:
-        raise DataFormatError(f"schema must be one of {SCHEMAS}, got {schema!r}")
-    n_features, has_scores, ids, raw_labels, values, fault = _read_plain(
-        path, schema
-    ) or _read_csv(path, schema)
+    n_features, has_scores, ids, raw_labels, values, fault = (
+        _read_plain(path) or _read_csv(path)
+    )
     stop = len(values)
     names = set() if class_names is None else class_names
     names.update(set(raw_labels) - {""})

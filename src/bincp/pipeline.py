@@ -61,7 +61,7 @@ def _text_value(value) -> str:
 
 # The kinds of value a report figure holds; `parse_report`'s JSON reader
 # already rejects non-finite floats.
-_FLOAT, _COUNT = "a finite float", "a count"
+_FLOAT, _COUNT, _STRING, _BOOL = "a finite float", "a count", "a string", "a bool"
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ class _Field:
 
     `path` holds its keys inside a JSON block, `column` its CSV column, and
     `label` and `text` its name and format on a text line.  `kind` is
-    `_FLOAT` or `_COUNT`, and an `optional` figure may also be None.
+    `_FLOAT`, `_COUNT`, `_STRING` or `_BOOL`, and an `optional` figure may
+    also be None.
     """
 
     path: tuple[str, ...]
@@ -86,7 +87,7 @@ class _Field:
         if self.kind == _COUNT:
             # A bool is an int in Python, and no count.
             return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-        return isinstance(value, float)
+        return isinstance(value, {_FLOAT: float, _STRING: str, _BOOL: bool}[self.kind])
 
 
 def _field(*path, column=None, label=None, text=_text_value, kind=_FLOAT, optional=False):
@@ -131,6 +132,15 @@ _CALIBRATION_FIELDS = (
     _field("n", column="calibration_n", kind=_COUNT),
 )
 
+# The config figures of the text report's run line, and the test set's size.
+_CONFIG_FIELDS = (
+    _field("positive_class", kind=_STRING),
+    _field("measure", "kind", label="measure", kind=_STRING),
+    _field("measure", "k", kind=_COUNT),
+    _field("mondrian", kind=_BOOL),
+)
+_N_TEST = _field("n_test", kind=_COUNT, optional=True)
+
 REPORT_CSV_COLUMNS = tuple(
     field.column for field in _RESULT_FIELDS + _CALIBRATION_FIELDS
 )
@@ -174,7 +184,6 @@ class RunConfig:
     test_path: Path | None = None
     split: SplitConfig | None = None
     smoothing_seed: int | None = None
-    schema: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -246,9 +255,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         class_names: set[str] = set()
 
         def load(path: Path) -> Dataset:
-            return load_dataset(
-                path, config.positive_class, config.schema, class_names=class_names
-            )
+            return load_dataset(path, config.positive_class, class_names=class_names)
 
         proper = test = None
         if config.train_path is not None:
@@ -326,7 +333,6 @@ class OnlineConfig:
     epsilon: float
     initial_size: int = 10
     k: int = 1
-    schema: str = "auto"
 
 
 def simulate_online(config: OnlineConfig) -> list[OnlineRound]:
@@ -340,7 +346,7 @@ def simulate_online(config: OnlineConfig) -> list[OnlineRound]:
         if config.k < 1:
             raise ValueError(f"k must be >= 1, got {config.k}")
     with _stage("load"):
-        data = load_dataset(config.data_path, config.positive_class, config.schema)
+        data = load_dataset(config.data_path, config.positive_class)
         if not data.fully_labelled():
             raise ValueError("on-line simulation requires labelled samples")
         if config.initial_size >= len(data):
@@ -374,25 +380,18 @@ def _flat_rows(document: dict) -> list[list]:
     ]
 
 
-def _text_line(heading: str, fields: tuple[_Field, ...], block: dict) -> str:
-    return heading + "  ".join(
+def _text_line(
+    heading: str, fields: tuple[_Field, ...], block: dict, sep: str = "  "
+) -> str:
+    return heading + sep.join(
         f"{field.label}={field.text(_value(block, field.path))}" for field in fields
     )
 
 
 def _render_text(document: dict) -> str:
     lines = []
-    config = document.get("config", {})
-    if config:
-        measure = config.get("measure", {})
-        lines.append(
-            "run  positive_class={} measure={} k={} mondrian={}".format(
-                config.get("positive_class"),
-                measure.get("kind"),
-                measure.get("k"),
-                config.get("mondrian"),
-            )
-        )
+    if "config" in document:
+        lines.append(_text_line("run  ", _CONFIG_FIELDS, document["config"], sep=" "))
     # The text line leads with the calibration size.
     *rates, size = _CALIBRATION_FIELDS
     lines.append(_text_line("calibration  ", (size, *rates), document["calibration"]))
@@ -433,8 +432,10 @@ def parse_report(data: bytes) -> dict:
     """Read back a JSON report document.
 
     Every result and calibration figure must be present and of its field's
-    kind.  bincp writes no NaN or infinity, so a document holding one (as a
-    constant, or as a number too large for a float) is not a report.
+    kind, and so must the run line's config figures and `n_test` when the
+    document holds them.  bincp writes no NaN or infinity, so a document
+    holding one (as a constant, or as a number too large for a float) is not
+    a report.
     """
     try:
         document = json.loads(
@@ -456,6 +457,11 @@ def parse_report(data: bytes) -> dict:
     blocks = [(f"result {number}", result, _RESULT_FIELDS)
               for number, result in enumerate(document["results"], start=1)]
     blocks.append(("calibration", document.get("calibration", {}), _CALIBRATION_FIELDS))
+    # A document without a config block renders no run line.
+    if "config" in document:
+        blocks.append(("config", document["config"], _CONFIG_FIELDS))
+    if "n_test" in document:
+        blocks.append(("document", document, (_N_TEST,)))
     for where, block, fields in blocks:
         for field in fields:
             name = ".".join(field.path)

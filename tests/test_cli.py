@@ -376,17 +376,50 @@ class TestSimulateOnlineCommand:
         assert lines[0] == "round,region,true_label,cumulative_error_rate"
         assert len(lines) == 1 + (16 - 4)
 
-    def test_epsilon_and_confidence_are_mutually_exclusive(self, capsys, stream_file):
-        code, _, err = run(
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            ("--epsilon", "0.2", "--epsilon", "0.1"),
+            ("--confidence", "80", "--confidence", "90"),
+            ("--epsilon", "0.2", "--confidence", "80"),
+        ],
+        ids=["two-epsilons", "two-confidences", "epsilon-and-confidence"],
+    )
+    def test_more_than_one_level_is_rejected(self, capsys, stream_file, tmp_path, levels):
+        # On-line validity holds at the one level a run is at; no level is kept silently.
+        out = tmp_path / "trajectory.csv"
+        code, stdout, err = run(
             capsys,
             "simulate-online",
             "--data", str(stream_file),
             "--positive-class", "positive",
-            "--epsilon", "0.2",
-            "--confidence", "80",
+            "--out", str(out),
+            *levels,
         )
-        assert code == 1
-        assert "either" in err
+        assert (code, stdout, out.exists()) == (1, "", False)
+        assert err == "error: simulate-online takes one --epsilon or --confidence, got 2\n"
+
+    @pytest.mark.parametrize(
+        "level, same_as",
+        [(("--confidence", "90"), ("--epsilon", "0.1")), ((), ("--epsilon", "0.2"))],
+        ids=["confidence", "default"],
+    )
+    def test_a_level_reads_as_in_the_batch_commands(self, capsys, tmp_path, level, same_as):
+        path = tmp_path / "pinned.csv"
+        path.write_text(PINNED_STREAM, encoding="utf-8")
+        outputs = []
+        for flags in (level, same_as, ("--epsilon", "0.15")):
+            code, out, err = run(
+                capsys,
+                "simulate-online",
+                "--data", str(path),
+                "--positive-class", "pos",
+                "--initial-size", "4",
+                *flags,
+            )
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1] != outputs[2]
 
     def test_runs_are_reproducible(self, capsys, stream_file, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -429,6 +462,70 @@ class TestSimulateOnlineCommand:
         )
         assert (code, err) == (0, "")
         assert out == PINNED_TRAJECTORIES[k]
+
+
+# One labelled set in three layouts; the header alone says which columns a
+# file holds, and the stage that needs a missing column names it.
+LAYOUT_COLUMNS = {"both": (True, True), "features": (True, False), "scores": (False, True)}
+EVALUATE_LAYOUT = (
+    "evaluate", "--train", "{}", "--test", "{}", "--positive-class", "pos",
+    "--split-fraction", "0.5", "--format", "json",
+)
+SIMULATE_LAYOUT = (
+    "simulate-online", "--data", "{}", "--positive-class", "pos", "--initial-size", "6",
+)
+
+
+@pytest.fixture()
+def layouts(tmp_path):
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(24, 2)).tolist()
+    s_pos = rng.random(24).tolist()
+    labels = ["pos", "neg"] * 12
+    paths = {}
+    for name, (features, scores) in LAYOUT_COLUMNS.items():
+        lines = ["id,label" + ",x1,x2" * features + ",s_pos,s_neg" * scores]
+        for i, (point, p, label) in enumerate(zip(points, s_pos, labels)):
+            fields = [f"r{i}", label] + list(map(repr, point)) * features
+            lines.append(",".join(fields + [repr(p), repr(1.0 - p)] * scores))
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, layout, same_as, message",
+    [
+        (EVALUATE_LAYOUT, "both", "scores", None),
+        (EVALUATE_LAYOUT + ("--measure", "knn-prob", "--k", "3"), "both", "features", None),
+        (SIMULATE_LAYOUT, "both", "features", None),
+        (EVALUATE_LAYOUT, "features", None,
+         "score: passthrough needs precomputed scores, missing for"),
+        (EVALUATE_LAYOUT + ("--measure", "knn-ratio"), "scores", None,
+         "score: bag samples need features and labels, missing for"),
+        (SIMULATE_LAYOUT, "scores", None,
+         "simulate: bag samples need features and labels, missing for"),
+        (EVALUATE_LAYOUT + ("--schema", "auto"), "both", None,
+         "unrecognized arguments: --schema auto"),
+    ],
+    ids=[
+        "passthrough-ignores-features", "knn-ignores-scores", "online-ignores-scores",
+        "passthrough-needs-scores", "knn-needs-features", "online-needs-features",
+        "no-schema-flag",
+    ],
+)
+def test_the_header_alone_sets_the_layout(capsys, layouts, argv, layout, same_as, message):
+    def run_on(name):
+        return run(capsys, *(arg.format(layouts[name]) for arg in argv))
+
+    code, out, err = run_on(layout)
+    if message is None:
+        assert (code, err) == (0, "")
+        assert out == run_on(same_as)[1]
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
 
 def write_features(path, points, labels):
     lines = ["id,label," + ",".join(f"x{i + 1}" for i in range(points.shape[1]))]
@@ -655,6 +752,43 @@ class TestReportCommand:
         assert (code, out) == (1, "")
         name = ".".join(path)
         assert err == f"error: not a report document: {where} {name!r} is not {kind}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("config", "positive_class"), 7, "config 'positive_class' is not a string"),
+            (("config", "measure", "kind"), None, "config 'measure.kind' is not a string"),
+            (("config", "measure", "k"), [5], "config 'measure.k' is not a count"),
+            (("config", "measure", "k"), True, "config 'measure.k' is not a count"),
+            (("config", "mondrian"), "yes", "config 'mondrian' is not a bool"),
+            (("config", "mondrian"), 1, "config 'mondrian' is not a bool"),
+            (("config", "mondrian"), ..., "config has no 'mondrian'"),
+            (("n_test",), "three", "document 'n_test' is not a count or null"),
+            (("n_test",), 3.0, "document 'n_test' is not a count or null"),
+        ],
+        ids=[
+            "class-number", "kind-null", "k-list", "k-bool", "mondrian-string",
+            "mondrian-count", "mondrian-missing", "n-test-string", "n-test-float",
+        ],
+    )
+    def test_a_run_figure_of_the_wrong_kind_is_a_validation_error(
+        self, capsys, tmp_path, path, value, message, fmt
+    ):
+        saved = tmp_path / "r.json"
+        run(capsys, *demo_args("--format", "json", "--out", str(saved)))
+        document = json.loads(saved.read_text(encoding="utf-8"))
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        if value is ...:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        saved.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--in", str(saved), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: not a report document: {message}\n"
 
     def test_a_row_missing_a_nested_figure_is_named(self, capsys, tmp_path):
         saved = tmp_path / "r.json"

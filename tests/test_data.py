@@ -70,7 +70,7 @@ class TestLoadDataset:
         path = write_csv(
             tmp_path, "id,label,x1,s_pos,s_neg\na,yes,3.0,0.25,0.75\n"
         )
-        data = load_dataset(path, positive_class="yes", schema="both")
+        data = load_dataset(path, positive_class="yes")
         assert data.features.tolist() == [[3.0]]
         assert data.scores.tolist() == [[0.25, 0.75]]
 
@@ -161,20 +161,6 @@ class TestLoadDataset:
         path = write_csv(tmp_path, "id,label,x1\na,red,1.0\nb,green,2.0\n")
         with pytest.raises(DataFormatError, match="positive class"):
             load_dataset(path, positive_class="blue")
-
-    def test_schema_mismatches_are_rejected(self, tmp_path):
-        scored = write_csv(tmp_path, "id,label,s_pos,s_neg\na,yes,0.9,0.1\n")
-        featured = write_csv(
-            tmp_path, "id,label,x1\na,yes,1.0\n", name="feat.csv"
-        )
-        with pytest.raises(DataFormatError):
-            load_dataset(scored, positive_class="yes", schema="features")
-        with pytest.raises(DataFormatError):
-            load_dataset(featured, positive_class="yes", schema="scores")
-        with pytest.raises(DataFormatError):
-            load_dataset(featured, positive_class="yes", schema="both")
-        with pytest.raises(DataFormatError):
-            load_dataset(scored, positive_class="yes", schema="nonsense")
 
     @pytest.mark.parametrize(
         "row, message",

@@ -360,10 +360,12 @@ class TestSimulateOnline:
 
 def figure_values(field):
     """Values of a report figure's kind, and None where the field allows it."""
-    if field.kind == pipeline._COUNT:
-        values = st.integers(min_value=0, max_value=2**63)
-    else:
-        values = st.floats(allow_nan=False, allow_infinity=False)
+    values = {
+        pipeline._COUNT: st.integers(min_value=0, max_value=2**63),
+        pipeline._FLOAT: st.floats(allow_nan=False, allow_infinity=False),
+        pipeline._STRING: st.text(),
+        pipeline._BOOL: st.booleans(),
+    }[field.kind]
     return st.none() | values if field.optional else values
 
 
@@ -386,10 +388,13 @@ def figure_block(fields):
 @given(
     calibration=figure_block(pipeline._CALIBRATION_FIELDS),
     results=st.lists(figure_block(pipeline._RESULT_FIELDS), max_size=3),
+    # A document may leave out the config block and n_test.
+    config=st.just({}) | figure_block(pipeline._CONFIG_FIELDS).map(lambda c: {"config": c}),
+    n_test=st.just({}) | figure_block((pipeline._N_TEST,)),
 )
 @settings(max_examples=100, deadline=None)
-def test_documents_built_from_the_field_table_round_trip(calibration, results):
-    document = {"calibration": calibration, "results": results}
+def test_documents_built_from_the_field_table_round_trip(calibration, results, config, n_test):
+    document = {"calibration": calibration, "results": results, **config, **n_test}
     payload = emit_report(document, "json")
     assert parse_report(payload) == document
     assert emit_report(parse_report(payload), "json") == payload

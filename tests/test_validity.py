@@ -37,6 +37,10 @@ most floor(epsilon * m) of the m deterministic p-values are at most
 epsilon, for every dataset, not only on average: the proof of validity is
 this count.  Smoothed p-values meet epsilon * m exactly in expectation over
 tau.  Mondrian mode counts within each class, pooled mode over all rows.
+The full (on-line) predictor obeys the same count: `full_cp_pvalue` of row
+i against the other m - 1 rows scores the same augmented bag for every i.
+FULL_CP_SETS seeded sets of FULL_CP_SIZES rows each, on a small integer
+grid so that distances tie, check it in about a second.
 """
 
 import math
@@ -46,10 +50,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bincp.core import NEGATIVE, POSITIVE, Dataset
+from bincp.core import NEGATIVE, POSITIVE, Dataset, Label
 from bincp.data import SyntheticSpec, generate_synthetic
 from bincp.icp import build_calibration_table, p_values, predict_set
 from bincp.nonconformity import MeasureSpec, TrainingBag, score_dataset
+from bincp.online import full_cp_pvalue
 
 DRAWS = 1500
 TREES = 10
@@ -63,6 +68,8 @@ VOTE_P = {POSITIVE: 0.65, NEGATIVE: 0.35}
 PITFALL_PER_CLASS = 6000
 IMBALANCE = 20
 PITFALL_EPSILON = 0.1
+FULL_CP_SETS = 40
+FULL_CP_SIZES = (4, 30)
 
 
 def binomial_band(n: int, p: float, tail: float) -> tuple[int, int]:
@@ -298,3 +305,31 @@ def test_icp_error_count_is_exact_for_every_test_row(positive, negative):
     assert_exact_counts(data, everyone, mondrian=False)
     for label in (POSITIVE, NEGATIVE):
         assert_exact_counts(data, everyone[data.labels == label], mondrian=True)
+
+
+def test_full_cp_error_count_is_exact_for_every_row():
+    """#{i : p_i <= epsilon} <= floor(epsilon * m) for the m leave-one-out
+    full-CP p-values of a set, at every epsilon.
+
+    m * p_i is a whole count c_i, and both sides step only at multiples of
+    1 / m, so epsilon = j / m for j = 0..m is every case: #{i : c_i <= j} <= j,
+    in integers.  Sets draw m in FULL_CP_SIZES, d in 1..3 and k in 1..5.
+    """
+    rng = np.random.default_rng(2020)
+    for _ in range(FULL_CP_SETS):
+        m = int(rng.integers(FULL_CP_SIZES[0], FULL_CP_SIZES[1] + 1))
+        points = rng.integers(0, 3, size=(m, int(rng.integers(1, 4)))).astype(float)
+        labels = [Label.POSITIVE if flip else Label.NEGATIVE for flip in rng.random(m) < 0.5]
+        k = int(rng.integers(1, 6))
+        p = np.array([
+            full_cp_pvalue(
+                TrainingBag.from_pairs(zip(np.delete(points, i, axis=0), np.delete(labels, i))),
+                (points[i], labels[i]),
+                k,
+            )
+            for i in range(m)
+        ])
+        counts = np.rint(p * m)
+        assert (counts / m == p).all()
+        for j in range(m + 1):
+            assert (counts <= j).sum() <= j
