@@ -95,26 +95,50 @@ class TrainingBag:
         return int(self.points.shape[1])
 
 
-def _distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euclidean distances between `points` and `x`, over their last axis."""
-    return np.sqrt(((points - x) ** 2).sum(axis=-1))
+def _row_sums(sq: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 in `_distances`' order, accumulated in place in `sq`."""
+    d = len(sq)
+    if not d:
+        return np.zeros(sq.shape[1:])
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return _row_sums(sq[:half]) + _row_sums(sq[half:])
+    if d < 8:
+        total, rest = sq[0], sq[1:]
+    else:
+        whole = d - d % 8
+        acc, rest = sq[:8], sq[whole:]
+        for start in range(8, whole, 8):
+            acc += sq[start : start + 8]
+        total = acc[0] + acc[1] + (acc[2] + acc[3]) + (acc[4] + acc[5] + (acc[6] + acc[7]))
+    for row in rest:
+        total += row
+    return total
+
+
+def _distances(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean distances between `coords` (d, ...) and `x`, over axis 0.
+
+    A point is a column, so each step is an elementwise pass over rows.
+    The squares are added in the order of numpy's pairwise row sum, so the
+    distances are bit for bit those of `((points - x) ** 2).sum(axis=-1)`
+    on row-major points: under 8 terms in turn; up to 128 in eight
+    accumulators stepping by 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+
+    (r6+r7)), then the remainder in turn; more split at the largest
+    multiple of 8 not above half, each part summed so.
+    """
+    diff = coords - x
+    np.multiply(diff, diff, out=diff)
+    total = _row_sums(diff)
+    return np.sqrt(total, out=total)
 
 
 def _ratio_array(d_same: np.ndarray, d_diff: np.ndarray) -> np.ndarray:
+    """d_same / d_diff, with 0/0 and inf/inf read as 1; IEEE division gives
+    the other limits (x/0 and inf/x are inf, 0/x and x/inf are 0)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         quotient = d_same / d_diff
-    same_zero, diff_zero = d_same == 0.0, d_diff == 0.0
-    same_inf, diff_inf = np.isinf(d_same), np.isinf(d_diff)
-    # The first case that holds wins, as in a chain of ifs.
-    return np.where(
-        (same_zero & diff_zero) | (same_inf & diff_inf),
-        1.0,
-        np.where(
-            diff_zero | same_inf,
-            np.inf,
-            np.where(same_zero | diff_inf, 0.0, quotient),
-        ),
-    )
+    return np.where(np.isnan(quotient), 1.0, quotient)
 
 
 def _pool_means(block: np.ndarray) -> np.ndarray:
@@ -126,13 +150,12 @@ def _pool_means(block: np.ndarray) -> np.ndarray:
     after row whatever the block's layout, so batch scoring and the on-line
     engine get the same bits.
     """
-    if not len(block):
-        return np.full(block.shape[1], np.inf)
+    if not block.shape[-2]:
+        return np.full(block.shape[:-2] + block.shape[-1:], np.inf)
     finite = np.isfinite(block)
-    sums = np.cumsum(np.where(finite, block, 0.0), axis=0)[-1]
-    counts = finite.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, sums / counts, np.inf)
+    sums = np.cumsum(np.where(finite, block, 0.0), axis=-2)[..., -1, :]
+    counts = finite.sum(axis=-2)
+    return np.divide(sums, counts, out=np.full(sums.shape, np.inf), where=counts > 0)
 
 
 # Scratch memory one query block of `_k_nearest` may use, in bytes.
@@ -169,13 +192,15 @@ def _k_nearest(
     groups = -(-n // _GROUP)
     kept = min(width, groups)
     center = points.mean(axis=0)
-    shifted = points - center
-    sq_points = (shifted**2).sum(axis=1)
+    # Points as columns, as `_distances` reads them.
+    coords = np.ascontiguousarray(points.T)
+    shifted = coords - center[:, None]
+    sq_points = _row_sums(shifted * shifted)
     # -2 p, padded with zero rows to whole groups whose |p|^2 is +inf, so a
     # block is finished by one addition and padding is never shortlisted
     # ahead of a finite value.  Scaling by a power of two is exact.
     scaled = np.zeros((groups * _GROUP, dim))
-    np.multiply(shifted, -2.0, out=scaled[:n])
+    np.multiply(shifted.T, -2.0, out=scaled[:n])
     padded = np.full(groups * _GROUP, np.inf)
     padded[:n] = sq_points
     # Column j of group g, for the gather of the kept groups.
@@ -207,7 +232,7 @@ def _k_nearest(
             proven = np.ones(len(block), dtype=bool)
         else:
             q = block - center
-            sq_q = (q**2).sum(axis=1)
+            sq_q = _row_sums(np.square(q).T)
             gram = np.matmul(q, scaled.T, out=buffer[: len(block)])
             gram += padded
             minima = gram.reshape(len(block), _GROUP, groups).min(axis=1)
@@ -239,12 +264,12 @@ def _k_nearest(
             proven = last - kth > 2 * slack + direct_error * (
                 np.abs(last) + np.abs(kth) + 2 * slack
             )
-        d = _distances(points[cand], block[:, None, :])
+        d = _distances(coords[:, cand], block.T[:, :, None])
         order = np.argsort(d, axis=1, kind="stable")[:, :k]
         index[start:stop] = np.take_along_axis(cand, order, axis=1)
         dist[start:stop] = np.take_along_axis(d, order, axis=1)
         for row in np.flatnonzero(~proven):
-            full = _distances(points, block[row])
+            full = _distances(coords, block[row, :, None])
             nearest = np.argsort(full, kind="stable")[:k]
             index[start + row] = nearest
             dist[start + row] = full[nearest]

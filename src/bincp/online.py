@@ -7,14 +7,16 @@ the augmented bag itself: every member (candidate included) is scored
 leave-one-out, and the p-value is the fraction of members at least as
 strange as the candidate.  No separate calibration set exists.
 
-One engine, `_OnlineSession`, implements this.  It caches every member's k
-nearest same-label and other-label distances, their means and its alpha, so
-a round computes the candidate's distances once and rescores only the members
-U whose k nearest it enters: O(n * d + k * |U|) for a bag of n points in d
-dimensions, plus amortised buffer growth.  `run_online` drives it over a
-stream, then reads every round's region off the p-value columns with one
-`icp.region` call and its errors off `core.COVERAGE`, as evaluation does.
-`full_cp_pvalue` is the p-value of a single candidate.
+One engine, `_OnlineSession`, implements this.  It holds the bag by class
+and coordinate-major, and caches every member's k nearest same-label and
+other-label distances, their means and its alpha, so a round computes the
+candidate's distances once and rescores only the members U whose k nearest
+it enters: O(n * d + k * |U|) for a bag of n points in d dimensions, plus
+amortised buffer growth, each O(n) pass elementwise over contiguous rows.
+`run_online` drives it over a stream, one item a round, then reads every
+round's region off the p-value columns with one `icp.region` call and its
+errors off `core.COVERAGE`, as evaluation does.  `full_cp_pvalue` is the
+p-value of a single candidate.
 """
 
 from __future__ import annotations
@@ -29,59 +31,58 @@ from .core import _check_label, _feature_limit
 from .icp import region
 from .nonconformity import TrainingBag, _distances, _k_nearest, _pool_means, _ratio_array
 
-# Row 0 is the positive hypothesis, row 1 the negative one.
-_HYPOTHESES = np.array([[True], [False]])
-
 
 def _insert(block: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each sorted column of `block` with its value inserted and its largest dropped."""
+    """Each column of `block` (sorted down axis -2) with its value inserted
+    and its largest dropped."""
     before = np.empty_like(block)
-    before[0] = -np.inf
-    before[1:] = block[:-1]
+    before[..., 0, :] = -np.inf
+    before[..., 1:, :] = block[..., :-1, :]
     return np.minimum(block, np.maximum(before, values))
 
 
 class _OnlineSession:
-    """A bag with each member's k nearest same- and other-label distances,
-    their two means (rows of `means`) and its alpha.
+    """A bag held by class, coordinate-major, a member per column.
 
-    Column i of `same` and of `diff` belongs to member i; it is sorted
-    ascending and padded with +inf when the pool holds fewer than k points.
-    The first `n` entries of each array are the bag.  Capacity doubles when
-    the bag fills it; the lists keep min(k, capacity) rows, as no pool
-    outgrows the bag.  `p_values` rescores the members whose k nearest the
-    candidate enters, and `absorb` writes them back and appends it.
+    The first `n_pos` columns are the positive members and the rest of the
+    first `n` the negative ones; order within a class is free, as p-values
+    depend only on distances and counts.  `coords` is (d, capacity).
+    `lists` is (2, rows, capacity): side 0 holds the k nearest same-label
+    distances and side 1 the other-label ones, each column sorted ascending
+    and padded with +inf when its pool holds fewer than k points.  `means`
+    holds the two sides' means, `alphas` the alphas and `reach` the larger
+    last entry, which a candidate must undercut to enter a list.  Capacity
+    doubles when the bag fills it; the lists keep min(k, capacity) rows, as
+    no pool outgrows the bag.
     """
 
     def __init__(self, bag: TrainingBag, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k, self.n = k, len(bag)
+        self.n_pos = int(bag.is_positive.sum())
         self.limit = _feature_limit(bag.dim)
-        self.points = bag.points.copy()
-        self.is_positive = bag.is_positive.copy()
-        self.same = np.full((min(k, self.n), self.n), np.inf)
-        self.diff = self.same.copy()
-        for label in (True, False):
-            rows = self.is_positive == label
-            members = self.points[rows]
+        classes = bag.points[bag.is_positive], bag.points[~bag.is_positive]
+        self.coords = np.ascontiguousarray(np.concatenate(classes).T)
+        self.lists = np.full((2, min(k, self.n), self.n), np.inf)
+        for c, members in enumerate(classes):
+            cols = slice(0, self.n_pos) if c == 0 else slice(self.n_pos, self.n)
             # Every member is its own nearest point, at distance 0.
             same = _k_nearest(members, members, k + 1)[1][:, 1:]
-            diff = _k_nearest(members, self.points[~rows], k)[1]
-            self.same[: same.shape[1], rows] = same.T
-            self.diff[: diff.shape[1], rows] = diff.T
-        self.means = np.vstack([_pool_means(self.same), _pool_means(self.diff)])
+            diff = _k_nearest(members, classes[1 - c], k)[1]
+            self.lists[0, : same.shape[1], cols] = same.T
+            self.lists[1, : diff.shape[1], cols] = diff.T
+        self.means = _pool_means(self.lists)
         self.alphas = _ratio_array(*self.means)
+        self.reach = np.maximum(*self.lists[:, -1])
         self._pending = None
 
     def p_values(self, features: Sequence[float]) -> tuple[float, float]:
         """Leave-one-out p-values of a candidate labelled positive and negative."""
         self._pending = None
         point = np.asarray(list(features), dtype=float)
-        if point.shape != (self.points.shape[1],):
-            raise ValueError(
-                f"expected {self.points.shape[1]} features, got {point.shape}"
-            )
+        if point.shape != (len(self.coords),):
+            raise ValueError(f"expected {len(self.coords)} features, got {point.shape}")
         # A NaN fails the comparison as well.
         if not np.abs(point).max(initial=0.0) <= self.limit:
             if not np.isfinite(point).all():
@@ -90,63 +91,80 @@ class _OnlineSession:
                 f"candidate features must be within ±{self.limit:.4g}, "
                 "or squared distances overflow"
             )
-        n, rows = self.n, len(self.same)
-        d = _distances(self.points[:n], point)
-        match = self.is_positive[:n] == _HYPOTHESES
-        # The candidate's k nearest of each class, positive pool first.
-        pools = np.hstack([np.where(match, d, np.inf), np.full((2, rows), np.inf)])
-        nearest = np.sort(np.partition(pools, rows - 1, axis=1)[:, :rows], axis=1)
-        # Only members with d below their k-th same- or other-label distance
-        # gain the candidate as a neighbour; the rest keep means and alphas.
-        changed = np.flatnonzero((d < self.same[-1, :n]) | (d < self.diff[-1, :n]))
-        same_in = _insert(self.same[:, changed], d[changed])
-        diff_in = _insert(self.diff[:, changed], d[changed])
-        means = _pool_means(np.hstack([same_in, diff_in, nearest.T]))
-        m = len(changed)
-        same_new, diff_new, candidate = means[:m], means[m : 2 * m], means[2 * m :]
-        same_old, diff_old = self.means[:, changed]
-        # Members of the hypothesized label gain the candidate as a same-label
-        # neighbour, the others as an other-label one.
-        hit = match[:, changed]
-        alphas = _ratio_array(
-            np.column_stack([np.where(hit, same_new, same_old), candidate]),
-            np.column_stack([np.where(hit, diff_old, diff_new), candidate[::-1]]),
-        )
-        # The last column is the candidate, which counts for itself; members
-        # outside `changed` count with their cached alphas.
+        n, n_pos, rows = self.n, self.n_pos, len(self.lists[0])
+        d = _distances(self.coords[:, :n], point[:, None])
+        # Only members nearer the candidate than their reach gain it as a
+        # neighbour; the rest keep their means and alphas.
+        changed = (d < self.reach[:n]).nonzero()[0]
+        values = np.concatenate([d[changed], [np.inf]])
+        # The candidate's own lists are the block's last column: its k
+        # nearest of each class, positive first, which an infinite distance
+        # leaves as they are.  Each class's distances are cut in place.
+        nearest = np.full((2, rows, 1), np.inf)
+        for c, pool in enumerate((d[:n_pos], d[n_pos:])):
+            r = min(rows, len(pool))
+            if r:
+                pool.partition(r - 1)
+                pool[:r].sort()
+                nearest[c, :r, 0] = pool[:r]
+        lists = _insert(np.concatenate([self.lists[:, :, changed], nearest], axis=2), values)
+        new = _pool_means(lists)
+        # means[h]: the means as if the candidate entered both lists of the
+        # members labelled h and neither of the rest's.  Under hypothesis h
+        # it enters the same-label lists of the first and the other-label
+        # lists of the rest, so the alphas are means[h, 0] / means[1 - h, 1];
+        # the candidate's own column is its pool means, positive in means[0].
+        m_pos = changed.searchsorted(n_pos)
+        old = self.means[:, changed]
+        means = new[None].repeat(2, axis=0)
+        means[1, :, :m_pos] = old[:, :m_pos]
+        means[0, :, m_pos:-1] = old[:, m_pos:]
+        means[:, :, -1] = new[:, -1:]
+        alphas = _ratio_array(means[:, 0], means[::-1, 1])
+        # The candidate counts for itself; members outside `changed` count
+        # with their cached alphas.
         a_c = alphas[:, -1:]
         count = (self.alphas[:n] >= a_c).sum(axis=1) + (alphas >= a_c).sum(axis=1)
         count -= (self.alphas[changed] >= a_c).sum(axis=1)
-        self._pending = point, changed, same_in, diff_in, means, alphas, nearest
+        self._pending = point, changed, m_pos, lists, new, alphas
         return float(count[0] / (n + 1)), float(count[1] / (n + 1))
 
     def absorb(self, label: Label) -> None:
         """Add the last `p_values` candidate, once, with its revealed label."""
         if self._pending is None:
             raise ValueError("absorb needs a candidate from p_values first")
-        point, changed, same_in, diff_in, means, alphas, nearest = self._pending
+        point, changed, m_pos, lists, new, alphas = self._pending
         self._pending = None
-        is_pos, n, m = label is Label.POSITIVE, self.n, len(changed)
-        hit = self.is_positive[changed] == is_pos
-        self.same[:, changed[hit]] = same_in[:, hit]
-        self.diff[:, changed[~hit]] = diff_in[:, ~hit]
-        self.means[0, changed[hit]] = means[:m][hit]
-        self.means[1, changed[~hit]] = means[m : 2 * m][~hit]
-        candidate = means[2 * m :]
-        if not is_pos:
-            candidate, alphas, nearest = candidate[::-1], alphas[::-1], nearest[::-1]
-        self.alphas[changed] = alphas[0, :-1]
+        h, n = (0 if label is Label.POSITIVE else 1), self.n
+        # The candidate joins side h of the positives' lists and side 1 - h
+        # of the negatives'.
+        for side, members, cols in ((h, changed[:m_pos], slice(0, m_pos)),
+                                    (1 - h, changed[m_pos:], slice(m_pos, -1))):
+            self.lists[side][:, members] = lists[side, :, cols]
+            self.means[side, members] = new[side, cols]
+        self.alphas[changed] = alphas[h, :-1]
+        self.reach[changed] = np.maximum(*self.lists[:, -1, changed])
         if n == len(self.alphas):
-            grow = [(0, min(self.k, 2 * n) - len(self.same)), (0, n)]
-            self.same = np.pad(self.same, grow, constant_values=np.inf)
-            self.diff = np.pad(self.diff, grow, constant_values=np.inf)
-            self.points = np.pad(self.points, [(0, n), (0, 0)])
+            rows = min(self.k, 2 * n) - len(self.lists[0])
+            self.lists = np.pad(self.lists, [(0, 0), (0, rows), (0, n)], constant_values=np.inf)
+            self.coords = np.pad(self.coords, [(0, 0), (0, n)])
             self.means = np.pad(self.means, [(0, 0), (0, n)])
-            self.is_positive = np.pad(self.is_positive, (0, n))
             self.alphas = np.pad(self.alphas, (0, n))
-        self.same[: nearest.shape[1], n], self.diff[: nearest.shape[1], n] = nearest
-        self.means[:, n], self.alphas[n] = candidate, alphas[0, -1]
-        self.points[n], self.is_positive[n] = point, is_pos
+            # New rows are padding, which any candidate enters.
+            self.reach = np.maximum(*self.lists[:, -1])
+        column = n
+        if h == 0:
+            # The first negative moves to the end to make room.
+            for array in (self.coords, self.lists, self.means, self.alphas, self.reach):
+                array[..., n] = array[..., self.n_pos]
+            column, self.n_pos = self.n_pos, self.n_pos + 1
+        # Its own lists and means, same-label side first.
+        order = slice(None, None, 1 - 2 * h)
+        self.coords[:, column] = point
+        self.lists[:, : lists.shape[1], column] = lists[order, :, -1]
+        self.means[:, column] = new[order, -1]
+        self.alphas[column] = alphas[h, -1]
+        self.reach[column] = max(self.lists[:, -1, column])
         self.n = n + 1
 
 

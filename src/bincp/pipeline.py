@@ -62,6 +62,7 @@ def _text_value(value) -> str:
 # The kinds of value a report figure holds; `parse_report`'s JSON reader
 # already rejects non-finite floats.
 _FLOAT, _COUNT, _STRING, _BOOL = "a finite float", "a count", "a string", "a bool"
+_OBJECT, _LEVELS = "an object", "a non-empty list of finite floats in [0, 1]"
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,8 @@ class _Field:
     """One report figure: the kind of value it holds and where each format puts it.
 
     `path` holds its keys inside a JSON block, `column` its CSV column, and
-    `label` and `text` its name and format on a text line.  `kind` is
-    `_FLOAT`, `_COUNT`, `_STRING` or `_BOOL`, and an `optional` figure may
-    also be None.
+    `label` and `text` its name and format on a text line.  `kind` is one
+    of the kinds above, and an `optional` figure may also be None.
     """
 
     path: tuple[str, ...]
@@ -87,7 +87,11 @@ class _Field:
         if self.kind == _COUNT:
             # A bool is an int in Python, and no count.
             return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-        return isinstance(value, {_FLOAT: float, _STRING: str, _BOOL: bool}[self.kind])
+        if self.kind == _LEVELS:
+            return (isinstance(value, list) and value != []
+                    and all(isinstance(v, float) and 0.0 <= v <= 1.0 for v in value))
+        kinds = {_FLOAT: float, _STRING: str, _BOOL: bool, _OBJECT: dict}
+        return isinstance(value, kinds[self.kind])
 
 
 def _field(*path, column=None, label=None, text=_text_value, kind=_FLOAT, optional=False):
@@ -138,6 +142,17 @@ _CONFIG_FIELDS = (
     _field("measure", "kind", label="measure", kind=_STRING),
     _field("measure", "k", kind=_COUNT),
     _field("mondrian", kind=_BOOL),
+)
+# The rest of the config block is checked but not rendered, the split's
+# figures when it is an object.
+_CONFIG_CHECKED = (
+    _field("threshold"), _field("smoothed", kind=_BOOL),
+    _field("smoothing_seed", kind=_COUNT, optional=True),
+    _field("split", kind=_OBJECT, optional=True), _field("epsilons", kind=_LEVELS),
+)
+_SPLIT_FIELDS = (
+    _field("split", "proper_fraction"), _field("split", "seed", kind=_COUNT),
+    _field("split", "stratified", kind=_BOOL),
 )
 _N_TEST = _field("n_test", kind=_COUNT, optional=True)
 
@@ -432,8 +447,8 @@ def parse_report(data: bytes) -> dict:
     """Read back a JSON report document.
 
     Every result and calibration figure must be present and of its field's
-    kind, and so must the run line's config figures and `n_test` when the
-    document holds them.  bincp writes no NaN or infinity, so a document
+    kind, and so must every config figure and `n_test` when the document
+    holds them.  bincp writes no NaN or infinity, so a document
     holding one (as a constant, or as a number too large for a float) is not
     a report.
     """
@@ -459,7 +474,11 @@ def parse_report(data: bytes) -> dict:
     blocks.append(("calibration", document.get("calibration", {}), _CALIBRATION_FIELDS))
     # A document without a config block renders no run line.
     if "config" in document:
-        blocks.append(("config", document["config"], _CONFIG_FIELDS))
+        config = document["config"]
+        fields = _CONFIG_FIELDS + _CONFIG_CHECKED
+        if isinstance(config.get("split"), dict):
+            fields += _SPLIT_FIELDS
+        blocks.append(("config", config, fields))
     if "n_test" in document:
         blocks.append(("document", document, (_N_TEST,)))
     for where, block, fields in blocks:

@@ -10,6 +10,7 @@ from bincp.data import demo_test_path, figure1_path
 
 FIG = str(figure1_path())
 DEMO = str(demo_test_path())
+LEVELS = "a non-empty list of finite floats in [0, 1]"
 
 
 def demo_args(*extra):
@@ -766,10 +767,38 @@ class TestReportCommand:
             (("config", "mondrian"), ..., "config has no 'mondrian'"),
             (("n_test",), "three", "document 'n_test' is not a count or null"),
             (("n_test",), 3.0, "document 'n_test' is not a count or null"),
+            # The config figures off the run line are checked as well.
+            (("config", "threshold"), "high", "config 'threshold' is not a finite float"),
+            (("config", "threshold"), ..., "config has no 'threshold'"),
+            (("config", "smoothed"), 3, "config 'smoothed' is not a bool"),
+            (
+                ("config", "smoothing_seed"), -4.5,
+                "config 'smoothing_seed' is not a count or null",
+            ),
+            (("config", "split"), [1], "config 'split' is not an object or null"),
+            (
+                ("config", "split"), {"proper_fraction": 0.7, "seed": -1, "stratified": True},
+                "config 'split.seed' is not a count",
+            ),
+            (
+                ("config", "split"), {"proper_fraction": "0.7", "seed": 0, "stratified": True},
+                "config 'split.proper_fraction' is not a finite float",
+            ),
+            (
+                ("config", "split"), {"proper_fraction": 0.7, "seed": 0},
+                "config has no 'split.stratified'",
+            ),
+            (("config", "epsilons"), "all", "config 'epsilons' is not " + LEVELS),
+            (("config", "epsilons"), [], "config 'epsilons' is not " + LEVELS),
+            (("config", "epsilons"), [0.1, 1.5], "config 'epsilons' is not " + LEVELS),
+            (("config", "epsilons"), [0.1, 1], "config 'epsilons' is not " + LEVELS),
         ],
         ids=[
             "class-number", "kind-null", "k-list", "k-bool", "mondrian-string",
             "mondrian-count", "mondrian-missing", "n-test-string", "n-test-float",
+            "threshold-string", "threshold-missing", "smoothed-count", "seed-float",
+            "split-list", "split-seed", "split-fraction-string", "split-missing-figure",
+            "epsilons-string", "epsilons-empty", "epsilons-above-one", "epsilons-int",
         ],
     )
     def test_a_run_figure_of_the_wrong_kind_is_a_validation_error(

@@ -238,6 +238,31 @@ class TestConformityFromRatio:
         assert oracles.knn_distance_ratio(bag, (0.0,), Label.POSITIVE) == math.inf
         assert out.scores[0, 0] == -math.inf
 
+    def test_distances_sum_each_point_in_the_order_of_a_row_sum(self):
+        # `_distances` reads points as columns and the oracle sums rows, so
+        # the two must add the squares in one order.  Dimensions up to 300
+        # take all three branches of `_row_sums`: under 8, up to 128 and
+        # split beyond; magnitudes run up to the feature bound.  Points of
+        # no features are all at distance 0.
+        rng = np.random.default_rng(30)
+        for dim in range(301):
+            for scale in (1e-150, 1.0, 1e100, _feature_limit(dim)):
+
+                def draw(*shape):
+                    spread = 10.0 ** rng.uniform(-3.0, 0.0, size=shape)
+                    return scale * spread * rng.uniform(-1.0, 1.0, size=shape)
+
+                points, x = draw(7, dim), draw(dim)
+                got = nonconformity._distances(np.ascontiguousarray(points.T), x[:, None])
+                assert got.tolist() == oracles.distances(points, x).tolist(), (dim, scale)
+                # A block of queries, each against its own gathered points.
+                gathered, queries = draw(2, 4, dim), draw(2, dim)
+                got = nonconformity._distances(
+                    np.ascontiguousarray(np.moveaxis(gathered, -1, 0)), queries.T[:, :, None]
+                )
+                expected = [oracles.distances(g, q).tolist() for g, q in zip(gathered, queries)]
+                assert got.tolist() == expected, (dim, scale)
+
     def test_ratio_array_takes_every_degenerate_case_of_the_scalar_ratio(self):
         values = [0.0, 1e-9, 0.5, 2.0, 1e9, math.inf]
         pairs = [(a, b) for a in values for b in values]
@@ -363,18 +388,24 @@ class TestScoreDataset:
     def _check_layouts(layouts, kind, k, monkeypatch):
         """Score each layout's queries and compare them with the oracles.
 
-        Returns the names of the layouts where the exact fallback ran.
+        Returns the names of the layouts where the exact fallback ran, and
+        checks that it did not run in all of them.
         """
-        fallback_layouts = set()
+        fallback_layouts, names = set(), set()
         exact = nonconformity._distances
         calls = []
 
-        def counted(points, x):
-            calls.append(x)
-            return exact(points, x)
+        def counted(coords, x):
+            # The direct form passes a (d, block, width) gather of
+            # candidates; the fallback ranks one query against all n
+            # points, (d, n).
+            if coords.ndim == 2:
+                calls.append(x)
+            return exact(coords, x)
 
         monkeypatch.setattr(nonconformity, "_distances", counted)
         for layout, points, labels, queries in layouts:
+            names.add(layout)
             bag = TrainingBag(points, labels)
             calls.clear()
             out = score_dataset(MeasureSpec(kind, k), bag, rows(queries))
@@ -390,6 +421,7 @@ class TestScoreDataset:
                         for label in (Label.POSITIVE, Label.NEGATIVE)
                     ]
                 assert [s_pos, s_neg] == expected, layout
+        assert fallback_layouts < names, "every layout took the exact fallback"
         return fallback_layouts
 
     @pytest.mark.parametrize("kind", ["knn_ratio", "knn_prob"])

@@ -253,6 +253,31 @@ class TestRunOnline:
             session.absorb(Label.POSITIVE if labels[n] else Label.NEGATIVE)
         assert len(session.alphas) == 512
 
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_a_class_missing_from_the_initial_bag_arrives_late(self, k):
+        # The bag starts with three negatives and no positive; the first
+        # positive arrives once the negative buffers have doubled four times.
+        points, labels = long_stream(90, seed=16)
+        labels[:50] = False
+        assert labels[50:].any()
+        dist = oracles.pairwise_distances(points)
+        session = _OnlineSession(TrainingBag(points[:3], labels[:3]), k)
+        for n in range(3, len(points)):
+            assert session.p_values(points[n]) == oracles.loo_p_values(
+                dist[: n + 1, : n + 1], labels[:n], k
+            )
+            session.absorb(Label.POSITIVE if labels[n] else Label.NEGATIVE)
+            if n == 49:
+                assert (session.n, session.n_pos, len(session.alphas)) == (50, 0, 96)
+        assert session.n_pos == labels.sum()
+
+    def test_points_of_no_features_are_all_alike(self):
+        # Every distance is 0, so the candidate's alpha is 1 and no member's
+        # is smaller: both p-values are 1.
+        bag = TrainingBag(np.zeros((3, 0)), [True, False, True])
+        session = _OnlineSession(bag, 2)
+        assert session.p_values(()) == (1.0, 1.0)
+
     def test_k_beyond_the_data_gives_the_same_rounds(self):
         initial = TrainingBag.from_pairs(random_stream(5, 2, 12, decimals=1))
         stream = random_stream(25, 2, 13, decimals=1)

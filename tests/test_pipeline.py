@@ -360,12 +360,18 @@ class TestSimulateOnline:
 
 def figure_values(field):
     """Values of a report figure's kind, and None where the field allows it."""
-    values = {
-        pipeline._COUNT: st.integers(min_value=0, max_value=2**63),
-        pipeline._FLOAT: st.floats(allow_nan=False, allow_infinity=False),
-        pipeline._STRING: st.text(),
-        pipeline._BOOL: st.booleans(),
-    }[field.kind]
+    if field.kind == pipeline._OBJECT:
+        # The config's split is the only object figure.
+        values = figure_block(pipeline._SPLIT_FIELDS).map(lambda block: block["split"])
+    elif field.kind == pipeline._LEVELS:
+        values = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3)
+    else:
+        values = {
+            pipeline._COUNT: st.integers(min_value=0, max_value=2**63),
+            pipeline._FLOAT: st.floats(allow_nan=False, allow_infinity=False),
+            pipeline._STRING: st.text(),
+            pipeline._BOOL: st.booleans(),
+        }[field.kind]
     return st.none() | values if field.optional else values
 
 
@@ -389,7 +395,9 @@ def figure_block(fields):
     calibration=figure_block(pipeline._CALIBRATION_FIELDS),
     results=st.lists(figure_block(pipeline._RESULT_FIELDS), max_size=3),
     # A document may leave out the config block and n_test.
-    config=st.just({}) | figure_block(pipeline._CONFIG_FIELDS).map(lambda c: {"config": c}),
+    config=st.just({}) | figure_block(
+        pipeline._CONFIG_FIELDS + pipeline._CONFIG_CHECKED
+    ).map(lambda c: {"config": c}),
     n_test=st.just({}) | figure_block((pipeline._N_TEST,)),
 )
 @settings(max_examples=100, deadline=None)
