@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import SignificanceLevel
 from .data import SyntheticSpec, generate_synthetic, write_dataset
@@ -21,7 +21,7 @@ from .pipeline import (
     RunConfig,
     emit_report,
     parse_report,
-    regions_csv,
+    regions_csv_chunks,
     run_pipeline,
     simulate_online,
     trajectory_csv,
@@ -137,18 +137,23 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _write_output(out: Path | None, data: bytes) -> None:
+def _write_output(out: Path | None, chunks: Iterable[bytes]) -> None:
+    """Write encoded chunks to `out`, or decode them to stdout, one at a time.
+
+    Each chunk is whole UTF-8 text, so each decodes on its own.
+    """
     if out is None:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.writelines(chunk.decode("utf-8") for chunk in chunks)
     else:
-        Path(out).write_bytes(data)
+        with open(out, "wb") as handle:
+            handle.writelines(chunks)
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     if args.test is None:
         raise CliError("predict requires --test")
     result = run_pipeline(_run_config(args))
-    _write_output(args.out, regions_csv(result))
+    _write_output(args.out, regions_csv_chunks(result))
     return 0
 
 
@@ -158,9 +163,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     result = run_pipeline(_run_config(args))
     if args.test is not None and not result.document["results"]:
         raise CliError("evaluate requires labels on every --test row")
-    _write_output(args.out, emit_report(result.document, args.format))
+    _write_output(args.out, [emit_report(result.document, args.format)])
     if args.regions_out is not None:
-        Path(args.regions_out).write_bytes(regions_csv(result))
+        _write_output(args.regions_out, regions_csv_chunks(result))
     return 0
 
 
@@ -178,7 +183,7 @@ def _cmd_simulate_online(args: argparse.Namespace) -> int:
             k=args.k,
         )
     )
-    _write_output(args.out, trajectory_csv(rounds))
+    _write_output(args.out, [trajectory_csv(rounds)])
     return 0
 
 
@@ -198,7 +203,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     document = parse_report(Path(args.input).read_bytes())
-    _write_output(args.out, emit_report(document, args.format))
+    _write_output(args.out, [emit_report(document, args.format)])
     return 0
 
 

@@ -5,7 +5,10 @@ carry no timestamps or environment details, so rerunning a configuration
 reproduces the output byte for byte.  Data moves between the stages as
 `Dataset` columns: a run computes the p-value columns of its test set once,
 derives the region codes of each epsilon from them, and the report and
-regions writers format whole columns.
+regions writers format whole columns.  The regions writer yields its CSV a
+fixed number of rows at a time, formatting the fields every epsilon shares
+once, so the memory it takes grows with the test rows and not with the
+test rows times the epsilons.
 
 The evaluation layer returns the report's own blocks, keyed by their report
 paths, so a report figure is named once, where `evaluate` writes it; the
@@ -22,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -62,7 +65,7 @@ def _text_value(value) -> str:
 # The kinds of value a report figure holds; `parse_report`'s JSON reader
 # already rejects non-finite floats.
 _FLOAT, _COUNT, _STRING, _BOOL = "a finite float", "a count", "a string", "a bool"
-_OBJECT, _LEVELS = "an object", "a non-empty list of finite floats in [0, 1]"
+_OBJECT, _LEVELS = "an object", "a non-empty list of finite floats"
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ class _Field:
             return isinstance(value, int) and not isinstance(value, bool) and value >= 0
         if self.kind == _LEVELS:
             return (isinstance(value, list) and value != []
-                    and all(isinstance(v, float) and 0.0 <= v <= 1.0 for v in value))
+                    and all(isinstance(v, float) for v in value))
         kinds = {_FLOAT: float, _STRING: str, _BOOL: bool, _OBJECT: dict}
         return isinstance(value, kinds[self.kind])
 
@@ -448,7 +451,8 @@ def parse_report(data: bytes) -> dict:
 
     Every result and calibration figure must be present and of its field's
     kind, and so must every config figure and `n_test` when the document
-    holds them.  bincp writes no NaN or infinity, so a document
+    holds them; the config figures must also lie in the ranges a run
+    accepts.  bincp writes no NaN or infinity, so a document
     holding one (as a constant, or as a number too large for a float) is not
     a report.
     """
@@ -491,7 +495,31 @@ def parse_report(data: bytes) -> dict:
             if not field.holds(value):
                 kind = field.kind + " or null" if field.optional else field.kind
                 raise ValueError(f"not a report document: {where} {name!r} is not {kind}")
+    if "config" in document:
+        _check_config_ranges(document["config"])
     return document
+
+
+def _check_config_ranges(config: dict) -> None:
+    """Hold a typed config block to the rules a run applies to its configuration.
+
+    The run's own validators state the ranges, so none is restated here.
+    """
+    measure, split = config["measure"], config["split"]
+    checks = [
+        ("measure", MeasureSpec, (measure["kind"], measure["k"])),
+        ("threshold", _check_threshold, (config["threshold"],)),
+    ]
+    if split is not None:
+        checks.append(
+            ("split", SplitConfig, (split["proper_fraction"], split["seed"], split["stratified"]))
+        )
+    checks += (("epsilons", SignificanceLevel, (value,)) for value in config["epsilons"])
+    for name, check, args in checks:
+        try:
+            check(*args)
+        except ValueError as err:
+            raise ValueError(f"not a report document: config {name!r}: {err}") from None
 
 
 def _reprs(column: np.ndarray) -> list[str]:
@@ -504,35 +532,41 @@ def _reprs(column: np.ndarray) -> list[str]:
     return list(map(list(map(repr, bits.view(float).tolist())).__getitem__, index.tolist()))
 
 
-def regions_csv(result: PipelineResult) -> bytes:
-    """Per-sample regions for every requested epsilon, in input order.
+# Rows per chunk of the regions CSV, about 270 KB of text at 66-byte rows: a
+# writer holds one chunk at a time, so memory does not grow with the levels.
+_CHUNK_ROWS = 4096
 
-    A row is three pieces: the epsilon, the fields every epsilon shares and
-    the region name.  Each block is one `str.join` of those pieces, encoded
-    on its own, so the bytes join holds a handful of blocks, not a buffer
-    per piece.  Ids are quoted by `data._quoted`, so a `csv.reader` reads
-    every id back as it was; labels, p-values and region names never need
-    quotes.
+
+def regions_csv_chunks(result: PipelineResult) -> Iterator[bytes]:
+    """Per-sample regions for every requested epsilon, in input order, as encoded chunks.
+
+    The header comes first, then at most `_CHUNK_ROWS` whole rows to a
+    chunk, so every chunk ends in a newline.  A row is three pieces: the
+    epsilon, the fields every epsilon shares and the region name; the
+    shared fields are formatted once per run and each chunk is one
+    `str.join` of its pieces.  Ids are quoted by `data._quoted`, so a
+    `csv.reader` reads every id back as it was; labels, p-values and region
+    names never need quotes.
     """
-    blocks = ["epsilon,id,true_label,p_pos,p_neg,region\n".encode("utf-8")]
-    if result.regions:
-        # The fields shared by every epsilon are formatted once.
-        test = result.test
-        ids = _quoted(test.ids.tolist())
-        p_pos, p_neg = map(_reprs, result.p_values)
-        shared = [
-            f"{id_},{label},{pos},{neg},"
-            for id_, label, pos, neg in zip(ids, label_names(test.labels), p_pos, p_neg)
-        ]
-        ends = [f"{kind}\n" for kind in REGIONS]
-        for value, codes in result.regions.items():
+    yield b"epsilon,id,true_label,p_pos,p_neg,region\n"
+    if not result.regions:
+        return
+    test = result.test
+    ids = _quoted(test.ids.tolist())
+    p_pos, p_neg = map(_reprs, result.p_values)
+    shared = [
+        f"{id_},{label},{pos},{neg},"
+        for id_, label, pos, neg in zip(ids, label_names(test.labels), p_pos, p_neg)
+    ]
+    ends = [f"{kind}\n" for kind in REGIONS]
+    for value, codes in result.regions.items():
+        prefix = repeat(repr(float(value)) + ",")
+        for start in range(0, len(shared), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
             pieces = zip(
-                repeat(repr(float(value)) + ","),
-                shared,
-                map(ends.__getitem__, codes.tolist()),
+                prefix, shared[start:stop], map(ends.__getitem__, codes[start:stop].tolist())
             )
-            blocks.append("".join(chain.from_iterable(pieces)).encode("utf-8"))
-    return b"".join(blocks)
+            yield "".join(chain.from_iterable(pieces)).encode("utf-8")
 
 
 def trajectory_csv(rounds: list[OnlineRound]) -> bytes:

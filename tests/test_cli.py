@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from bincp.cli import main
-from bincp.core import _feature_limit
-from bincp.data import demo_test_path, figure1_path
+from bincp.core import Dataset, _feature_limit
+from bincp.data import demo_test_path, figure1_path, write_dataset
+from bincp.pipeline import _CHUNK_ROWS
 
 FIG = str(figure1_path())
 DEMO = str(demo_test_path())
-LEVELS = "a non-empty list of finite floats in [0, 1]"
+LEVELS = "a non-empty list of finite floats"
 
 
 def demo_args(*extra):
@@ -339,6 +340,32 @@ class TestPredictCommand:
             '0.6,"b""q",positive,0.6666666666666666,1.0,both\n'
             '0.6,"c\nd",positive,1.0,1.0,both\n'
         )
+
+    def test_stdout_out_and_regions_out_write_the_same_bytes(self, capsys, tmp_path):
+        # More rows than one chunk of the regions writer, at two levels.
+        n = _CHUNK_ROWS + 900
+        rng = np.random.default_rng(0)
+        votes = rng.integers(0, 101, n) / 100
+        path = tmp_path / "votes.csv"
+        write_dataset(
+            Dataset.from_columns(
+                [f"t{i}" for i in range(n)], rng.integers(0, 2, n), None,
+                np.column_stack([votes, 1.0 - votes]), probability=True,
+            ),
+            path,
+        )
+        args = ("--calibration", str(path), "--test", str(path),
+                "--positive-class", "positive", "--epsilon", "0.1", "--epsilon", "0.2")
+        code, out, _ = run(capsys, "predict", *args)
+        assert code == 0
+        assert out.count("\n") == 1 + 2 * n
+        predict, regions = tmp_path / "predict.csv", tmp_path / "regions.csv"
+        assert run(capsys, "predict", *args, "--out", str(predict))[:2] == (0, "")
+        assert run(
+            capsys, "evaluate", *args, "--out", str(tmp_path / "report.txt"),
+            "--regions-out", str(regions),
+        )[:2] == (0, "")
+        assert predict.read_bytes() == regions.read_bytes() == out.encode("utf-8")
 
     def test_requires_a_test_set(self, capsys):
         code, _, err = run(
@@ -790,15 +817,34 @@ class TestReportCommand:
             ),
             (("config", "epsilons"), "all", "config 'epsilons' is not " + LEVELS),
             (("config", "epsilons"), [], "config 'epsilons' is not " + LEVELS),
-            (("config", "epsilons"), [0.1, 1.5], "config 'epsilons' is not " + LEVELS),
             (("config", "epsilons"), [0.1, 1], "config 'epsilons' is not " + LEVELS),
+            # A figure of the right kind must lie in the range a run accepts.
+            (
+                ("config", "epsilons"), [0.1, 1.5],
+                "config 'epsilons': epsilon must be in [0, 1], got 1.5",
+            ),
+            (
+                ("config", "threshold"), 7.5,
+                "config 'threshold': threshold must be in [0, 1], got 7.5",
+            ),
+            (
+                ("config", "split"), {"proper_fraction": 3.0, "seed": 0, "stratified": True},
+                "config 'split': proper_fraction must be in (0, 1), got 3.0",
+            ),
+            (("config", "measure", "k"), 0, "config 'measure': k must be >= 1, got 0"),
+            (
+                ("config", "measure", "kind"), "svm",
+                "config 'measure': unknown measure 'svm', expected one of "
+                "('knn_ratio', 'knn_prob', 'passthrough')",
+            ),
         ],
         ids=[
             "class-number", "kind-null", "k-list", "k-bool", "mondrian-string",
             "mondrian-count", "mondrian-missing", "n-test-string", "n-test-float",
             "threshold-string", "threshold-missing", "smoothed-count", "seed-float",
             "split-list", "split-seed", "split-fraction-string", "split-missing-figure",
-            "epsilons-string", "epsilons-empty", "epsilons-above-one", "epsilons-int",
+            "epsilons-string", "epsilons-empty", "epsilons-int", "epsilons-above-one",
+            "threshold-above-one", "split-fraction-above-one", "k-zero", "kind-unknown",
         ],
     )
     def test_a_run_figure_of_the_wrong_kind_is_a_validation_error(

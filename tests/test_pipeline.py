@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from bincp.data import (
     write_dataset,
 )
 from bincp import evaluate, pipeline
-from bincp.nonconformity import MeasureSpec
+from bincp.nonconformity import MEASURE_KINDS, MeasureSpec
 from bincp.icp import SplitConfig, region
 from bincp.pipeline import (
     REPORT_CSV_COLUMNS,
@@ -35,13 +36,15 @@ from bincp.pipeline import (
     RunConfig,
     emit_report,
     parse_report,
-    regions_csv,
+    regions_csv_chunks,
     run_pipeline,
     simulate_online,
     trajectory_csv,
 )
 
 import oracles
+
+CHUNK = pipeline._CHUNK_ROWS
 
 # Ids a CSV writer must quote: a bare CR is quoted too, which Python 3.11's
 # csv writer does not do.
@@ -88,6 +91,13 @@ def demo_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def regions_bytes(result):
+    """The regions CSV as one bytes object; every chunk must end a row."""
+    chunks = list(regions_csv_chunks(result))
+    assert all(chunk.endswith(b"\n") for chunk in chunks)
+    return b"".join(chunks)
 
 
 @pytest.fixture()
@@ -222,9 +232,9 @@ class TestRunPipeline:
         config = demo_config(smoothing_seed=7)
         first = run_pipeline(config)
         second = run_pipeline(config)
-        assert regions_csv(first) == regions_csv(second)
+        assert regions_bytes(first) == regions_bytes(second)
         other = run_pipeline(demo_config(smoothing_seed=8))
-        assert regions_csv(first) != regions_csv(other)
+        assert regions_bytes(first) != regions_bytes(other)
         assert first.document["config"]["smoothed"] is True
         assert first.document["config"]["smoothing_seed"] == 7
         plain = run_pipeline(demo_config()).document["config"]
@@ -358,9 +368,23 @@ class TestSimulateOnline:
         assert lines[1].endswith(",0.0")
 
 
+# The config figures whose kind holds values no run accepts, drawn from the
+# range a run accepts instead.
+RUN_RANGES = {
+    ("measure", "kind"): st.sampled_from(MEASURE_KINDS),
+    ("measure", "k"): st.integers(min_value=1, max_value=2**63),
+    ("threshold",): st.floats(min_value=0.0, max_value=1.0),
+    ("split", "proper_fraction"): st.floats(
+        min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+    ),
+}
+
+
 def figure_values(field):
     """Values of a report figure's kind, and None where the field allows it."""
-    if field.kind == pipeline._OBJECT:
+    if field.path in RUN_RANGES:
+        values = RUN_RANGES[field.path]
+    elif field.kind == pipeline._OBJECT:
         # The config's split is the only object figure.
         values = figure_block(pipeline._SPLIT_FIELDS).map(lambda block: block["split"])
     elif field.kind == pipeline._LEVELS:
@@ -499,7 +523,7 @@ class TestReportRendering:
 
     def test_regions_csv_contents(self):
         result = run_pipeline(demo_config(epsilons=(0.2, 0.05)))
-        lines = regions_csv(result).decode("utf-8").splitlines()
+        lines = regions_bytes(result).decode("utf-8").splitlines()
         assert lines[0] == "epsilon,id,true_label,p_pos,p_neg,region"
         assert len(lines) == 1 + 2 * 3
         first = lines[1].split(",")
@@ -586,7 +610,7 @@ class TestRegionsWriter:
         for value, kind in ((0.0, PredictionRegion.BOTH), (1.0, PredictionRegion.EMPTY)):
             if value in result.regions:
                 assert set(result.regions[value].tolist()) == {REGIONS.index(kind)}
-        assert regions_csv(result) == oracles.regions_csv_rows(result)
+        assert regions_bytes(result) == oracles.regions_csv_rows(result)
 
     @pytest.mark.parametrize("odd", ["a,b", 'say "hi"', "two\nlines"])
     def test_one_id_among_many_that_csv_may_quote(self, odd):
@@ -596,7 +620,7 @@ class TestRegionsWriter:
         p_pos, p_neg = np.linspace(0.0, 1.0, 300), np.linspace(1.0, 0.0, 300)
         codes = region(p_pos, p_neg, SignificanceLevel(0.1))
         result = PipelineResult({}, (p_pos, p_neg), {0.1: codes}, test)
-        assert regions_csv(result) == oracles.regions_csv_rows(result)
+        assert regions_bytes(result) == oracles.regions_csv_rows(result)
 
     @pytest.mark.parametrize("odd", QUOTED_IDS)
     def test_a_csv_reader_reads_every_id_back(self, odd):
@@ -606,7 +630,7 @@ class TestRegionsWriter:
         p_pos, p_neg = np.linspace(0.0, 1.0, 300), np.linspace(1.0, 0.0, 300)
         codes = region(p_pos, p_neg, SignificanceLevel(0.1))
         result = PipelineResult({}, (p_pos, p_neg), {0.1: codes, 0.2: codes}, test)
-        text = regions_csv(result).decode("utf-8")
+        text = regions_bytes(result).decode("utf-8")
         rows = list(csv.reader(io.StringIO(text, newline="")))
         assert [row[1] for row in rows[1:]] == ids + ids
 
@@ -623,7 +647,7 @@ class TestRegionsWriter:
         assert codes.tolist() == [REGIONS.index(kind) for kind in REGIONS]
         both = np.full(4, REGIONS.index(PredictionRegion.BOTH))
         result = PipelineResult({}, (p_pos, p_neg), {0.1: codes, 0.0: both}, test)
-        assert regions_csv(result) == oracles.regions_csv_rows(result)
+        assert regions_bytes(result) == oracles.regions_csv_rows(result)
 
     def test_negative_zero_keeps_its_own_text(self):
         test = Dataset.from_columns(
@@ -635,5 +659,71 @@ class TestRegionsWriter:
             {0.1: np.array([0, 3])},
             test,
         )
-        assert regions_csv(result) == oracles.regions_csv_rows(result)
-        assert b",0.0,-0.0," in regions_csv(result)
+        assert regions_bytes(result) == oracles.regions_csv_rows(result)
+        assert b",0.0,-0.0," in regions_bytes(result)
+
+    @pytest.mark.parametrize(
+        "n_test, epsilons",
+        [
+            (CHUNK - 1, (0.1,)),
+            (CHUNK, (0.1,)),
+            (CHUNK + 1, (0.2, 0.1)),
+            (2 * CHUNK + 1, (0.3, 0.05, 0.2)),
+        ],
+        ids=["chunk-less-one", "chunk", "chunk-plus-one", "two-chunks-plus-one"],
+    )
+    def test_chunks_hold_whole_rows_across_boundaries(self, n_test, epsilons):
+        rng = np.random.default_rng(n_test)
+        ids = [f"t{i}" for i in range(n_test)]
+        # Quoted ids, one holding a newline, near the end of the first chunk and last.
+        ids[CHUNK - 3], ids[-1] = 'say "hi"', "two\nlines"
+        test = Dataset.from_columns(
+            ids, rng.integers(UNKNOWN, POSITIVE + 1, n_test), None, np.full((n_test, 2), 0.5)
+        )
+        p_pos, p_neg = rng.random(n_test), rng.random(n_test)
+        p_pos[-1], p_neg[0] = -0.0, -0.0
+        regions = {value: region(p_pos, p_neg, SignificanceLevel(value)) for value in epsilons}
+        result = PipelineResult({}, (p_pos, p_neg), regions, test)
+        chunks = list(regions_csv_chunks(result))
+        assert len(chunks) == 1 + len(epsilons) * -(-n_test // CHUNK)
+        assert regions_bytes(result) == oracles.regions_csv_rows(result)
+
+    def test_a_run_without_a_test_set_writes_the_header_alone(self):
+        result = run_pipeline(demo_config(test_path=None))
+        assert list(regions_csv_chunks(result)) == [oracles.regions_csv_rows(result)]
+
+    def test_peak_memory_does_not_grow_with_the_levels(self, tmp_path):
+        rng = np.random.default_rng(0)
+        calibration = write_votes(
+            tmp_path / "calibration.csv",
+            [f"c{i}" for i in range(2000)],
+            rng.integers(NEGATIVE, POSITIVE + 1, 2000),
+            100,
+            rng,
+        )
+        test = write_votes(
+            tmp_path / "test.csv",
+            [f"t{i}" for i in range(20_000)],
+            rng.integers(NEGATIVE, POSITIVE + 1, 20_000),
+            100,
+            rng,
+        )
+        result = run_pipeline(RunConfig(
+            positive_class="positive",
+            epsilons=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3),
+            calibration_path=calibration,
+            test_path=test,
+            smoothing_seed=0,
+        ))
+        one = PipelineResult({}, result.p_values, {0.1: result.regions[0.1]}, test=result.test)
+
+        def peak(result):
+            tracemalloc.start()
+            try:
+                for _ in regions_csv_chunks(result):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(result) <= 1.2 * peak(one)
