@@ -64,9 +64,9 @@ def _feature_limit(dim: int) -> float:
 
     With every feature within B, so is every mean of rows, so a centred
     coordinate lies within 2B and a squared norm or squared distance within
-    4 d B^2.  The k-nearest kernel adds two of those (|q|^2 + |p|^2, the
-    partial sums of -2 q.p, |last| + |kth| in its proof), up to 8 d B^2, and
-    then its rounding slack.  B = sqrt(max / (16 d)), with max the largest
+    4 d B^2.  The k-nearest kernel's proof adds two of those (|last| +
+    |kth|, scaled back from its float32 product), up to 8 d B^2, and then
+    its rounding slack.  B = sqrt(max / (16 d)), with max the largest
     float (`np.finfo(float).max`), keeps those sums within max / 2, so no
     square and no sum of the kernel overflows.
     """
@@ -211,8 +211,9 @@ class Dataset:
                 ),
             ]
         _check_rows(checks)
-        unique, first = np.unique(self.ids, return_index=True)
-        if unique.size < n:
+        # Hashing finds a repeat without the sort; the sort only names it.
+        if len(set(self.ids)) < n:
+            unique, first = np.unique(self.ids, return_index=True)
             repeats = np.ones(n, dtype=bool)
             repeats[first] = False
             row = int(np.argmax(repeats))

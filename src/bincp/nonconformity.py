@@ -7,6 +7,7 @@ grow with strangeness, so they are negated at the boundary of this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -162,7 +163,8 @@ def _pool_means(block: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 1 << 23
 # Candidates the shortlist keeps beyond the k nearest.
 _SHORTLIST_MARGIN = 8
-# Columns per group in the first stage of the shortlist.
+# Members per group at each of the shortlist's pruning levels: columns per
+# group, and groups per super-group.
 _GROUP = 8
 
 
@@ -172,56 +174,103 @@ def _k_nearest(
     """Indices and distances of the min(k, n) nearest of n points, per query.
 
     Each row is ordered by (distance, point index), and the distances are
-    those of `_distances`, bit for bit.  The GEMM form |q|^2 + |p|^2 - 2 q.p
-    on mean-centred data shortlists k + margin candidates per query, whose
-    distances are then computed directly.  The shortlist is taken in two
-    stages: a query's n values are viewed as `_GROUP` rows of `groups`
-    columns, so group g holds points g, g + groups, g + 2 groups, ...; the
-    k + margin groups with the smallest minima are kept, and their values
-    are cut to the shortlist.  A query whose shortlist cannot be proven to
-    hold its k nearest is ranked against all n points, so the result does
-    not depend on BLAS, its thread count or how the shortlist was taken.
-    Queries go through in blocks that keep scratch memory near
-    `_BLOCK_BYTES`.
+    those of `_distances`, bit for bit.  A float32 matrix product shortlists
+    k + margin candidates per query, whose distances are then computed
+    directly.  A query whose shortlist cannot be proven to hold its k
+    nearest is ranked against all n points, so the result does not depend
+    on BLAS, its thread count or how the shortlist was taken.  Queries go
+    through in blocks that keep scratch memory near `_BLOCK_BYTES`.
+
+    The product.  Points and queries are centred on the points' mean and
+    scaled by one power of two s, chosen from both so that no scaled
+    coordinate exceeds 1 and nothing overflows float32.  A point's row is
+    (-2 p, |p|^2) and a query's (q, 1), so the float32 product already holds
+    |p|^2 - 2 q.p: the Gram block is written once and read once.  |q|^2, a
+    constant per row, is added to the shortlist alone.  The points are
+    padded with zero rows to whole super-groups; a padding row's |p|^2 is
+    4 (d + 1), above any real value (at most 3 d plus rounding), so padding
+    is never shortlisted.
+
+    The shortlist.  A query's values are viewed as `_GROUP` rows of
+    `groups` columns, so group g holds points g, g + groups, ...; its group
+    minima are viewed the same way as `_GROUP` rows of super-groups.  The
+    k + margin super-groups with the smallest minima are kept, then the
+    k + margin groups with the smallest minima among their groups, then the
+    k + margin smallest values among those groups' columns; a level with no
+    more members than that keeps them all.  A value left out at any level
+    is >= the minimum of its super-group or group, which is >= the largest
+    minimum kept at that level; the members kept there hold k + margin
+    values no larger than that, so the value is >= last, the largest
+    shortlisted one.
+
+    The slack.  With u = 2^-24 and d < 2^22, a shortlisted value differs
+    from s^2 times the true squared distance by at most
+    slack = 4 (d + 4) u (|q|^2 + max |p|^2) + 16 (d + 1) 2^-126.
+    With S = |q|^2 + |p|^2 it counts:
+    - q and p centred in float64 and rounded to float32 after the exact
+      scaling: u + 2^-52 per coordinate, 4 u S in the squared distance;
+    - the (d + 1)-term float32 dot product, summed in any order:
+      g (|q|^2 + 2 |p|^2) <= 2 g S, with g = (d + 1) u / (1 - (d + 1) u);
+    - |p|^2 summed in float64 and rounded to float32: u |p|^2;
+    - |q|^2 summed in float64 and added in float64: under u S;
+    - float32 subnormals, kept or flushed to zero: at most 2^-126 per
+      coordinate, product and sum, (11 d + 3) 2^-126 in all.
+    As (d + 1) u <= 1/4, g <= 4 (d + 1) u / 3, and the relative terms sum
+    to under 4 (d + 4) u S, second-order terms included.  Scaled back by
+    s^-2, every left-out point has a true squared distance >= last - slack,
+    and k shortlisted points lie within kth + slack.  A gap that also clears
+    the float64 direct form's rounding, relative (`direct_error`) and
+    absolute (d 2^-1074 for its subnormal squares, plus the rounding of the
+    scaled-back values), puts every left-out point strictly beyond the k-th
+    nearest.  Points beyond `core._feature_limit` can overflow the
+    scaled-back values; such a row is not proven.
     """
     n, dim = points.shape
     k = min(k, n)
-    if k == 0:
-        return np.empty((len(queries), 0), dtype=np.intp), np.empty((len(queries), 0))
+    if k == 0 or not len(queries):
+        return np.empty((len(queries), k), dtype=np.intp), np.empty((len(queries), k))
     width = min(n, k + _SHORTLIST_MARGIN)
-    groups = -(-n // _GROUP)
-    kept = min(width, groups)
+    supers = -(-n // _GROUP**2)
+    groups = supers * _GROUP
     center = points.mean(axis=0)
     # Points as columns, as `_distances` reads them.
     coords = np.ascontiguousarray(points.T)
-    shifted = coords - center[:, None]
-    sq_points = _row_sums(shifted * shifted)
-    # -2 p, padded with zero rows to whole groups whose |p|^2 is +inf, so a
-    # block is finished by one addition and padding is never shortlisted
-    # ahead of a finite value.  Scaling by a power of two is exact.
-    scaled = np.zeros((groups * _GROUP, dim))
-    np.multiply(shifted.T, -2.0, out=scaled[:n])
-    padded = np.full(groups * _GROUP, np.inf)
-    padded[:n] = sq_points
-    # Column j of group g, for the gather of the kept groups.
-    strides = (groups * np.arange(_GROUP))[:, None]
-    eps = np.finfo(float).eps
-    # |GEMM value - true squared distance| <= gemm_error * (|q|^2 + max |p|^2),
-    # counting the dot product, both norms, the two sums that add |p|^2
-    # and |q|^2, and the centring.
-    gemm_error = 4 * (dim + 4) * eps
-    # Relative error of a direct-form squared distance and its square root.
-    direct_error = 2 * (dim + 8) * eps
-    # Per row: the Gram block, the group minima and their partition, the
-    # kept columns with their values and partition, the direct form.
-    rows = max(
-        1,
-        _BLOCK_BYTES
-        // (8 * (groups * _GROUP + 2 * groups + 3 * _GROUP * kept + width * dim)),
+    shifted = points - center
+    # Rounding is monotone, so each coordinate's extreme queries give the
+    # largest centred query coordinate.
+    largest = max(
+        np.abs(shifted).max(initial=0.0),
+        np.abs(queries.max(axis=0) - center).max(initial=0.0),
+        np.abs(queries.min(axis=0) - center).max(initial=0.0),
     )
+    shift = -math.frexp(largest)[1]
+    # Rows (-2 p, |p|^2), padded to whole super-groups.
+    bag = np.zeros((groups * _GROUP, dim + 1), dtype=np.float32)
+    np.ldexp(shifted, shift, out=bag[:n, :dim])
+    sq_points = np.square(bag[:n, :dim], dtype=float).sum(axis=1)
+    bag[:n, :dim] *= -2
+    bag[:n, dim] = sq_points
+    bag[n:, dim] = 4 * (dim + 1)
+    # The slack in scaled units is rel_error |q|^2 + slack_floor.
+    rel_error = 4 * (dim + 4) * 2.0**-24
+    slack_floor = rel_error * sq_points.max() + 16 * (dim + 1) * 2.0**-126
+    # Relative and absolute error of a direct-form squared distance and its
+    # square root; the absolute part also takes the scaled-back values'.
+    direct_error = 2 * (dim + 8) * np.finfo(float).eps
+    direct_floor = (dim + 4) * np.finfo(float).smallest_subnormal
+    # Per row: the float32 Gram block and its group minima, the super-group
+    # minima and their partition, each lower level's kept members with
+    # their flat indices, values and partition, and the direct form.
+    per_row = 4 * groups * (_GROUP + 1) + 12 * supers + 56 * _GROUP * width
+    rows = max(1, _BLOCK_BYTES // (per_row + 16 * width * (dim + 1)))
     # One Gram buffer serves every block: a new matrix per block would be
     # allocated while the last one is still held, and fault in its pages.
-    buffer = np.empty((min(rows, len(queries)), groups * _GROUP))
+    buffer = np.empty((min(rows, len(queries)), groups * _GROUP), dtype=np.float32)
+    lifted = np.ones((len(buffer), dim + 1), dtype=np.float32)
+    # Each row's offset in a flattened level, per unit of its width, and
+    # the offset of a group's members per unit of the group count.
+    lines = np.arange(len(buffer))[:, None]
+    steps = np.arange(_GROUP)[:, None]
     index = np.empty((len(queries), k), dtype=np.intp)
     dist = np.empty((len(queries), k))
     for start in range(0, len(queries), rows):
@@ -231,39 +280,34 @@ def _k_nearest(
             cand = np.broadcast_to(np.arange(n), (len(block), n))
             proven = np.ones(len(block), dtype=bool)
         else:
-            q = block - center
-            sq_q = _row_sums(np.square(q).T)
-            gram = np.matmul(q, scaled.T, out=buffer[: len(block)])
-            gram += padded
+            q = lifted[: len(block)]
+            np.ldexp(block - center, shift, out=q[:, :dim])
+            sq_q = np.square(q[:, :dim], dtype=float).sum(axis=1)
+            gram = np.matmul(q, bag.T, out=buffer[: len(block)])
             minima = gram.reshape(len(block), _GROUP, groups).min(axis=1)
-            best = np.argpartition(minima, kept - 1, axis=1)[:, :kept]
-            cols = (best[:, None, :] + strides).reshape(len(block), -1)
-            values = np.take_along_axis(gram, cols, axis=1)
-            pick = np.argpartition(values, width - 1, axis=1)[:, :width]
-            cand = np.take_along_axis(cols, pick, axis=1)
+            tops = minima.reshape(len(block), _GROUP, supers).min(axis=1)
+            keep = min(width, supers)
+            cand = np.argpartition(tops, keep - 1, axis=1)[:, :keep]
+            # Groups of the kept super-groups, then columns of the kept groups.
+            for level in (minima, gram):
+                span = level.shape[1]
+                members = (cand[:, None, :] + span // _GROUP * steps).reshape(len(block), -1)
+                values = np.take(level, members + span * lines[: len(block)])
+                keep = min(width, members.shape[1])
+                pick = np.argpartition(values, keep - 1, axis=1)[:, :keep]
+                cand = np.take_along_axis(members, pick, axis=1)
             cand.sort(axis=1)
-            # A row whose values overflow has an infinite last or slack and
-            # takes the fallback; its padding must not index past the bag.
-            np.minimum(cand, n - 1, out=cand)
             # |q|^2 is added to the shortlist alone: a constant per row does
             # not change the order within the row.
-            shortlist = np.take_along_axis(values, pick, axis=1)
-            shortlist += sq_q[:, None]
+            shortlist = np.take_along_axis(values, pick, axis=1) + sq_q[:, None]
             kth = np.partition(shortlist, k - 1, axis=1)[:, k - 1]
             last = shortlist.max(axis=1)
-            # With fewer than `width` groups every group is kept.  Otherwise
-            # a column outside the kept groups is >= its group's minimum,
-            # which is >= the largest kept minimum; the `width` kept groups
-            # hold `width` values no larger than that, so it is >= last.
-            # Points left out therefore have GEMM values >= last, so true
-            # squared distances >= last - slack; k shortlisted points lie
-            # within kth + slack.  A gap that also clears the direct form's
-            # rounding puts every left-out point strictly beyond the k-th
-            # nearest.
-            slack = gemm_error * (sq_q + sq_points.max())
+            kth, last, slack = (
+                np.ldexp(x, -2 * shift) for x in (kth, last, rel_error * sq_q + slack_floor)
+            )
             proven = last - kth > 2 * slack + direct_error * (
                 np.abs(last) + np.abs(kth) + 2 * slack
-            )
+            ) + direct_floor
         d = _distances(coords[:, cand], block.T[:, :, None])
         order = np.argsort(d, axis=1, kind="stable")[:, :k]
         index[start:stop] = np.take_along_axis(cand, order, axis=1)

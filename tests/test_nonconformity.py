@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ def _scoring_layouts():
     """(name, points, labels, queries) cases for the batch scoring oracle.
 
     Every bag has 60 points in 10 dimensions and two classes of about 30,
-    except the one-class bag.
+    except the one-class bag.  The last four sit at the extremes of the
+    kernel's power-of-two scaling.
     """
     rng = np.random.default_rng(20)
     points = rng.normal(size=(60, 10))
@@ -40,19 +42,46 @@ def _scoring_layouts():
     close = tied[0] + 1e-2 * rng.normal(size=(6, 10))
     yield "tied", tied, labels, np.vstack([tied[:1], close, queries])
 
+    # Squared distances from the origin of 1 + 2e-8 j, j = 0..59 in shuffled
+    # order: the k-th and (k + margin)-th differ by 1.6e-7, far above the
+    # rounding of a float64 product (about 1e-14 here) but below that of a
+    # float32 one (about 3e-6), so these rows must take the exact fallback.
+    sphere = rng.normal(size=(60, 10))
+    sphere *= (1.0 + 1e-8 * rng.permutation(60))[:, None] / np.linalg.norm(sphere, axis=1)[:, None]
+    near_origin = np.vstack([np.zeros(10), 1e-9 * rng.normal(size=(3, 10))])
+    yield "float32-resolution", sphere, labels, near_origin
+
+    limit = _feature_limit(10)
+    spread = rng.uniform(-1.0, 1.0, size=(72, 10)) * limit
+    yield "feature-limit", spread[:60], labels, spread[60:]
+
+    yield "tiny", points * 1e-30, labels, queries * 1e-30
+
+    # The queries set the scale, so the bag's spread is about 1e-6 of it.
+    yield "far-query", points * 1e-3, labels, queries + 1e3
+
+    # One far query sets the scale, so the bag's scaled coordinates are
+    # near 2^-72 and their float32 squares and products are subnormal.
+    shell = rng.normal(size=(60, 10))
+    shell *= ((1.0 + 1e-3 * rng.permutation(60)) / np.linalg.norm(shell, axis=1))[:, None]
+    yield "float32-subnormal", shell * 2.0**-72, labels, np.vstack([np.ones(10), np.zeros(10)])
+
 
 def _grouped_layouts():
     """(name, points, labels, queries) cases whose shortlist prunes groups.
 
-    Bags hold about 1,000 points, a size that is not a multiple of
-    `_GROUP`, so each class pool has more groups than k + margin for every
-    k the tests use, and the last group is padded.  Queries include the
-    bag's mean, where a padding row would be nearest if it were not
-    excluded.
+    Bags hold 2,587 points.  The shortlist pads them to whole super-groups
+    of `_GROUP`**2 columns, 41 of them; neither the size nor its group count
+    (324) is a multiple of `_GROUP`, so both levels hold padding.  Each
+    class pool has about 21 super-groups, so for k up to 9 the super-group
+    level prunes in either measure, and for k = 40 it keeps them all.
+    Queries include the bag's mean, where a padding row would be nearest if
+    it were not excluded.
     """
     size = nonconformity._GROUP
-    n = size * (1000 // size) + 3
-    groups = -(-n // size)
+    n = size**2 * 40 + 27
+    supers = -(-n // size**2)
+    groups = supers * size
     rng = np.random.default_rng(21)
     for dim in (10, 2, 1):
         points = rng.normal(size=(n, dim))
@@ -63,12 +92,14 @@ def _grouped_layouts():
         )
         yield f"d={dim}", points, rng.random(n) < 0.5, queries
 
+    # Column j is in group j mod groups and super-group j mod supers.
     points = rng.normal(size=(n, 10))
     labels = rng.random(n) < 0.5
     dup = points.copy()
     first = np.arange(0, 40, 4)
-    dup[first + groups] = dup[first]  # columns i and i + groups: one group
-    dup[first + 2] = dup[first]  # two groups apart
+    dup[first + groups] = dup[first]  # one group
+    dup[first + supers] = dup[first]  # one super-group, two groups
+    dup[first + 2] = dup[first]  # two super-groups
     near = dup[first[:4]] + 1e-3 * rng.normal(size=(4, 10))
     queries = np.vstack([dup[first[:6]], near, points.mean(axis=0)])
     yield "duplicates", dup, labels, queries
@@ -86,18 +117,25 @@ def _grouped_layouts():
     close = tied[copies[0]] + 1e-2 * rng.normal(size=(6, 10))
     yield "tied", tied, tied_labels, np.vstack([tied[copies[:1]], close])
 
-    # For each k, a cluster of exactly k + margin copies of one point, one
-    # copy per group and far from the rest, labelled alternately in index
-    # order.  Every copy's group must be kept: a shortlist one group short
-    # would prove a row that leaves out a copy, and which copies fill the
-    # k nearest (ties go to the lower index) changes the score.
+    # For each k, a cluster of exactly k + margin copies of one point, far
+    # from the rest and labelled alternately in index order: one copy per
+    # super-group for k up to 9, one per group for k = 40 (more copies than
+    # super-groups).  Every copy's super-group and group must be kept: a
+    # shortlist one short would prove a row that leaves out a copy, and
+    # which copies fill the k nearest (ties go to the lower index) changes
+    # the score.
     crowd, crowd_labels = points.copy(), labels.copy()
     centres = 20.0 * np.eye(4, 10)
-    slots = rng.permutation(groups - 1)
+    residues, taken = rng.permutation(supers), []
     for centre, k in zip(centres, (1, 5, 9, 40)):
         count = k + nonconformity._SHORTLIST_MARGIN
-        chosen, slots = slots[:count], slots[count:]
-        # Any row of groups but the last stays inside the bag.
+        if k < 40:
+            chosen, residues = residues[:count], residues[count:]
+            chosen = chosen + supers * rng.integers(0, size, count)
+        else:
+            chosen = rng.choice(np.setdiff1d(np.arange(groups), taken), count, replace=False)
+        taken.extend(chosen)
+        # Rows 0 to 6 of any group lie inside the bag.
         columns = chosen + groups * rng.integers(0, size - 1, count)
         crowd[columns] = centre
         crowd_labels[np.sort(columns)] = np.arange(count) % 2 == 0
@@ -429,10 +467,12 @@ class TestScoreDataset:
     def test_batch_scoring_matches_single_point_scoring(self, kind, k, monkeypatch):
         # Bit-for-bit oracle for the blocked k-nearest kernel; k=60 is the
         # whole bag.  The "tied" layout puts 55 copies of one point next to
-        # the queries, more than k + margin, so the exact fallback must run.
+        # the queries, more than k + margin, and the "float32-resolution"
+        # one spaces its points below the float32 product's rounding, so
+        # the exact fallback must run in both.
         fallback = self._check_layouts(_scoring_layouts(), kind, k, monkeypatch)
         if k <= 9:
-            assert "tied" in fallback, "exact fallback did not run"
+            assert {"tied", "float32-resolution"} <= fallback, "exact fallback did not run"
 
     @pytest.mark.parametrize("kind", ["knn_ratio", "knn_prob"])
     @pytest.mark.parametrize("k", [1, 5, 9, 40])
@@ -440,12 +480,15 @@ class TestScoreDataset:
         self, kind, k, monkeypatch
     ):
         # The same oracle on bags large enough that the shortlist keeps only
-        # some of the groups of each class pool.
+        # some of the groups of each class pool, and some of the super-groups
+        # too for k up to 9, while k = 40 keeps every super-group.
+        size, width = nonconformity._GROUP, k + nonconformity._SHORTLIST_MARGIN
         for layout, points, labels, _ in _grouped_layouts():
-            assert len(points) % nonconformity._GROUP != 0
-            smallest_pool = min(labels.sum(), (~labels).sum())
-            groups = -(-smallest_pool // nonconformity._GROUP)
-            assert groups > k + nonconformity._SHORTLIST_MARGIN, layout
+            assert -(-len(points) // size) % size != 0, layout
+            pools = [len(points)] if kind == "knn_prob" else [labels.sum(), (~labels).sum()]
+            for pool in pools:
+                assert -(-pool // size) > width, layout
+                assert (-(-pool // size**2) > width) == (k < 40), layout
         fallback = self._check_layouts(_grouped_layouts(), kind, k, monkeypatch)
         assert "tied" in fallback, "exact fallback did not run"
 
@@ -463,6 +506,50 @@ class TestScoreDataset:
                     nearest = np.argsort(d, kind="stable")[:5]
                     assert got_index.tolist() == nearest.tolist()
                     assert got_dist.tolist() == d[nearest].tolist()
+
+    @pytest.mark.parametrize("seed", [5, 9, 14])
+    def test_subnormal_squared_distances_fall_back(self, seed):
+        # Points at radii 1e-160 (1 + 2e-5 j) from the query: squared
+        # distances near 1e-320 are subnormal, so the direct form rounds
+        # each square to steps of about 5e-4 of the whole and ties points
+        # that the scaled product tells apart.  Only the proof's absolute
+        # term leaves those rows to the exact fallback.
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(60, 10))
+        radii = (1.0 + 2e-5 * rng.permutation(60)) * 1e-160
+        points *= (radii / np.linalg.norm(points, axis=1))[:, None]
+        query = np.zeros(10)
+        d = oracles.distances(points, query)
+        for k in (1, 2, 5, 9):
+            index, dist = nonconformity._k_nearest(query[None], points, k)
+            nearest = np.argsort(d, kind="stable")[:k]
+            assert index[0].tolist() == nearest.tolist(), k
+            assert dist[0].tolist() == d[nearest].tolist(), k
+
+    def test_blocks_of_one_query_give_the_same_neighbours(self, monkeypatch):
+        # 2,000 points: both pruning levels cut.
+        rng = np.random.default_rng(6)
+        points, queries = rng.normal(size=(2_000, 4)), rng.normal(size=(40, 4))
+        queries[:4] = points[:4]
+        expected = nonconformity._k_nearest(queries, points, 5)
+        monkeypatch.setattr(nonconformity, "_BLOCK_BYTES", 1)
+        got = nonconformity._k_nearest(queries, points, 5)
+        assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+
+    def test_scratch_memory_stays_near_the_block_size(self):
+        # The Gram block is float32: a row count reckoned in 8-byte entries
+        # would use half the block, one that ignored the other scratch would
+        # overshoot it.
+        rng = np.random.default_rng(7)
+        points, queries = rng.normal(size=(5_600, 10)), rng.normal(size=(2_000, 10))
+        tracemalloc.start()
+        try:
+            index, dist = nonconformity._k_nearest(queries, points, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = peak - index.nbytes - dist.nbytes
+        assert 0.75 <= scratch / nonconformity._BLOCK_BYTES <= 1.25
 
     def test_duplicate_points_across_classes_score_to_negative_infinity(self):
         bag = bag_of(((0.0,), Label.NEGATIVE), ((0.0,), Label.POSITIVE))
