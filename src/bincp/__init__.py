@@ -27,7 +27,7 @@ from .icp import (
 )
 from .nonconformity import MeasureSpec, TrainingBag, score_dataset
 from .online import full_cp_pvalue, run_online
-from .pipeline import OnlineConfig, RunConfig, emit_report, run_pipeline, simulate_online
+from .pipeline import RunConfig, emit_report, run_pipeline, simulate_online
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "Dataset",
     "Label",
     "MeasureSpec",
-    "OnlineConfig",
     "PredictionRegion",
     "RunConfig",
     "Sample",

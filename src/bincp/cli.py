@@ -17,7 +17,6 @@ from .nonconformity import MeasureSpec
 from .icp import SplitConfig
 from .pipeline import (
     REPORT_FORMATS,
-    OnlineConfig,
     RunConfig,
     emit_report,
     parse_report,
@@ -174,15 +173,7 @@ def _cmd_simulate_online(args: argparse.Namespace) -> int:
     epsilons = _epsilons(args)
     if len(epsilons) != 1:
         raise CliError(f"simulate-online takes one --epsilon or --confidence, got {len(epsilons)}")
-    rounds = simulate_online(
-        OnlineConfig(
-            data_path=args.data,
-            positive_class=args.positive_class,
-            epsilon=epsilons[0],
-            initial_size=args.initial_size,
-            k=args.k,
-        )
-    )
+    rounds = simulate_online(args.data, args.positive_class, epsilons[0], args.initial_size, args.k)
     _write_output(args.out, [trajectory_csv(rounds)])
     return 0
 

@@ -59,6 +59,7 @@ def label_names(labels: np.ndarray) -> list[str]:
     return np.array(["", str(Label.NEGATIVE), str(Label.POSITIVE)])[labels + 1].tolist()
 
 
+@functools.cache
 def _feature_limit(dim: int) -> float:
     """The largest |feature| that rows of `dim` features may hold.
 
@@ -71,6 +72,17 @@ def _feature_limit(dim: int) -> float:
     square and no sum of the kernel overflows.
     """
     return math.sqrt(float(np.finfo(float).max) / (16 * max(dim, 1)))
+
+
+def _check_points(points: np.ndarray, what: str) -> None:
+    """Raise unless every coordinate of `points` is finite and within
+    `_feature_limit` of their dimension, the last axis."""
+    limit = _feature_limit(points.shape[-1])
+    # A NaN fails the comparison as well.
+    if not np.abs(points).max(initial=0.0) <= limit:
+        if not np.isfinite(points).all():
+            raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} must be within ±{limit:.4g}, or squared distances overflow")
 
 
 class RowError(ValueError):
@@ -236,8 +248,9 @@ class Dataset:
         """The same rows carrying the given (n, 2) score column."""
         return Dataset.from_columns(self.ids, self.labels, self.features, scores, probability)
 
-    def missing(self, *columns: str) -> list[str]:
-        """Ids of up to five rows lacking one of the named columns.
+    def require(self, *columns: str, why: str) -> None:
+        """Raise `ValueError` as "`why`, missing for [ids]" if a row lacks a
+        named column, naming up to five such rows.
 
         Names are "features", "scores" and "labels" (a label is missing
         where it is unknown).
@@ -248,7 +261,8 @@ class Dataset:
                 lacking |= self.labels == UNKNOWN
             elif getattr(self, name) is None:
                 lacking[:] = True
-        return self.ids[lacking][:5].tolist()
+        if lacking.any():
+            raise ValueError(f"{why}, missing for {self.ids[lacking][:5].tolist()}")
 
     @property
     def positive(self) -> np.ndarray:

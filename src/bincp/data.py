@@ -1,6 +1,8 @@
 """CSV ingestion and emission, bundled fixtures, and the synthetic generator.
 
-File contract: UTF-8, comma separated, dot decimals, header required.
+File contract: UTF-8, comma separated, dot decimals, header required.  A
+leading byte order mark, as Excel writes, is skipped; a byte that does not
+decode is an error naming its line.
 Columns are `id,label[,x1..xm][,s_pos,s_neg]`; score columns carry class
 probabilities (s_pos belongs to whichever class the caller names positive).
 An empty label field means the label is unknown.
@@ -22,6 +24,7 @@ writes quotes its fields by one rule, `_quoted`.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import importlib.resources
 import math
@@ -134,7 +137,7 @@ def _record_lines(path: Path, *records: int) -> list[int]:
     Records count from 0 after the header.  The file is read again with a
     fresh reader, so only error messages pay for it.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         starts = []
         for _ in range(max(records) + 2):
@@ -179,24 +182,35 @@ def _read_columns(
 def _read_plain(path: Path) -> tuple | None:
     """`_read_csv`'s tuple from one `np.loadtxt` call, or None if the file is not plain.
 
-    A file is plain when it decodes as UTF-8, holds no byte of `_NOT_PLAIN`
-    and no empty line, has no field longer than `csv.field_size_limit()`
-    bytes, and `np.loadtxt` reads it with one row per line and no NaN.  Each
-    line of a plain file is its fields joined by commas, as the csv module
-    reads them, and the C reader parses every number it accepts there to the
-    bits of `float()`, so the csv path would build the same dataset.  The
-    header is checked by `_parse_header`, as on the csv path.
+    The whole file is decoded here, for both paths: a byte that is not
+    UTF-8 raises `DataFormatError` naming its line.  A file is plain when
+    it holds no byte of `_NOT_PLAIN` and no empty line, has no field longer
+    than `csv.field_size_limit()` bytes, and `np.loadtxt` reads it with one
+    row per line and no NaN.  Each line of a plain file is its fields
+    joined by commas, as the csv module reads them, and the C reader parses
+    every number it accepts there to the bits of `float()`, so the csv path
+    would build the same dataset.  The header is checked by `_parse_header`,
+    as on the csv path.
     """
     raw = path.read_bytes()
-    if raw.startswith(b"\n") or b"\n\n" in raw or any(byte in raw for byte in _NOT_PLAIN):
-        return None
-    codes = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
-    if np.diff(ends, prepend=-1, append=codes.size).max() - 1 > csv.field_size_limit():
-        return None
+    if raw.startswith(codecs.BOM_UTF8):
+        # A byte order mark is no part of the header.
+        raw = raw[len(codecs.BOM_UTF8) :]
+    plain = not (
+        raw.startswith(b"\n") or b"\n\n" in raw or any(byte in raw for byte in _NOT_PLAIN)
+    )
+    if plain:
+        codes = np.frombuffer(raw, np.uint8)
+        ends = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+        plain = np.diff(ends, prepend=-1, append=codes.size).max() - 1 <= csv.field_size_limit()
     try:
         text = raw.decode("utf-8")
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as err:
+        line = len(re.findall(rb"\r\n?|\n", raw[: err.start])) + 1
+        raise DataFormatError(
+            f"{path}:{line}: byte {raw[err.start]:#04x} is not UTF-8 ({err.reason})"
+        ) from None
+    if not plain:
         return None
     first, *lines = text.removesuffix("\n").split("\n")
     if not lines:
@@ -222,7 +236,7 @@ def _read_csv(path: Path) -> tuple:
     `ids` and `labels` hold every row read, `values` the rows before the
     first bad line, and `fault` that line and why it is bad, or None.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

@@ -103,9 +103,7 @@ class CalibrationTable:
 
 def _check_scored(data: Dataset, name: str) -> None:
     """Raise unless the `name` set has rows, each with scores and a label."""
-    missing = data.missing("scores", "labels")
-    if missing:
-        raise ValueError(f"{name} samples need scores and labels, missing for {missing}")
+    data.require("scores", "labels", why=f"{name} samples need scores and labels")
     if len(data) == 0:
         raise ValueError(f"{name} set must not be empty")
 
@@ -177,7 +175,5 @@ def predict_set(
 
     They are smoothed exactly when `rng` is given, as in `p_values`.
     """
-    missing = tests.missing("scores")
-    if missing:
-        raise ValueError(f"test samples need scores, missing for {missing}")
+    tests.require("scores", why="test samples need scores")
     return p_values(table, tests.scores[:, 0], tests.scores[:, 1], rng=rng)

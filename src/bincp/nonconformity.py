@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Dataset, Label, _check_label, _feature_limit
+from .core import Dataset, Label, _check_label, _check_points
 
 MEASURE_KINDS = ("knn_ratio", "knn_prob", "passthrough")
 
@@ -53,13 +53,7 @@ class TrainingBag:
         points = np.array(self.points, dtype=float)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("bag needs a nonempty (n, m) point array")
-        if not np.isfinite(points).all():
-            raise ValueError("bag points must be finite")
-        limit = _feature_limit(points.shape[1])
-        if (np.abs(points) > limit).any():
-            raise ValueError(
-                f"bag points must be within ±{limit:.4g}, or squared distances overflow"
-            )
+        _check_points(points, "bag points")
         labels = np.array(self.is_positive, dtype=bool)
         if labels.shape != (points.shape[0],):
             raise ValueError("one label per bag point required")
@@ -81,11 +75,7 @@ class TrainingBag:
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "TrainingBag":
-        missing = data.missing("features", "labels")
-        if missing:
-            raise ValueError(
-                f"bag samples need features and labels, missing for {missing}"
-            )
+        data.require("features", "labels", why="bag samples need features and labels")
         return cls(data.features, data.positive)
 
     def __len__(self) -> int:
@@ -333,18 +323,14 @@ def score_dataset(
     of `data`.
     """
     if measure.kind == "passthrough":
-        missing = data.missing("scores")
-        if missing:
-            raise ValueError(f"passthrough needs precomputed scores, missing for {missing}")
+        data.require("scores", why="passthrough needs precomputed scores")
         return data
 
     if bag is None:
         raise ValueError(f"measure {measure.kind!r} needs a training bag")
     if len(data) == 0:
         return data.with_scores(np.empty((0, 2)), measure.kind == "knn_prob")
-    missing = data.missing("features")
-    if missing:
-        raise ValueError(f"measure {measure.kind!r} needs features, missing for {missing}")
+    data.require("features", why=f"measure {measure.kind!r} needs features")
     queries = data.features
     if queries.shape[1] != bag.dim:
         raise ValueError(

@@ -7,16 +7,18 @@ the augmented bag itself: every member (candidate included) is scored
 leave-one-out, and the p-value is the fraction of members at least as
 strange as the candidate.  No separate calibration set exists.
 
-One engine, `_OnlineSession`, implements this.  It holds the bag by class
-and coordinate-major, and caches every member's k nearest same-label and
-other-label distances, their means and its alpha, so a round computes the
-candidate's distances once and rescores only the members U whose k nearest
-it enters: O(n * d + k * |U|) for a bag of n points in d dimensions, plus
-amortised buffer growth, each O(n) pass elementwise over contiguous rows.
-`run_online` drives it over a stream, one item a round, then reads every
-round's region off the p-value columns with one `icp.region` call and its
-errors off `core.COVERAGE`, as evaluation does.  `full_cp_pvalue` is the
-p-value of a single candidate.
+One engine, `_OnlineSession`, implements this, and a round is one call of
+its `step`: it checks the candidate and its label, computes both p-values
+before it reads the label, then absorbs the candidate.  It holds the bag
+by class and coordinate-major, and caches every member's k nearest
+same-label and other-label distances, their means and its alpha, so a
+round computes the candidate's distances once and rescores only the members
+U whose k nearest it enters: O(n * d + k * |U|) for a bag of n points in d
+dimensions, plus amortised buffer growth, each O(n) pass elementwise over
+contiguous rows.  `run_online` drives it over a stream, one `step` a round,
+then reads every round's region off the p-value columns with one
+`icp.region` call and its errors off `core.COVERAGE`, as evaluation does.
+`full_cp_pvalue` is the p-value of a single candidate.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import COVERAGE, NEGATIVE, POSITIVE, REGIONS, Label, PredictionRegion, SignificanceLevel
-from .core import _check_label, _feature_limit
+from .core import _check_label, _check_points
 from .icp import region
-from .nonconformity import TrainingBag, _distances, _k_nearest, _pool_means, _ratio_array
+from .nonconformity import MeasureSpec, TrainingBag, _distances, _k_nearest
+from .nonconformity import _pool_means, _ratio_array
 
 
 def _insert(block: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -57,11 +60,9 @@ class _OnlineSession:
     """
 
     def __init__(self, bag: TrainingBag, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        MeasureSpec("knn_ratio", k)  # the batch measure's k rule
         self.k, self.n = k, len(bag)
         self.n_pos = int(bag.is_positive.sum())
-        self.limit = _feature_limit(bag.dim)
         classes = bag.points[bag.is_positive], bag.points[~bag.is_positive]
         self.coords = np.ascontiguousarray(np.concatenate(classes).T)
         self.lists = np.full((2, min(k, self.n), self.n), np.inf)
@@ -75,22 +76,16 @@ class _OnlineSession:
         self.means = _pool_means(self.lists)
         self.alphas = _ratio_array(*self.means)
         self.reach = np.maximum(*self.lists[:, -1])
-        self._pending = None
 
-    def p_values(self, features: Sequence[float]) -> tuple[float, float]:
-        """Leave-one-out p-values of a candidate labelled positive and negative."""
-        self._pending = None
+    def step(self, features: Sequence[float], label: Label) -> tuple[float, float]:
+        """One round: the leave-one-out p-values of a candidate labelled
+        positive and negative; then the candidate joins the bag with its
+        revealed `label`.  Both inputs are checked before the bag changes."""
+        h = 0 if _check_label(label) is Label.POSITIVE else 1
         point = np.asarray(list(features), dtype=float)
         if point.shape != (len(self.coords),):
             raise ValueError(f"expected {len(self.coords)} features, got {point.shape}")
-        # A NaN fails the comparison as well.
-        if not np.abs(point).max(initial=0.0) <= self.limit:
-            if not np.isfinite(point).all():
-                raise ValueError("candidate features must be finite")
-            raise ValueError(
-                f"candidate features must be within ±{self.limit:.4g}, "
-                "or squared distances overflow"
-            )
+        _check_points(point, "candidate features")
         n, n_pos, rows = self.n, self.n_pos, len(self.lists[0])
         d = _distances(self.coords[:, :n], point[:, None])
         # Only members nearer the candidate than their reach gain it as a
@@ -126,18 +121,10 @@ class _OnlineSession:
         a_c = alphas[:, -1:]
         count = (self.alphas[:n] >= a_c).sum(axis=1) + (alphas >= a_c).sum(axis=1)
         count -= (self.alphas[changed] >= a_c).sum(axis=1)
-        self._pending = point, changed, m_pos, lists, new, alphas
-        return float(count[0] / (n + 1)), float(count[1] / (n + 1))
+        p_values = float(count[0] / (n + 1)), float(count[1] / (n + 1))
 
-    def absorb(self, label: Label) -> None:
-        """Add the last `p_values` candidate, once, with its revealed label."""
-        if self._pending is None:
-            raise ValueError("absorb needs a candidate from p_values first")
-        point, changed, m_pos, lists, new, alphas = self._pending
-        self._pending = None
-        h, n = (0 if label is Label.POSITIVE else 1), self.n
-        # The candidate joins side h of the positives' lists and side 1 - h
-        # of the negatives'.
+        # The label is revealed: the candidate joins side h of the
+        # positives' lists and side 1 - h of the negatives'.
         for side, members, cols in ((h, changed[:m_pos], slice(0, m_pos)),
                                     (1 - h, changed[m_pos:], slice(m_pos, -1))):
             self.lists[side][:, members] = lists[side, :, cols]
@@ -145,8 +132,8 @@ class _OnlineSession:
         self.alphas[changed] = alphas[h, :-1]
         self.reach[changed] = np.maximum(*self.lists[:, -1, changed])
         if n == len(self.alphas):
-            rows = min(self.k, 2 * n) - len(self.lists[0])
-            self.lists = np.pad(self.lists, [(0, 0), (0, rows), (0, n)], constant_values=np.inf)
+            grow = min(self.k, 2 * n) - rows
+            self.lists = np.pad(self.lists, [(0, 0), (0, grow), (0, n)], constant_values=np.inf)
             self.coords = np.pad(self.coords, [(0, 0), (0, n)])
             self.means = np.pad(self.means, [(0, 0), (0, n)])
             self.alphas = np.pad(self.alphas, (0, n))
@@ -166,6 +153,7 @@ class _OnlineSession:
         self.alphas[column] = alphas[h, -1]
         self.reach[column] = max(self.lists[:, -1, column])
         self.n = n + 1
+        return p_values
 
 
 def full_cp_pvalue(
@@ -179,8 +167,8 @@ def full_cp_pvalue(
     over n + 1, the candidate counting for itself.
     """
     features, label = candidate
-    label = _check_label(label)
-    p_pos, p_neg = _OnlineSession(bag, k).p_values(features)
+    # The session is discarded, so the candidate's absorption goes unused.
+    p_pos, p_neg = _OnlineSession(bag, k).step(features, label)
     return p_pos if label is Label.POSITIVE else p_neg
 
 
@@ -209,9 +197,8 @@ def run_online(
     session = _OnlineSession(initial, k)
     p_values, labels = [], []
     for features, label in stream:
-        labels.append(_check_label(label))
-        p_values.append(session.p_values(features))
-        session.absorb(label)
+        p_values.append(session.step(features, label))
+        labels.append(label)
     if not labels:
         raise ValueError("stream must not be empty")
     index = np.arange(1, len(labels) + 1)

@@ -178,8 +178,6 @@ class PipelineError(ValueError):
 def _stage(name: str):
     try:
         yield
-    except PipelineError:
-        raise
     except ValueError as err:
         raise PipelineError(f"{name}: {err}") from err
 
@@ -342,41 +340,28 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     return PipelineResult(document, p_values, regions, test)
 
 
-@dataclass(frozen=True)
-class OnlineConfig:
-    """One on-line simulation: a feature dataset streamed in file order."""
-
-    data_path: Path
-    positive_class: str
-    epsilon: float
-    initial_size: int = 10
-    k: int = 1
-
-
-def simulate_online(config: OnlineConfig) -> list[OnlineRound]:
-    """Seed the bag with the first rows of the file and stream the rest."""
+def simulate_online(
+    data_path: Path, positive_class: str, epsilon: float, initial_size: int = 10, k: int = 1
+) -> list[OnlineRound]:
+    """Seed the bag with the first `initial_size` rows of the file and stream the rest."""
     with _stage("config"):
-        eps = SignificanceLevel(config.epsilon)
-        if config.initial_size < 1:
-            raise ValueError(
-                f"initial_size must be >= 1, got {config.initial_size}"
-            )
-        if config.k < 1:
-            raise ValueError(f"k must be >= 1, got {config.k}")
+        eps = SignificanceLevel(epsilon)
+        if initial_size < 1:
+            raise ValueError(f"initial_size must be >= 1, got {initial_size}")
+        MeasureSpec("knn_ratio", k)  # the batch measure's k rule
     with _stage("load"):
-        data = load_dataset(config.data_path, config.positive_class)
+        data = load_dataset(data_path, positive_class)
         if not data.fully_labelled():
             raise ValueError("on-line simulation requires labelled samples")
-        if config.initial_size >= len(data):
+        if initial_size >= len(data):
             raise ValueError(
-                f"initial_size {config.initial_size} leaves no stream "
-                f"(dataset has {len(data)} rows)"
+                f"initial_size {initial_size} leaves no stream (dataset has {len(data)} rows)"
             )
     with _stage("simulate"):
-        initial = TrainingBag.from_dataset(data.take(slice(config.initial_size)))
-        rest = data.take(slice(config.initial_size, None))
+        initial = TrainingBag.from_dataset(data.take(slice(initial_size)))
+        rest = data.take(slice(initial_size, None))
         labels = [Label.POSITIVE if p else Label.NEGATIVE for p in rest.positive.tolist()]
-        return run_online(initial, zip(rest.features, labels), eps, config.k)
+        return run_online(initial, zip(rest.features, labels), eps, k)
 
 
 def _cell(value) -> str:

@@ -280,6 +280,19 @@ class TestEvaluateCommand:
         assert (code, out) == (1, "")
         assert err == f"error: load: {path}:3: field larger than field limit ({limit})\n"
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_file_that_is_not_utf8_names_the_file_and_line(self, capsys, tmp_path, end):
+        path = tmp_path / "latin1.csv"
+        rows = ["id,label,s_pos,s_neg", "a,A,0.9,0.1", "caf\xe9,B,0.2,0.8", ""]
+        path.write_bytes(end.join(rows).encode("latin-1"))
+        code, out, err = run(
+            capsys, "evaluate", "--calibration", str(path), "--positive-class", "B"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: load: {path}:3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+        )
+
     def test_smoothed_runs_are_seed_reproducible(self, capsys):
         args = demo_args("--smoothed", "--smoothing-seed", "5", "--format", "json")
         code_a, out_a, _ = run(capsys, *args)

@@ -170,7 +170,9 @@ class TestDatasetColumns:
         assert part.features.tolist() == [[1.0], [2.0]]
         scored = part.with_scores(np.array([[0.1, 0.9], [0.6, 0.4]]), True)
         assert scored.probability and scored.ids.tolist() == ["b", "c"]
-        assert scored.missing("scores") == [] and part.missing("scores") == ["b", "c"]
+        scored.require("scores", why="need scores")
+        with pytest.raises(ValueError, match=r"^need scores, missing for \['b', 'c'\]$"):
+            part.require("scores", why="need scores")
 
     @pytest.mark.parametrize(
         "columns, message",

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import tempfile
 from pathlib import Path
@@ -398,20 +399,25 @@ def same_bits(a, b):
 def check_both_readers_agree(directory, lines, end="\n"):
     """Load `lines` as written, with `csv.reader` refused, and with the first
     id quoted, which sends the same content to the csv module ("c1" reads
-    back as c1); the two datasets must be equal to the bit."""
+    back as c1), each also after a UTF-8 byte order mark; the four datasets
+    must be equal to the bit."""
     first_id = lines[1].split(",")[0]
     quoted = [lines[0], f'"{first_id}"' + lines[1][len(first_id):], *lines[2:]]
     plain_path, quoted_path = Path(directory, "plain.csv"), Path(directory, "quoted.csv")
-    plain_path.write_text("\n".join(lines) + end, encoding="utf-8")
-    quoted_path.write_text("\n".join(quoted) + end, encoding="utf-8")
-    with mock.patch("bincp.data.csv.reader", side_effect=_ReaderCalled):
-        fast = load_dataset(plain_path, positive_class="yes")
-    slow = load_dataset(quoted_path, positive_class="yes")
-    assert fast.ids.tolist() == slow.ids.tolist()
-    assert fast.labels.tolist() == slow.labels.tolist()
-    assert fast.probability == slow.probability
-    assert same_bits(fast.features, slow.features)
-    assert same_bits(fast.scores, slow.scores)
+    datasets = []
+    for bom in ("", "\ufeff"):
+        plain_path.write_text(bom + "\n".join(lines) + end, encoding="utf-8")
+        quoted_path.write_text(bom + "\n".join(quoted) + end, encoding="utf-8")
+        with mock.patch("bincp.data.csv.reader", side_effect=_ReaderCalled):
+            datasets.append(load_dataset(plain_path, positive_class="yes"))
+        datasets.append(load_dataset(quoted_path, positive_class="yes"))
+    fast, *others = datasets
+    for slow in others:
+        assert fast.ids.tolist() == slow.ids.tolist()
+        assert fast.labels.tolist() == slow.labels.tolist()
+        assert fast.probability == slow.probability
+        assert same_bits(fast.features, slow.features)
+        assert same_bits(fast.scores, slow.scores)
 
 
 class TestPlainFiles:
@@ -424,6 +430,33 @@ class TestPlainFiles:
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8"))
         check_load(path, expected)
+
+    @pytest.mark.parametrize(
+        "raw, line, reason",
+        [
+            (b"id,label,x1\na,yes,1\nb\xe9,no,2\n", 3,
+             "0xe9 is not UTF-8 (invalid continuation byte)"),
+            (b"id,label,x1\r\na,yes,1\r\nb\xe9,no,2\r\n", 3,
+             "0xe9 is not UTF-8 (invalid continuation byte)"),
+            (codecs.BOM_UTF8 + b"id,label,x1\ra,yes,1\rb,no,2\xe9", 3,
+             "0xe9 is not UTF-8 (unexpected end of data)"),
+            (b'id,label,x1\n"a\r\nb",yes,1\nc,no,2\xff\n', 4,
+             "0xff is not UTF-8 (invalid start byte)"),
+        ],
+        ids=["lf", "crlf", "bom-cr", "quoted-line-break"],
+    )
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, raw, line, reason):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        check_load(path, f":{line}: byte {reason}")
+
+    def test_a_byte_order_mark_is_no_part_of_the_header(self, tmp_path):
+        plain, crlf = "id,label,x1\na,yes,1\nb,no,2\n", 'id,label,x1\r\n"a",yes,1\r\nb,no,2\r\n'
+        for text in (plain, crlf):
+            check_load(write_csv(tmp_path, "\ufeff" + text), (["a", "b"], [1.0, 2.0]))
+        # Lines count as if the mark were absent.
+        bad = write_csv(tmp_path, "\ufeffid,label,x1\na,yes,1\nb,no,x\n")
+        check_load(bad, ":3: column 'x1' is not a number: 'x'")
 
     @pytest.mark.parametrize(
         "text, read",

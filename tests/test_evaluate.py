@@ -211,6 +211,23 @@ class TestBinaryMetrics:
             binary_panel([0.5], [True], threshold=1.5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: auroc([], []), "s_pos must not be empty"),
+        (lambda: evaluate_predictions([], [], []), "regions must not be empty"),
+        (lambda: evaluate_predictions([0, 4], [0.5, 0.5], [True, False]),
+         "region codes must be in [0, 4)"),
+        (lambda: validity([-1, 0], [True, False]), "region codes must be in [0, 4)"),
+    ],
+    ids=["empty-scores", "empty-regions", "code-above", "code-below"],
+)
+def test_bad_columns_are_rejected_with_their_message(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 class TestAuroc:
     def test_perfect_separation(self):
         assert auroc([0.9, 0.8, 0.1, 0.2], [True, True, False, False]) == 1.0

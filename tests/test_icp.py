@@ -155,6 +155,21 @@ class TestCalibrationTable:
         assert figure1_table.pos_scores.size == 11
         assert figure1_table.neg_scores.size == 10
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (Dataset.from_columns([], [], scores=np.empty((0, 2))),
+             "calibration set must not be empty"),
+            (Dataset.from_columns(["a", "b"], [POSITIVE, UNKNOWN], scores=[(1, 0), (0, 1)]),
+             "calibration samples need scores and labels, missing for ['b']"),
+        ],
+        ids=["empty", "unlabelled"],
+    )
+    def test_a_calibration_set_without_scored_labelled_rows_is_rejected(self, data, message):
+        with pytest.raises(ValueError) as caught:
+            build_calibration_table(data)
+        assert str(caught.value) == message
+
     def test_pooled_table_merges_own_label_scores(self, figure1):
         table = build_calibration_table(figure1, mondrian=False)
         expected = sorted(FIGURE1_POS + FIGURE1_NEG)

@@ -373,6 +373,21 @@ class TestTrainingBag:
         with pytest.raises(ValueError, match="bag points must be within"):
             TrainingBag(points, [True, False])
 
+    @pytest.mark.parametrize(
+        "points, labels, message",
+        [
+            (np.zeros((0, 2)), [], "bag needs a nonempty (n, m) point array"),
+            ([[0.0, math.nan], [1.0, 1.0]], [True, False], "bag points must be finite"),
+            ([[0.0, 0.0], [-math.inf, 1.0]], [True, False], "bag points must be finite"),
+            ([[0.0, 0.0], [1.0, 1.0]], [True], "one label per bag point required"),
+        ],
+        ids=["no-rows", "nan", "inf", "label-count"],
+    )
+    def test_a_bad_bag_is_rejected_with_its_message(self, points, labels, message):
+        with pytest.raises(ValueError) as caught:
+            TrainingBag(points, labels)
+        assert str(caught.value) == message
+
     def test_from_dataset_requires_features_and_labels(self):
         data = rows([(0.0,), (1.0,)])
         with pytest.raises(ValueError, match="q0"):

@@ -147,6 +147,20 @@ class TestFullCpPValue:
                 full_cp_pvalue(two_point_bag(), ((value,), Label.POSITIVE))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: run_online(two_point_bag(), [((1.0,), Label.NEGATIVE)], SignificanceLevel(0.2), k),
+        lambda k: full_cp_pvalue(two_point_bag(), ((1.0,), Label.NEGATIVE), k),
+    ],
+    ids=["run_online", "full_cp_pvalue"],
+)
+def test_k_below_one_is_rejected_by_the_measure_rule(call):
+    with pytest.raises(ValueError) as caught:
+        call(0)
+    assert str(caught.value) == "k must be >= 1, got 0"
+
+
 class TestOnlineRound:
     """One round of the protocol: a one-item stream."""
 
@@ -218,8 +232,7 @@ class TestRunOnline:
                 oracle_full_cp(bag, features, Label.POSITIVE, k),
                 oracle_full_cp(bag, features, Label.NEGATIVE, k),
             ))
-            assert session.p_values(features) == expected_p[-1]
-            session.absorb(label)
+            assert session.step(features, label) == expected_p[-1]
             seen.append((features, label))
         # Each round's region and error recounted row by row from the
         # oracle's p-values and `REGION_KEEPING`.
@@ -247,10 +260,10 @@ class TestRunOnline:
         dist = oracles.pairwise_distances(points)
         session = _OnlineSession(TrainingBag(points[:1], labels[:1]), k)
         for n in range(1, len(points)):
-            assert session.p_values(points[n]) == oracles.loo_p_values(
+            label = Label.POSITIVE if labels[n] else Label.NEGATIVE
+            assert session.step(points[n], label) == oracles.loo_p_values(
                 dist[: n + 1, : n + 1], labels[:n], k
             )
-            session.absorb(Label.POSITIVE if labels[n] else Label.NEGATIVE)
         assert len(session.alphas) == 512
 
     @pytest.mark.parametrize("k", [1, 3, 40])
@@ -263,10 +276,10 @@ class TestRunOnline:
         dist = oracles.pairwise_distances(points)
         session = _OnlineSession(TrainingBag(points[:3], labels[:3]), k)
         for n in range(3, len(points)):
-            assert session.p_values(points[n]) == oracles.loo_p_values(
+            label = Label.POSITIVE if labels[n] else Label.NEGATIVE
+            assert session.step(points[n], label) == oracles.loo_p_values(
                 dist[: n + 1, : n + 1], labels[:n], k
             )
-            session.absorb(Label.POSITIVE if labels[n] else Label.NEGATIVE)
             if n == 49:
                 assert (session.n, session.n_pos, len(session.alphas)) == (50, 0, 96)
         assert session.n_pos == labels.sum()
@@ -276,7 +289,7 @@ class TestRunOnline:
         # is smaller: both p-values are 1.
         bag = TrainingBag(np.zeros((3, 0)), [True, False, True])
         session = _OnlineSession(bag, 2)
-        assert session.p_values(()) == (1.0, 1.0)
+        assert session.step((), Label.POSITIVE) == (1.0, 1.0)
 
     def test_k_beyond_the_data_gives_the_same_rounds(self):
         initial = TrainingBag.from_pairs(random_stream(5, 2, 12, decimals=1))
@@ -286,23 +299,19 @@ class TestRunOnline:
             initial, stream, eps, k=len(initial) + len(stream)
         )
 
-    def test_absorb_takes_the_candidate_of_one_p_values_call_once(self):
+    def test_a_step_that_fails_its_checks_leaves_the_bag_as_it_was(self):
         session = _OnlineSession(two_point_bag(), 1)
-        with pytest.raises(ValueError, match="p_values"):
-            session.absorb(Label.POSITIVE)
-        session.p_values((1.0,))
-        session.absorb(Label.NEGATIVE)
-        with pytest.raises(ValueError, match="p_values"):
-            session.absorb(Label.NEGATIVE)
-        session.p_values((2.0,))
+        session.step((1.0,), Label.NEGATIVE)
         with pytest.raises(ValueError, match="features"):
-            session.p_values((1.0, 2.0))
-        with pytest.raises(ValueError, match="p_values"):
-            session.absorb(Label.NEGATIVE)
+            session.step((1.0, 2.0), Label.NEGATIVE)
+        with pytest.raises(ValueError, match="^candidate features must be finite$"):
+            session.step((math.nan,), Label.NEGATIVE)
+        with pytest.raises(ValueError, match="got 'negative'"):
+            session.step((2.0,), "negative")
         bag = TrainingBag.from_pairs(
             [((0.0,), Label.NEGATIVE), ((10.0,), Label.POSITIVE), ((1.0,), Label.NEGATIVE)]
         )
-        assert session.p_values((4.0,)) == (
+        assert session.step((4.0,), Label.NEGATIVE) == (
             oracle_full_cp(bag, (4.0,), Label.POSITIVE),
             oracle_full_cp(bag, (4.0,), Label.NEGATIVE),
         )

@@ -23,14 +23,14 @@ from bincp.data import (
     demo_test_path,
     figure1_path,
     generate_synthetic,
+    load_dataset,
     write_dataset,
 )
 from bincp import evaluate, pipeline
 from bincp.nonconformity import MEASURE_KINDS, MeasureSpec
-from bincp.icp import SplitConfig, region
+from bincp.icp import SplitConfig, region, split_dataset
 from bincp.pipeline import (
     REPORT_CSV_COLUMNS,
-    OnlineConfig,
     PipelineError,
     PipelineResult,
     RunConfig,
@@ -168,6 +168,34 @@ class TestRunPipeline:
             assert 0.0 <= row["validity"] <= 1.0
             assert row["binary"]["accuracy"] is not None
 
+    @pytest.mark.parametrize(
+        "measure, mondrian, smoothing_seed",
+        [(MeasureSpec("knn_prob", k=3), True, None), (MeasureSpec("knn_ratio", k=3), False, 7)],
+        ids=["knn-prob-mondrian", "knn-ratio-pooled-smoothed"],
+    )
+    def test_the_split_parts_as_files_give_the_train_route_run(
+        self, feature_files, tmp_path, measure, mondrian, smoothing_seed
+    ):
+        # The documented `--calibration ... --proper ...` route, given the
+        # parts that the `--train` route's split makes.
+        train, test = feature_files
+        split = SplitConfig(0.7, seed=0)
+        parts = tmp_path / "proper.csv", tmp_path / "calibration.csv"
+        for part, path in zip(split_dataset(load_dataset(train, "positive"), split), parts):
+            write_dataset(part, path)
+        shared = dict(
+            positive_class="positive", epsilons=(0.1, 0.3), measure=measure,
+            mondrian=mondrian, test_path=test, smoothing_seed=smoothing_seed,
+        )
+        by_train = run_pipeline(RunConfig(train_path=train, split=split, **shared))
+        by_parts = run_pipeline(
+            RunConfig(proper_path=parts[0], calibration_path=parts[1], **shared)
+        )
+        assert regions_bytes(by_parts) == regions_bytes(by_train)
+        for key in ("calibration", "n_test", "results"):
+            assert by_parts.document[key] == by_train.document[key]
+        assert by_parts.document["config"] == {**by_train.document["config"], "split": None}
+
     def test_ratio_measure_reports_no_thresholded_calibration_rates(self, feature_files):
         train, test = feature_files
         config = RunConfig(
@@ -300,6 +328,18 @@ class TestConfigValidation:
         with pytest.raises(PipelineError, match=message):
             run_pipeline(demo_config(proper_path=tmp_path / "absent.csv"))
 
+    def test_a_proper_set_is_rejected_on_the_train_route(self, feature_files):
+        train, _ = feature_files
+        config = RunConfig(
+            positive_class="positive", epsilons=(0.2,), measure=MeasureSpec("knn_prob"),
+            train_path=train, proper_path=train, split=SplitConfig(0.7, seed=0),
+        )
+        with pytest.raises(PipelineError) as caught:
+            run_pipeline(config)
+        assert str(caught.value) == (
+            "config: proper_path only applies when calibration_path is given"
+        )
+
     def test_load_errors_name_the_stage(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,label\n", encoding="utf-8")
@@ -324,43 +364,33 @@ class TestSimulateOnline:
 
     def test_rounds_cover_the_stream(self, tmp_path):
         path = self.make_file(tmp_path)
-        rounds = simulate_online(
-            OnlineConfig(path, positive_class="positive", epsilon=0.2, initial_size=4)
-        )
+        rounds = simulate_online(path, positive_class="positive", epsilon=0.2, initial_size=4)
         assert len(rounds) == 24 - 4
         assert [r.round_index for r in rounds] == list(range(1, 21))
 
     def test_simulation_is_deterministic(self, tmp_path):
         path = self.make_file(tmp_path)
-        config = OnlineConfig(path, positive_class="positive", epsilon=0.2, initial_size=4)
-        assert trajectory_csv(simulate_online(config)) == trajectory_csv(
-            simulate_online(config)
+        config = dict(positive_class="positive", epsilon=0.2, initial_size=4)
+        assert trajectory_csv(simulate_online(path, **config)) == trajectory_csv(
+            simulate_online(path, **config)
         )
 
     def test_initial_size_must_leave_a_stream(self, tmp_path):
         path = self.make_file(tmp_path, n_per_class=3)
         with pytest.raises(PipelineError, match="initial_size"):
-            simulate_online(
-                OnlineConfig(path, positive_class="positive", epsilon=0.2, initial_size=6)
-            )
+            simulate_online(path, positive_class="positive", epsilon=0.2, initial_size=6)
         with pytest.raises(PipelineError, match="initial_size"):
-            simulate_online(
-                OnlineConfig(path, positive_class="positive", epsilon=0.2, initial_size=0)
-            )
+            simulate_online(path, positive_class="positive", epsilon=0.2, initial_size=0)
 
     def test_unlabelled_rows_are_rejected(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("id,label,x1\na,positive,1.0\nb,,2.0\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="labelled"):
-            simulate_online(
-                OnlineConfig(path, positive_class="positive", epsilon=0.2, initial_size=1)
-            )
+            simulate_online(path, positive_class="positive", epsilon=0.2, initial_size=1)
 
     def test_trajectory_csv_layout(self, tmp_path):
         path = self.make_file(tmp_path)
-        rounds = simulate_online(
-            OnlineConfig(path, positive_class="positive", epsilon=0.0, initial_size=4)
-        )
+        rounds = simulate_online(path, positive_class="positive", epsilon=0.0, initial_size=4)
         lines = trajectory_csv(rounds).decode("utf-8").splitlines()
         assert lines[0] == "round,region,true_label,cumulative_error_rate"
         assert len(lines) == len(rounds) + 1
