@@ -1,8 +1,9 @@
 """CSV ingestion and emission, bundled fixtures, and the synthetic generator.
 
-File contract: UTF-8, comma separated, dot decimals, header required.  A
-leading byte order mark, as Excel writes, is skipped; a byte that does not
-decode is an error naming its line.
+File contract: UTF-8, comma separated, dot decimals, header required.  An
+input is read once and decoded by one rule, `_decode`, so it may be a pipe:
+a leading byte order mark, as Excel writes, is skipped, and a byte that
+does not decode is an error naming its line.
 Columns are `id,label[,x1..xm][,s_pos,s_neg]`; score columns carry class
 probabilities (s_pos belongs to whichever class the caller names positive).
 An empty label field means the label is unknown.
@@ -17,9 +18,10 @@ messages are the same too.  The csv path stops at the first row of the
 wrong width or that the csv module cannot read (such as a field over
 `csv.field_size_limit()`), and every row before it is checked too: an
 error names the earliest bad line.  Faults are found by record, and a
-quoted field may hold line breaks, so an error message re-reads the file
-to name the physical line where its record starts.  Every CSV the package
-writes quotes its fields by one rule, `_quoted`.
+quoted field may hold line breaks, so an error message reads the decoded
+text again to name the physical line where its record starts.  Every CSV
+the package writes quotes its fields by one rule, `_quoted`, and formats
+its floats by one, `_reprs`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import codecs
 import csv
 import importlib.resources
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -68,6 +71,33 @@ def _quoted(fields: list[str]) -> list[str]:
     ]
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """`repr` of each value of a float column, formatted once per distinct value.
+
+    Values are told apart by their bits, so -0.0 keeps its own text.
+    """
+    bits = np.asarray(column, dtype=float).view(np.int64)
+    bits, index = np.unique(bits, return_inverse=True)
+    return list(map(list(map(repr, bits.view(float).tolist())).__getitem__, index.tolist()))
+
+
+def _decode(raw: bytes, path: Path | None = None) -> str:
+    """The text of an input's bytes, with a leading UTF-8 byte order mark skipped.
+
+    A byte that is not UTF-8 raises `DataFormatError` naming `path:line`,
+    or `line N` without a path, the line counted as the csv module counts.
+    """
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len(re.findall(rb"\r\n?|\n", raw[: err.start])) + 1
+        where = f"line {line}" if path is None else f"{path}:{line}"
+        raise DataFormatError(
+            f"{where}: byte {raw[err.start]:#04x} is not UTF-8 ({err.reason})"
+        ) from None
+
+
 def figure1_path() -> Path:
     """The bundled 21-sample example calibration set (classes A and B, scores)."""
     return Path(str(importlib.resources.files("bincp").joinpath("data/figure1.csv")))
@@ -84,17 +114,13 @@ def _parse_header(columns: list[str], path: Path) -> tuple[int, bool]:
     The header alone sets the layout; a stage that needs a missing column names it.
     """
     if len(columns) < 2 or columns[0] != "id" or columns[1] != "label":
-        raise DataFormatError(
-            f"{path}: header must start with 'id,label', got {columns[:2]}"
-        )
+        raise DataFormatError(f"{path}: header must start with 'id,label', got {columns[:2]}")
     rest = columns[2:]
     has_scores = len(rest) >= 2 and rest[-2:] == ["s_pos", "s_neg"]
     features = rest[:-2] if has_scores else rest
     expected = [f"x{i}" for i in range(1, len(features) + 1)]
     if features != expected:
-        raise DataFormatError(
-            f"{path}: feature columns must be x1..xm, got {features}"
-        )
+        raise DataFormatError(f"{path}: feature columns must be x1..xm, got {features}")
     if not features and not has_scores:
         raise DataFormatError(f"{path}: need feature or score columns")
     return len(features), has_scores
@@ -131,23 +157,22 @@ def _parse_floats(
             return before, row, reason
 
 
-def _record_lines(path: Path, *records: int) -> list[int]:
-    """The physical line on which each data record of `path` starts.
+def _record_lines(text: str, *records: int) -> list[int]:
+    """The physical line on which each data record of a file's `text` starts.
 
-    Records count from 0 after the header.  The file is read again with a
+    Records count from 0 after the header.  The text is read again with a
     fresh reader, so only error messages pay for it.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        starts = []
-        for _ in range(max(records) + 2):
-            starts.append(reader.line_num + 1)
-            next(reader)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    starts = []
+    for _ in range(max(records) + 2):
+        starts.append(reader.line_num + 1)
+        next(reader)
     return [starts[record + 1] for record in records]
 
 
 def _read_columns(
-    reader, width: int, path: Path
+    reader, width: int, text: str
 ) -> tuple[list[list[str]], tuple[int, str] | None]:
     """The fields of the remaining rows of `reader`, as `width` column lists.
 
@@ -169,7 +194,7 @@ def _read_columns(
             fault = (reader.line_num, str(err))
         if set(map(len, chunk)) - {width}:
             stop = next(i for i, row in enumerate(chunk) if len(row) != width)
-            line = _record_lines(path, read + stop)[0]
+            line = _record_lines(text, read + stop)[0]
             fault = (line, f"expected {width} columns, got {len(chunk[stop])}")
             del chunk[stop:]
         for column, fields in zip(columns, zip(*chunk)):
@@ -179,81 +204,59 @@ def _read_columns(
             return columns, fault
 
 
-def _read_plain(path: Path) -> tuple | None:
-    """`_read_csv`'s tuple from one `np.loadtxt` call, or None if the file is not plain.
+def _read_plain(text: str, path: Path) -> tuple | None:
+    """`_read_csv`'s tuple from one `np.loadtxt` call, or None if `text` is not plain.
 
-    The whole file is decoded here, for both paths: a byte that is not
-    UTF-8 raises `DataFormatError` naming its line.  A file is plain when
-    it holds no byte of `_NOT_PLAIN` and no empty line, has no field longer
-    than `csv.field_size_limit()` bytes, and `np.loadtxt` reads it with one
-    row per line and no NaN.  Each line of a plain file is its fields
-    joined by commas, as the csv module reads them, and the C reader parses
-    every number it accepts there to the bits of `float()`, so the csv path
-    would build the same dataset.  The header is checked by `_parse_header`,
-    as on the csv path.
+    A file is plain when its bytes hold none of `_NOT_PLAIN` and no empty
+    line (`load_dataset` checks that before the decode), no line is longer
+    than `csv.field_size_limit()` characters, so no field is either, and
+    `np.loadtxt` reads it with one row per line and no NaN.  Each line of a
+    plain file is its fields joined by commas, as the csv module reads
+    them, and the C reader parses every number it accepts there to the bits
+    of `float()`, so the csv path would build the same dataset.  The header
+    is checked by `_parse_header`, as on the csv path.
     """
-    raw = path.read_bytes()
-    if raw.startswith(codecs.BOM_UTF8):
-        # A byte order mark is no part of the header.
-        raw = raw[len(codecs.BOM_UTF8) :]
-    plain = not (
-        raw.startswith(b"\n") or b"\n\n" in raw or any(byte in raw for byte in _NOT_PLAIN)
-    )
-    if plain:
-        codes = np.frombuffer(raw, np.uint8)
-        ends = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
-        plain = np.diff(ends, prepend=-1, append=codes.size).max() - 1 <= csv.field_size_limit()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = len(re.findall(rb"\r\n?|\n", raw[: err.start])) + 1
-        raise DataFormatError(
-            f"{path}:{line}: byte {raw[err.start]:#04x} is not UTF-8 ({err.reason})"
-        ) from None
-    if not plain:
+    lines = text.removesuffix("\n").split("\n")
+    if len(lines) < 2 or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
         return None
-    first, *lines = text.removesuffix("\n").split("\n")
-    if not lines:
-        return None
-    header = first.split(",")
+    header = lines[0].split(",")
     n_features, has_scores = _parse_header(header, path)
     dtype = np.dtype(
         [("id", object), ("label", object), ("values", float, (len(header) - 2,))]
     )
     try:
-        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
     except ValueError:
         return None
-    if len(table) != len(lines) or np.isnan(table["values"]).any():
+    if len(table) != len(lines) - 1 or np.isnan(table["values"]).any():
         return None
     return n_features, has_scores, table["id"], table["label"], table["values"], None
 
 
-def _read_csv(path: Path) -> tuple:
-    """Read `path` with the csv module: (feature count, has score columns, ids,
-    labels, values, fault).
+def _read_csv(text: str, path: Path) -> tuple:
+    """Read a file's `text` with the csv module: (feature count, has score
+    columns, ids, labels, values, fault).
 
     `ids` and `labels` hold every row read, `values` the rows before the
     first bad line, and `fault` that line and why it is bad, or None.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-        except csv.Error as err:
-            raise DataFormatError(f"{path}:{reader.line_num}: {err}") from None
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        # The rows before the first bad line are checked too, so that the
-        # error reported is the one on the earliest line.
-        columns, fault = _read_columns(reader, len(header), path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+    except csv.Error as err:
+        raise DataFormatError(f"{path}:{reader.line_num}: {err}") from None
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    # The rows before the first bad line are checked too, so that the
+    # error reported is the one on the earliest line.
+    columns, fault = _read_columns(reader, len(header), text)
     n_features, has_scores = _parse_header(header, path)
     ids, raw_labels, *numeric = columns
     if not ids and fault is None:
         raise DataFormatError(f"{path}: no data rows")
     values, stop, reason = _parse_floats(numeric, header[2:])
     if reason is not None:
-        fault = (_record_lines(path, stop)[0], reason)
+        fault = (_record_lines(text, stop)[0], reason)
     return n_features, has_scores, ids, raw_labels, values, fault
 
 
@@ -281,9 +284,14 @@ def load_dataset(
     naming a third class (such as a typo of the negative one) is rejected.
     """
     path = Path(path)
+    raw = path.read_bytes()
+    # `_read_plain`'s byte checks, made before the decode.
+    plain = not (b"\n\n" in raw or any(byte in raw for byte in _NOT_PLAIN))
+    text = _decode(raw, path)
+    del raw
     n_features, has_scores, ids, raw_labels, values, fault = (
-        _read_plain(path) or _read_csv(path)
-    )
+        plain and _read_plain(text, path)
+    ) or _read_csv(text, path)
     stop = len(values)
     names = set() if class_names is None else class_names
     names.update(set(raw_labels) - {""})
@@ -300,9 +308,9 @@ def load_dataset(
         )
     except RowError as err:
         if err.first is None:
-            line, first = _record_lines(path, err.row)[0], ""
+            line, first = _record_lines(text, err.row)[0], ""
         else:
-            line, before = _record_lines(path, err.row, err.first)
+            line, before = _record_lines(text, err.row, err.first)
             first = f" (first on line {before})"
         raise DataFormatError(f"{path}:{line}: {err}{first}") from None
     if fault is not None:
@@ -310,13 +318,10 @@ def load_dataset(
         raise DataFormatError(f"{path}:{line}: {reason}")
 
     if len(names) > 2:
-        raise DataFormatError(
-            f"{path}: more than two classes: {sorted(names)}"
-        )
+        raise DataFormatError(f"{path}: more than two classes: {sorted(names)}")
     if len(names) == 2 and positive_class not in names:
         raise DataFormatError(
-            f"{path}: positive class {positive_class!r} not among "
-            f"{sorted(names)}"
+            f"{path}: positive class {positive_class!r} not among {sorted(names)}"
         )
     return data
 
@@ -324,17 +329,17 @@ def load_dataset(
 def write_dataset(dataset: Dataset, path: Path | str) -> None:
     """Write a dataset back out; labels use the canonical positive/negative names.
 
-    Ids are quoted by `_quoted` and floats written by `repr`, so `load_dataset`
-    reads the same values back.
+    Ids are quoted by `_quoted` and floats written by `_reprs`, so
+    `load_dataset` reads the same values back.
     """
     header = ["id", "label"]
     columns = [_quoted(dataset.ids.tolist()), label_names(dataset.labels)]
     if dataset.features is not None:
         header += [f"x{i}" for i in range(1, dataset.feature_dim + 1)]
-        columns += [list(map(repr, column.tolist())) for column in dataset.features.T]
+        columns += [_reprs(column) for column in dataset.features.T]
     if dataset.scores is not None:
         header += ["s_pos", "s_neg"]
-        columns += [list(map(repr, column.tolist())) for column in dataset.scores.T]
+        columns += [_reprs(column) for column in dataset.scores.T]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.writelines(",".join(row) + "\n" for row in [header, *zip(*columns)])
 

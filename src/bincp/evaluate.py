@@ -37,8 +37,6 @@ _SINGLE_POSITIVE = REGIONS.index(PredictionRegion.SINGLE_POSITIVE)
 
 
 def _check_paired(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) -> None:
-    if len(a) == 0:
-        raise ValueError(f"{name_a} must not be empty")
     if len(a) != len(b):
         raise ValueError(
             f"{name_a} and {name_b} must have equal length, got {len(a)} and {len(b)}"
@@ -184,6 +182,8 @@ def auroc(s_pos, positive) -> float:
     involved.
     """
     s_pos, positive = np.asarray(s_pos, dtype=float), np.asarray(positive, dtype=bool)
+    if len(s_pos) == 0:
+        raise ValueError("s_pos must not be empty")
     _check_paired("s_pos", s_pos, "positive", positive)
     return _auroc(s_pos, positive)
 
@@ -248,9 +248,9 @@ def evaluate_predictions(regions, s_pos, positive) -> dict:
     forced choice the singletons make, on those rows alone: "when the
     predictor commits, how often is it right".
     """
-    regions, positive = _region_codes(regions), np.asarray(positive, dtype=bool)
+    blocks = _region_figures(regions, positive)  # checks the codes and their pairing
+    regions, positive = np.asarray(regions, dtype=np.intp), np.asarray(positive, dtype=bool)
     s_pos = np.asarray(s_pos, dtype=float)
-    blocks = _region_figures(regions, positive)
     _check_paired("regions", regions, "s_pos", s_pos)
     single = regions < REGION_BOTH
     singleton = _panel(regions[single] == _SINGLE_POSITIVE, s_pos[single], positive[single])

@@ -36,6 +36,8 @@ class SplitConfig:
             raise ValueError(
                 f"proper_fraction must be in (0, 1), got {self.proper_fraction}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _proper_count(n: int, fraction: float) -> int:

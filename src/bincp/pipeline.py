@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import REGIONS, Dataset, Label, SignificanceLevel, label_names
-from .data import _quoted, load_dataset
+from .data import _decode, _quoted, _reprs, load_dataset
 from .evaluate import (
     REGION_KINDS,
     SCORED_ACCURACY_MODES,
@@ -232,6 +232,8 @@ def _validate_config(config: RunConfig) -> None:
     for value in config.epsilons:
         SignificanceLevel(value)
     _check_threshold(config.threshold)
+    if config.smoothing_seed is not None and config.smoothing_seed < 0:
+        raise ValueError(f"smoothing_seed must be >= 0, got {config.smoothing_seed}")
     if config.measure.needs_bag:
         if config.calibration_path is not None and config.proper_path is None:
             raise ValueError(
@@ -241,7 +243,7 @@ def _validate_config(config: RunConfig) -> None:
 
 
 def _config_block(config: RunConfig) -> dict:
-    split = None
+    seed, split = config.smoothing_seed, None
     if config.split is not None:
         split = {
             "proper_fraction": float(config.split.proper_fraction),
@@ -253,8 +255,8 @@ def _config_block(config: RunConfig) -> dict:
         "measure": {"kind": config.measure.kind, "k": int(config.measure.k)},
         "mondrian": bool(config.mondrian),
         "threshold": float(config.threshold),
-        "smoothed": config.smoothing_seed is not None,
-        "smoothing_seed": config.smoothing_seed,
+        "smoothed": seed is not None,
+        "smoothing_seed": None if seed is None else int(seed),
         "split": split,
         "epsilons": [float(e) for e in config.epsilons],
     }
@@ -439,13 +441,12 @@ def parse_report(data: bytes) -> dict:
     holds them; the config figures must also lie in the ranges a run
     accepts.  bincp writes no NaN or infinity, so a document
     holding one (as a constant, or as a number too large for a float) is not
-    a report.
+    a report.  The bytes are decoded as every input is (`data._decode`): a
+    byte order mark is skipped and a byte that is not UTF-8 names its line.
     """
     try:
-        document = json.loads(
-            data.decode("utf-8"), parse_constant=_finite, parse_float=_finite
-        )
-    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError too
+        document = json.loads(_decode(data), parse_constant=_finite, parse_float=_finite)
+    except ValueError as err:  # JSONDecodeError and DataFormatError too
         raise ValueError(f"not a report document: {err}") from None
     if not isinstance(document, dict) or "results" not in document:
         raise ValueError("not a report document: missing 'results'")
@@ -505,16 +506,6 @@ def _check_config_ranges(config: dict) -> None:
             check(*args)
         except ValueError as err:
             raise ValueError(f"not a report document: config {name!r}: {err}") from None
-
-
-def _reprs(column: np.ndarray) -> list[str]:
-    """`repr` of each value of a float column, formatted once per distinct value.
-
-    Values are told apart by their bits, so -0.0 keeps its own text.
-    """
-    bits = np.asarray(column, dtype=float).view(np.int64)
-    bits, index = np.unique(bits, return_inverse=True)
-    return list(map(list(map(repr, bits.view(float).tolist())).__getitem__, index.tolist()))
 
 
 # Rows per chunk of the regions CSV, about 270 KB of text at 66-byte rows: a

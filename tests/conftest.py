@@ -1,3 +1,7 @@
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
 import pytest
 
 from bincp.data import figure1_path, load_dataset
@@ -29,3 +33,25 @@ def figure1_a_rows(tmp_path):
         encoding="utf-8",
     )
     return path
+
+
+# A shell's process substitution, `<(cat file)`, hands a program such a path.
+needs_dev_fd = pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+
+
+@contextmanager
+def piped(content: bytes):
+    """A `/dev/fd/N` path that reads `content` from a pipe, once.
+
+    The content must fit the pipe buffer (64 KB on Linux), so the write
+    end is filled and closed before the path is read.
+    """
+    read, write = os.pipe()
+    try:
+        try:
+            assert os.write(write, content) == len(content)
+        finally:
+            os.close(write)
+        yield Path(f"/dev/fd/{read}")
+    finally:
+        os.close(read)

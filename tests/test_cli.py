@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 
@@ -8,6 +9,8 @@ from bincp.cli import main
 from bincp.core import Dataset, _feature_limit
 from bincp.data import demo_test_path, figure1_path, write_dataset
 from bincp.pipeline import _CHUNK_ROWS
+
+from conftest import needs_dev_fd, piped
 
 FIG = str(figure1_path())
 DEMO = str(demo_test_path())
@@ -887,6 +890,90 @@ class TestReportCommand:
         code, _, err = run(capsys, "report", "--in", str(saved))
         assert code == 1
         assert "result 1 has no 'binary.auroc'" in err
+
+    @needs_dev_fd
+    def test_a_piped_report_with_a_byte_order_mark_renders_as_without(self, capsys, tmp_path):
+        saved = tmp_path / "r.json"
+        run(capsys, *demo_args("--format", "json", "--out", str(saved)))
+        for fmt in ("json", "csv", "text"):
+            expected = run(capsys, "report", "--in", str(saved), "--format", fmt)
+            with piped(codecs.BOM_UTF8 + saved.read_bytes()) as path:
+                assert run(capsys, "report", "--in", str(path), "--format", fmt) == expected
+            assert expected[0] == 0
+
+    @needs_dev_fd
+    def test_a_byte_that_is_not_utf8_names_its_line(self, capsys, tmp_path):
+        saved = tmp_path / "r.json"
+        run(capsys, *demo_args("--format", "json", "--out", str(saved)))
+        good = saved.read_bytes()
+        raw = good.replace(b'"positive_class": "B"', b'"positive_class": "B\xe9"')
+        line = good[: good.index(b'"positive_class"')].count(b"\n") + 1
+        for copy in (raw, codecs.BOM_UTF8 + raw):
+            with piped(copy) as path:
+                code, out, err = run(capsys, "report", "--in", str(path))
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: not a report document: line {line}: "
+                "byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+            )
+
+
+def _synth_pair(capsys, tmp_path):
+    """A labelled training file and a test file, written by `synth`."""
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    for path, seed, n in ((train, 1, "25"), (test, 2, "10")):
+        assert run(
+            capsys, "synth", "--out", str(path), "--n-per-class", n,
+            "--separation", "2.0", "--seed", str(seed),
+        )[0] == 0
+    return train, test
+
+
+class TestSeeds:
+    """Every report a run writes is one `report --in` accepts, seeds included."""
+
+    @pytest.mark.parametrize("smoothing", [(), ("--smoothed", "--smoothing-seed", "0")],
+                             ids=["exact", "smoothed-seed-0"])
+    @pytest.mark.parametrize("pooling", [(), ("--no-mondrian",)], ids=["mondrian", "pooled"])
+    @pytest.mark.parametrize("route", ["train", "calibration", "calibration-only"])
+    def test_report_in_accepts_every_report_a_run_writes(
+        self, capsys, tmp_path, route, pooling, smoothing
+    ):
+        if route == "train":
+            train, test = _synth_pair(capsys, tmp_path)
+            inputs = ["--train", str(train), "--test", str(test), "--positive-class",
+                      "positive", "--measure", "knn-prob", "--k", "3", "--split-seed", "0"]
+        else:
+            inputs = ["--calibration", FIG, "--positive-class", "B"]
+            inputs += ["--test", DEMO] if route == "calibration" else []
+        saved = tmp_path / "r.json"
+        code, _, err = run(
+            capsys, "evaluate", *inputs, *pooling, *smoothing,
+            "--epsilon", "0.1", "--epsilon", "0.3", "--format", "json", "--out", str(saved),
+        )
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "report", "--in", str(saved), "--format", "json")
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == saved.read_bytes()
+        for fmt in ("csv", "text"):
+            assert run(capsys, "report", "--in", str(saved), "--format", fmt)[0] == 0
+
+    @pytest.mark.parametrize("test", [[], ["--test", "absent.csv"]], ids=["no-test", "test"])
+    def test_a_negative_smoothing_seed_fails_before_loading(self, capsys, test):
+        code, out, err = run(
+            capsys, "evaluate", "--calibration", "absent.csv", *test, "--positive-class", "B",
+            "--smoothed", "--smoothing-seed", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: config: smoothing_seed must be >= 0, got -1\n"
+
+    def test_a_negative_split_seed_fails_before_loading(self, capsys):
+        code, out, err = run(
+            capsys, "evaluate", "--train", "absent.csv", "--positive-class", "B",
+            "--split-seed", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be >= 0, got -1\n"
 
 
 class TestExitCodes:

@@ -20,7 +20,7 @@ from bincp.data import (
     write_dataset,
 )
 
-from conftest import FIGURE1_NEG, FIGURE1_POS
+from conftest import FIGURE1_NEG, FIGURE1_POS, needs_dev_fd, piped
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -520,6 +520,52 @@ class TestPlainFiles:
         check_both_readers_agree(tmp_path, [HEADER, *(good_row(i) for i in range(n))])
 
 
+@needs_dev_fd
+class TestPipedInput:
+    """An input that can be read only once, as a pipe or `<(zcat f.csv.gz)`."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text,
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\nn01,", '\n"n01",', 1),
+            lambda text: "\ufeff" + text,
+        ],
+        ids=["plain", "crlf", "quoted", "bom"],
+    )
+    def test_a_piped_file_reads_as_the_same_file_on_disk(self, tmp_path, edit):
+        on_disk = tmp_path / "data.csv"
+        write_dataset(generate_synthetic(SyntheticSpec(n_per_class=30, dim=3, seed=5)), on_disk)
+        content = edit(on_disk.read_text(encoding="utf-8")).encode("utf-8")
+        assert len(content) < 60_000
+        on_disk.write_bytes(content)
+        expected = load_dataset(on_disk, positive_class="positive")
+        with piped(content) as path:
+            data = load_dataset(path, positive_class="positive")
+        assert data.ids.tolist() == expected.ids.tolist()
+        assert data.labels.tolist() == expected.labels.tolist()
+        assert same_bits(data.features, expected.features)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"id,label,x1\na,yes,1\na,no,2\n", ":3: duplicate sample id 'a' (first on line 2)"),
+            (b"id,label,x1\na,yes,1\nb,no,x\n", ":3: column 'x1' is not a number: 'x'"),
+            (b"id,label,x1\na,yes,1\nb,no\n", ":3: expected 3 columns, got 2"),
+            (b"id,label,x1\r\na,yes,1\r\nb,no,x\r\n", ":3: column 'x1' is not a number: 'x'"),
+            (b"id,label,x1\na,yes,1\nb\xe9,no,2\n",
+             ":3: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+        ],
+        ids=["duplicate-id", "not-a-number", "short-row", "crlf", "not-utf8"],
+    )
+    def test_a_fault_in_a_piped_file_names_its_line(self, raw, message):
+        with piped(raw) as path:
+            with pytest.raises(DataFormatError) as caught:
+                load_dataset(path, positive_class="yes")
+        assert str(caught.value) == f"{path}{message}"
+
+
 class TestWriteDataset:
     def test_feature_round_trip_is_exact(self, tmp_path):
         spec = SyntheticSpec(n_per_class=7, dim=3, separation=1.5, noise=0.8, seed=4)
@@ -564,6 +610,18 @@ class TestWriteDataset:
         path = tmp_path / "quoted.csv"
         write_dataset(data, path)
         assert load_dataset(path, positive_class="positive").ids.tolist() == ids
+
+    def test_floats_are_written_as_their_repr(self, tmp_path):
+        values = [-0.0, 0.0, 0.1, 0.1, 1e-300, -2.5e17]
+        scores = [(1.0, 0.0), (0.25, 0.75), (0.1, 0.9), (0.1, 0.9), (0.0, 1.0), (0.5, 0.5)]
+        ids = list("abcdef")
+        data = Dataset.from_columns(ids, [POSITIVE] * 6, [(v,) for v in values], scores, True)
+        path = tmp_path / "floats.csv"
+        write_dataset(data, path)
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows == [
+            f"{i},positive,{v!r},{p!r},{n!r}" for i, v, (p, n) in zip(ids, values, scores)
+        ]
 
     def test_output_uses_unix_newlines(self, tmp_path):
         data = Dataset.from_columns(["a"], [POSITIVE], [(1.0,)])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from bincp.core import (
 from bincp.data import SyntheticSpec, generate_synthetic
 from bincp.evaluate import (
     RegionDistribution,
+    _region_codes,
     auroc,
     binary_report,
     calibration_report,
@@ -219,13 +222,26 @@ class TestBinaryMetrics:
         (lambda: evaluate_predictions([0, 4], [0.5, 0.5], [True, False]),
          "region codes must be in [0, 4)"),
         (lambda: validity([-1, 0], [True, False]), "region codes must be in [0, 4)"),
+        (lambda: auroc([0.5], [True, False]),
+         "s_pos and positive must have equal length, got 1 and 2"),
+        (lambda: evaluate_predictions([0, 1], [0.5, 0.5], [True]),
+         "regions and positive must have equal length, got 2 and 1"),
+        (lambda: evaluate_predictions([0, 1], [0.5], [True, False]),
+         "regions and s_pos must have equal length, got 2 and 1"),
     ],
-    ids=["empty-scores", "empty-regions", "code-above", "code-below"],
+    ids=["empty-scores", "empty-regions", "code-above", "code-below", "short-truth-auroc",
+         "short-truth", "short-scores"],
 )
 def test_bad_columns_are_rejected_with_their_message(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_evaluate_predictions_checks_its_region_codes_once():
+    with mock.patch("bincp.evaluate._region_codes", wraps=_region_codes) as codes:
+        evaluate_predictions([0, 1, 2, 3], [0.9, 0.1, 0.5, 0.5], [True, False, True, False])
+    assert codes.call_count == 1
 
 
 class TestAuroc:

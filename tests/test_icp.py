@@ -147,6 +147,10 @@ class TestSplitDataset:
         with pytest.raises(ValueError):
             SplitConfig(fraction, seed=0)
 
+    def test_seed_must_not_be_negative(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SplitConfig(0.5, seed=-1)
+
 
 class TestCalibrationTable:
     def test_figure_one_columns(self, figure1_table):
