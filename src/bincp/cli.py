@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,6 +30,20 @@ from .pipeline import (
 
 class CliError(ValueError):
     """A usage problem detected before any work starts."""
+
+
+# The flag that sets each field the CLI checks through `MeasureSpec` and `SplitConfig`.
+_FLAGS = {"k": "--k", "proper_fraction": "--split-fraction", "seed": "--split-seed"}
+
+
+@contextmanager
+def _config_stage():
+    """Fail as the pipeline's `config` stage does, naming the flag, not the field."""
+    try:
+        yield
+    except ValueError as err:
+        field, _, rest = str(err).partition(" ")
+        raise CliError(f"config: {_FLAGS.get(field, field)} {rest}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,16 +130,19 @@ def _split_config(args: argparse.Namespace) -> SplitConfig | None:
         return None
     fraction = 0.7 if args.split_fraction is None else args.split_fraction
     seed = 0 if args.split_seed is None else args.split_seed
-    return SplitConfig(fraction, seed, not args.no_stratify)
+    with _config_stage():
+        return SplitConfig(fraction, seed, not args.no_stratify)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     if args.smoothed != (args.smoothing_seed is not None):
         raise CliError("--smoothed and --smoothing-seed must be given together")
+    with _config_stage():
+        measure = MeasureSpec(args.measure.replace("-", "_"), args.k)
     return RunConfig(
         positive_class=args.positive_class,
         epsilons=_epsilons(args),
-        measure=MeasureSpec(args.measure.replace("-", "_"), args.k),
+        measure=measure,
         mondrian=not args.no_mondrian,
         threshold=args.threshold,
         train_path=args.train,
@@ -173,6 +191,8 @@ def _cmd_simulate_online(args: argparse.Namespace) -> int:
     epsilons = _epsilons(args)
     if len(epsilons) != 1:
         raise CliError(f"simulate-online takes one --epsilon or --confidence, got {len(epsilons)}")
+    with _config_stage():
+        MeasureSpec("knn_ratio", args.k)  # the run's own k rule, checked under its flag
     rounds = simulate_online(args.data, args.positive_class, epsilons[0], args.initial_size, args.k)
     _write_output(args.out, [trajectory_csv(rounds)])
     return 0

@@ -1,25 +1,31 @@
 """CSV ingestion and emission, bundled fixtures, and the synthetic generator.
 
 File contract: UTF-8, comma separated, dot decimals, header required.  An
-input is read once and decoded by one rule, `_decode`, so it may be a pipe:
-a leading byte order mark, as Excel writes, is skipped, and a byte that
-does not decode is an error naming its line.
+input is read once, so it may be a pipe: a leading byte order mark, as
+Excel writes, is skipped, and a byte that is not UTF-8 is an error naming
+its line (`_decode`, which decodes a file that is not all ASCII once to
+check it).
 Columns are `id,label[,x1..xm][,s_pos,s_neg]`; score columns carry class
 probabilities (s_pos belongs to whichever class the caller names positive).
 An empty label field means the label is unknown.
 
-A plain file (`_read_plain`) is parsed by one `np.loadtxt` call, so no
-numeric field becomes a Python string.  Any other file, and one that call
-rejects, is read by the csv module (`_read_csv`) a fixed chunk of rows at a
-time, each chunk transposed onto per-column lists, so no list of every row
-is built.  Both paths give the same dataset and share the header and row
-checks, and a bad field or row width sends a file to the csv path, so the
-messages are the same too.  The csv path stops at the first row of the
-wrong width or that the csv module cannot read (such as a field over
-`csv.field_size_limit()`), and every row before it is checked too: an
-error names the earliest bad line.  Faults are found by record, and a
-quoted field may hold line breaks, so an error message reads the decoded
-text again to name the physical line where its record starts.  Every CSV
+A plain file (`_read_plain`) is parsed from its bytes by one `np.loadtxt`
+call into fixed-width id and label fields and float columns, so no field
+becomes a Python object: the path holds the bytes, the offsets of their
+line ends and commas, and that table, and makes one `str` per id.  Its
+records are one to a line, so it drops the bytes before the dataset is
+built.  Any other file, and one that call rejects, is read by the csv
+module (`_read_csv`) from the bytes, decoded a block at a time, a fixed
+chunk of rows at a time, each chunk transposed onto per-column lists: it
+holds the bytes and a `str` per field, but no decoded copy of the file and
+no list of every row.  Both paths give the same dataset and share the
+header, label and row checks, and a bad field or row width sends a file to
+the csv path, so the messages are the same too.  The csv path stops at the
+first row of the wrong width or that the csv module cannot read (such as a
+field over `csv.field_size_limit()`), and every row before it is checked
+too: an error names the earliest bad line.  Faults are found by record,
+and a quoted field may hold line breaks, so an error message reads the
+bytes again to name the physical line where its record starts.  Every CSV
 the package writes quotes its fields by one rule, `_quoted`, and formats
 its floats by one, `_reprs`.
 """
@@ -33,6 +39,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -157,13 +164,19 @@ def _parse_floats(
             return before, row, reason
 
 
-def _record_lines(text: str, *records: int) -> list[int]:
-    """The physical line on which each data record of a file's `text` starts.
+def _lines(raw: bytes) -> io.TextIOWrapper:
+    """The lines of UTF-8 `raw`, decoded a block at a time and split as
+    `open(newline="")` splits them, each with its end."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
 
-    Records count from 0 after the header.  The text is read again with a
+
+def _record_lines(raw: bytes, *records: int) -> list[int]:
+    """The physical line on which each data record of a file's bytes starts.
+
+    Records count from 0 after the header.  The file is read again with a
     fresh reader, so only error messages pay for it.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(raw))
     starts = []
     for _ in range(max(records) + 2):
         starts.append(reader.line_num + 1)
@@ -171,8 +184,13 @@ def _record_lines(text: str, *records: int) -> list[int]:
     return [starts[record + 1] for record in records]
 
 
+def _plain_lines(*records: int) -> list[int]:
+    """`_record_lines` for a plain file, which holds one record a line after the header."""
+    return [record + 2 for record in records]
+
+
 def _read_columns(
-    reader, width: int, text: str
+    reader, width: int, raw: bytes
 ) -> tuple[list[list[str]], tuple[int, str] | None]:
     """The fields of the remaining rows of `reader`, as `width` column lists.
 
@@ -194,7 +212,7 @@ def _read_columns(
             fault = (reader.line_num, str(err))
         if set(map(len, chunk)) - {width}:
             stop = next(i for i, row in enumerate(chunk) if len(row) != width)
-            line = _record_lines(text, read + stop)[0]
+            line = _record_lines(raw, read + stop)[0]
             fault = (line, f"expected {width} columns, got {len(chunk[stop])}")
             del chunk[stop:]
         for column, fields in zip(columns, zip(*chunk)):
@@ -204,43 +222,74 @@ def _read_columns(
             return columns, fault
 
 
-def _read_plain(text: str, path: Path) -> tuple | None:
-    """`_read_csv`'s tuple from one `np.loadtxt` call, or None if `text` is not plain.
+def _read_plain(raw: bytes, path: Path) -> tuple | None:
+    """`_read_csv`'s tuple from one `np.loadtxt` call, or None if `raw` is not plain.
 
     A file is plain when its bytes hold none of `_NOT_PLAIN` and no empty
-    line (`load_dataset` checks that before the decode), no line is longer
-    than `csv.field_size_limit()` characters, so no field is either, and
-    `np.loadtxt` reads it with one row per line and no NaN.  Each line of a
-    plain file is its fields joined by commas, as the csv module reads
-    them, and the C reader parses every number it accepts there to the bits
-    of `float()`, so the csv path would build the same dataset.  The header
-    is checked by `_parse_header`, as on the csv path.
+    line, every line holds as many commas as the header, no line is longer
+    than `csv.field_size_limit()` bytes, so no field is either, and
+    `np.loadtxt` reads it with no NaN.  Each line of a plain file is its
+    fields joined by commas, as the csv module reads them, and the C reader
+    parses every number it accepts there to the bits of `float()`, so the
+    csv path would build the same dataset.  The header is checked by
+    `_parse_header`, as on the csv path.
+
+    The line and comma offsets give the widest id and label, so the C
+    reader fills fixed-width `S` fields with their bytes (it reads the lines
+    as Latin-1, one character a byte) and no field becomes a Python object.
+    A file whose fixed-width fields would hold more than four times its bytes
+    (one id far longer than the rest, say) is left to the csv path.
     """
-    lines = text.removesuffix("\n").split("\n")
-    if len(lines) < 2 or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
+    if b"\n\n" in raw or any(byte in raw for byte in _NOT_PLAIN):
         return None
-    header = lines[0].split(",")
+    buffer = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buffer == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if len(ends) < 2 or ends[0] == 0 or (ends - starts).max() > csv.field_size_limit():
+        return None
+    header = raw[: ends[0]].decode().split(",")
     n_features, has_scores = _parse_header(header, path)
+    commas = np.flatnonzero(buffer == ord(","))
+    if len(commas) != len(ends) * (len(header) - 1):
+        return None
+    commas = commas.reshape(len(ends), -1)
+    if (commas[:, 0] < starts).any() or (commas[:, -1] > ends).any():
+        return None
+    widths = [(commas[1:, 0] - starts[1:]).max(), (commas[1:, 1] - commas[1:, 0]).max() - 1]
+    if sum(widths) * (len(ends) - 1) > 4 * len(raw):
+        return None
+    id_width, label_width = (max(int(width), 1) for width in widths)
     dtype = np.dtype(
-        [("id", object), ("label", object), ("values", float, (len(header) - 2,))]
+        [("id", f"S{id_width}"), ("label", f"S{label_width}"),
+         ("values", float, (len(header) - 2,))]
     )
+    del ends, starts, commas  # not held while the table is read
     try:
-        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+        table = np.loadtxt(
+            io.BytesIO(raw), dtype, delimiter=",", comments=None, skiprows=1, ndmin=1,
+            encoding="latin1",
+        )
     except ValueError:
         return None
-    if len(table) != len(lines) - 1 or np.isnan(table["values"]).any():
+    if np.isnan(table["values"]).any():
         return None
-    return n_features, has_scores, table["id"], table["label"], table["values"], None
+    ids = list(map(bytes.decode, table["id"]))
+    # Copied out, so that the table goes once its label column is coded.
+    values = table["values"].copy()
+    return n_features, has_scores, ids, table["label"], values, None, _plain_lines
 
 
-def _read_csv(text: str, path: Path) -> tuple:
-    """Read a file's `text` with the csv module: (feature count, has score
-    columns, ids, labels, values, fault).
+def _read_csv(raw: bytes, path: Path) -> tuple:
+    """Read a file's UTF-8 bytes with the csv module: (feature count, has
+    score columns, ids, labels, values, fault, record lines).
 
     `ids` and `labels` hold every row read, `values` the rows before the
-    first bad line, and `fault` that line and why it is bad, or None.
+    first bad line, and `fault` that line and why it is bad, or None.  The
+    last item is `_record_lines` bound to `raw`, which error messages call.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(raw))
     try:
         header = next(reader, None)
     except csv.Error as err:
@@ -249,15 +298,46 @@ def _read_csv(text: str, path: Path) -> tuple:
         raise DataFormatError(f"{path}: empty file")
     # The rows before the first bad line are checked too, so that the
     # error reported is the one on the earliest line.
-    columns, fault = _read_columns(reader, len(header), text)
+    columns, fault = _read_columns(reader, len(header), raw)
     n_features, has_scores = _parse_header(header, path)
     ids, raw_labels, *numeric = columns
     if not ids and fault is None:
         raise DataFormatError(f"{path}: no data rows")
     values, stop, reason = _parse_floats(numeric, header[2:])
     if reason is not None:
-        fault = (_record_lines(text, stop)[0], reason)
-    return n_features, has_scores, ids, raw_labels, values, fault
+        fault = (_record_lines(raw, stop)[0], reason)
+    labels = np.array(raw_labels, dtype=object)
+    return n_features, has_scores, ids, labels, values, fault, partial(_record_lines, raw)
+
+
+def _text(label: bytes | str) -> str:
+    """A label field as text: bytes are UTF-8."""
+    return label.decode() if isinstance(label, bytes) else label
+
+
+def _label_codes(labels: np.ndarray, positive_class: str, names: set[str]) -> np.ndarray:
+    """The int8 code of each label in a column of `bytes` or `str`; the
+    column's class names are added to `names`.
+
+    A file that can be read holds at most three distinct labels, two names
+    and the empty one, so each is coded by one comparison with the whole
+    column; any past those come from one sort, for the error naming them
+    (their rows stay coded negative).
+    """
+    codes = np.full(len(labels), NEGATIVE, dtype=np.int8)
+    rest = np.ones(len(labels), dtype=bool)
+    found = []
+    while rest.any() and len(found) < 3:
+        first = rest.argmax()
+        found.append(labels[first])
+        # Against a slice, not the value: numpy would drop a str's trailing NULs.
+        same = labels == labels[first : first + 1]
+        rest &= ~same
+        name = _text(found[-1])
+        codes[same] = UNKNOWN if not name else POSITIVE if name == positive_class else NEGATIVE
+    found += np.unique(labels[rest]).tolist()
+    names.update(filter(None, map(_text, found)))
+    return codes
 
 
 def load_dataset(
@@ -284,23 +364,20 @@ def load_dataset(
     naming a third class (such as a typo of the negative one) is rejected.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    # `_read_plain`'s byte checks, made before the decode.
-    plain = not (b"\n\n" in raw or any(byte in raw for byte in _NOT_PLAIN))
-    text = _decode(raw, path)
+    raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    if not raw.isascii():
+        _decode(raw, path)  # a byte that is not UTF-8 is the first error
+    n_features, has_scores, ids, labels, values, fault, lines = _read_plain(
+        raw, path
+    ) or _read_csv(raw, path)
     del raw
-    n_features, has_scores, ids, raw_labels, values, fault = (
-        plain and _read_plain(text, path)
-    ) or _read_csv(text, path)
     stop = len(values)
+    del ids[stop:]
     names = set() if class_names is None else class_names
-    names.update(set(raw_labels) - {""})
-    raw_labels = np.array(raw_labels[:stop], dtype=object)
-    labels = np.where(raw_labels == positive_class, POSITIVE, NEGATIVE)
-    labels[raw_labels == ""] = UNKNOWN
+    labels = _label_codes(labels, positive_class, names)[:stop]
     try:
         data = Dataset.from_columns(
-            ids[:stop],
+            ids,
             labels,
             values[:, :n_features] if n_features else None,
             values[:, n_features:] if has_scores else None,
@@ -308,9 +385,9 @@ def load_dataset(
         )
     except RowError as err:
         if err.first is None:
-            line, first = _record_lines(text, err.row)[0], ""
+            line, first = lines(err.row)[0], ""
         else:
-            line, before = _record_lines(text, err.row, err.first)
+            line, before = lines(err.row, err.first)
             first = f" (first on line {before})"
         raise DataFormatError(f"{path}:{line}: {err}{first}") from None
     if fault is not None:

@@ -23,14 +23,14 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import REGIONS, Dataset, Label, SignificanceLevel, label_names
-from .data import _decode, _quoted, _reprs, load_dataset
+from .data import _decode, _quoted, load_dataset
 from .evaluate import (
     REGION_KINDS,
     SCORED_ACCURACY_MODES,
@@ -517,32 +517,48 @@ def regions_csv_chunks(result: PipelineResult) -> Iterator[bytes]:
     """Per-sample regions for every requested epsilon, in input order, as encoded chunks.
 
     The header comes first, then at most `_CHUNK_ROWS` whole rows to a
-    chunk, so every chunk ends in a newline.  A row is three pieces: the
-    epsilon, the fields every epsilon shares and the region name; the
-    shared fields are formatted once per run and each chunk is one
-    `str.join` of its pieces.  Ids are quoted by `data._quoted`, so a
-    `csv.reader` reads every id back as it was; labels, p-values and region
-    names never need quotes.
+    chunk, so every chunk ends in a newline.  A row is two pieces: its id
+    and a tail, `,label,p_pos,p_neg,region` and the line end followed by
+    the next row's epsilon (the last tail of a chunk stops at the line end).
+    A tail depends only on its row's label, p-values, told apart by their
+    bits, and region, so each distinct tail is formatted once per epsilon
+    and a chunk is one `str.join` of ids and tails.  Ids are quoted by
+    `data._quoted`, so a `csv.reader` reads every id back as it was;
+    labels, p-values and region names never need quotes.
     """
     yield b"epsilon,id,true_label,p_pos,p_neg,region\n"
     if not result.regions:
         return
     test = result.test
     ids = _quoted(test.ids.tolist())
-    p_pos, p_neg = map(_reprs, result.p_values)
-    shared = [
-        f"{id_},{label},{pos},{neg},"
-        for id_, label, pos, neg in zip(ids, label_names(test.labels), p_pos, p_neg)
+    p_pos, p_neg = (np.asarray(p, dtype=float) for p in result.p_values)
+    (pos_bits, pos), (neg_bits, neg) = (
+        np.unique(p.view(np.int64), return_inverse=True) for p in (p_pos, p_neg)
+    )
+    label = test.labels.astype(np.int64) + 1
+    _, first, rows = np.unique(
+        (label * len(pos_bits) + pos) * len(neg_bits) + neg, return_index=True, return_inverse=True
+    )
+    fields = [
+        f",{name},{p!r},{q!r},"
+        for name, p, q in zip(
+            label_names(test.labels[first]), p_pos[first].tolist(), p_neg[first].tolist()
+        )
     ]
-    ends = [f"{kind}\n" for kind in REGIONS]
     for value, codes in result.regions.items():
-        prefix = repeat(repr(float(value)) + ",")
-        for start in range(0, len(shared), _CHUNK_ROWS):
+        prefix = repr(float(value)) + ","
+        ends = [f"{kind}\n{prefix}" for kind in REGIONS]
+        keys = rows * len(REGIONS) + codes
+        tails = [""] * (len(fields) * len(REGIONS))
+        for key in np.flatnonzero(np.bincount(keys)).tolist():
+            tails[key] = fields[key // len(REGIONS)] + ends[key % len(REGIONS)]
+        for start in range(0, len(ids), _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
-            pieces = zip(
-                prefix, shared[start:stop], map(ends.__getitem__, codes[start:stop].tolist())
-            )
-            yield "".join(chain.from_iterable(pieces)).encode("utf-8")
+            pieces = list(map(tails.__getitem__, keys[start:stop].tolist()))
+            pieces[-1] = pieces[-1].removesuffix(prefix)
+            yield "".join(
+                chain([prefix], chain.from_iterable(zip(ids[start:stop], pieces)))
+            ).encode("utf-8")
 
 
 def trajectory_csv(rounds: list[OnlineRound]) -> bytes:

@@ -1,10 +1,13 @@
 import os
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bincp.data import figure1_path, load_dataset
+from bincp.core import NEGATIVE, POSITIVE, Dataset
+from bincp.data import figure1_path, load_dataset, write_dataset
 from bincp.icp import build_calibration_table
 
 # Own-class probability columns of the bundled figure1.csv fixture, in row
@@ -55,3 +58,27 @@ def piped(content: bytes):
         yield Path(f"/dev/fd/{read}")
     finally:
         os.close(read)
+
+
+def write_votes_file(path: Path, n: int, seed: int, line_end: str = "\n") -> Path:
+    """A scored file like the benchmark's: ids t000000 on, random labels and
+    the vote fractions of a 100-tree forest, lines ending in `line_end`."""
+    rng = np.random.default_rng(seed)
+    votes = rng.integers(0, 101, n) / 100
+    ids = [f"t{i:06d}" for i in range(n)]
+    labels = rng.integers(NEGATIVE, POSITIVE + 1, n)
+    scores = np.column_stack([votes, 1.0 - votes])
+    write_dataset(Dataset.from_columns(ids, labels, None, scores, probability=True), path)
+    if line_end != "\n":
+        path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
+    return path
+
+
+def traced_peak(call) -> int:
+    """The `tracemalloc` peak, in bytes, of `call()`: what it held at most at once."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

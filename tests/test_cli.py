@@ -489,7 +489,7 @@ class TestSimulateOnlineCommand:
             "--k", "0",
         )
         assert code == 1
-        assert "k must be >= 1" in err
+        assert err == "error: config: --k must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("k", sorted(PINNED_TRAJECTORIES))
     def test_trajectory_bytes_are_pinned(self, capsys, tmp_path, k):
@@ -973,7 +973,23 @@ class TestSeeds:
             "--split-seed", "-1",
         )
         assert (code, out) == (1, "")
-        assert err == "error: seed must be >= 0, got -1\n"
+        assert err == "error: config: --split-seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--split-fraction", "1.5"), "--split-fraction must be in (0, 1), got 1.5"),
+            (("--split-fraction", "nan"), "--split-fraction must be in (0, 1), got nan"),
+            (("--measure", "knn-prob", "--k", "0"), "--k must be >= 1, got 0"),
+        ],
+        ids=["split-fraction", "split-fraction-nan", "k"],
+    )
+    def test_a_bad_config_flag_is_named_before_loading(self, capsys, flags, message):
+        code, out, err = run(
+            capsys, "evaluate", "--train", "absent.csv", "--positive-class", "B", *flags
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: config: {message}\n"
 
 
 class TestExitCodes:
