@@ -126,7 +126,18 @@ def _distances(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _ratio_array(d_same: np.ndarray, d_diff: np.ndarray) -> np.ndarray:
     """d_same / d_diff, with 0/0 and inf/inf read as 1; IEEE division gives
-    the other limits (x/0 and inf/x are inf, 0/x and x/inf are 0)."""
+    the other limits (x/0 and inf/x are inf, 0/x and x/inf are 0).
+
+    Both hold means of distances, never negative.  When every numerator
+    is finite, every denominator positive and the largest numerator below
+    2**1023 times the smallest denominator, no quotient is NaN or
+    overflows and no division by zero occurs, so the division runs with no
+    floating-point state of its own.  The bound is a Python float, which
+    overflows to inf without a warning.
+    """
+    low = float(d_diff.min(initial=np.inf))
+    if 0.0 < low and d_same.max(initial=0.0) < low * 2.0**1023:
+        return d_same / d_diff
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         quotient = d_same / d_diff
     return np.where(np.isnan(quotient), 1.0, quotient)
@@ -137,14 +148,25 @@ def _pool_means(block: np.ndarray) -> np.ndarray:
 
     Columns are sorted neighbour distances, so the sum runs smallest first
     and the +inf padding of a pool smaller than k comes last; a block of no
-    rows (an empty pool) gives +inf throughout.  The cumulative sum adds row
-    after row whatever the block's layout, so batch scoring and the on-line
-    engine get the same bits.
+    rows (an empty pool) gives +inf throughout.  The rows are added one
+    after another whatever the block's layout, as a cumulative sum down the
+    columns would add them, so batch scoring and the on-line engine get the
+    same bits.  A block with no padding is summed as it is and divided by
+    its row count.
     """
-    if not block.shape[-2]:
+    rows = block.shape[-2]
+    if not rows:
         return np.full(block.shape[:-2] + block.shape[-1:], np.inf)
     finite = np.isfinite(block)
-    sums = np.cumsum(np.where(finite, block, 0.0), axis=-2)[..., -1, :]
+    padded = not finite.all()
+    if padded:
+        block = np.where(finite, block, 0.0)
+    sums = block[..., 0, :].copy()
+    for row in range(1, rows):
+        sums += block[..., row, :]
+    if not padded:
+        sums /= rows
+        return sums
     counts = finite.sum(axis=-2)
     return np.divide(sums, counts, out=np.full(sums.shape, np.inf), where=counts > 0)
 

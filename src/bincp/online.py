@@ -10,12 +10,15 @@ strange as the candidate.  No separate calibration set exists.
 One engine, `_OnlineSession`, implements this, and a round is one call of
 its `step`: it checks the candidate and its label, computes both p-values
 before it reads the label, then absorbs the candidate.  It holds the bag
-by class and coordinate-major, and caches every member's k nearest
-same-label and other-label distances, their means and its alpha, so a
-round computes the candidate's distances once and rescores only the members
-U whose k nearest it enters: O(n * d + k * |U|) for a bag of n points in d
-dimensions, plus amortised buffer growth, each O(n) pass elementwise over
-contiguous rows.  `run_online` drives it over a stream, one `step` a round,
+by class in one float table, a member per column, which caches every
+member's k nearest same-label and other-label distances, their means, its
+alpha and its reach.  A round computes the candidate's distances once and
+rescores only the members U whose k nearest it enters: it gathers their
+columns with one take, inserts the candidate into every list with one
+in-place sort, and writes them back with one scatter.  That is
+O(n * d + k * |U|) for a bag of n points in d dimensions, plus amortised
+table growth, each O(n) pass elementwise over contiguous rows.
+`run_online` drives it over a stream, one `step` a round,
 then reads every round's region off the p-value columns with one
 `icp.region` call and its errors off `core.COVERAGE`, as evaluation does.
 `full_cp_pvalue` is the p-value of a single candidate.
@@ -35,47 +38,54 @@ from .nonconformity import MeasureSpec, TrainingBag, _distances, _k_nearest
 from .nonconformity import _pool_means, _ratio_array
 
 
-def _insert(block: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each column of `block` (sorted down axis -2) with its value inserted
-    and its largest dropped."""
-    before = np.empty_like(block)
-    before[..., 0, :] = -np.inf
-    before[..., 1:, :] = block[..., :-1, :]
-    return np.minimum(block, np.maximum(before, values))
-
-
 class _OnlineSession:
-    """A bag held by class, coordinate-major, a member per column.
+    """A bag held by class in one float table, a member per column.
 
     The first `n_pos` columns are the positive members and the rest of the
     first `n` the negative ones; order within a class is free, as p-values
-    depend only on distances and counts.  `coords` is (d, capacity).
-    `lists` is (2, rows, capacity): side 0 holds the k nearest same-label
-    distances and side 1 the other-label ones, each column sorted ascending
-    and padded with +inf when its pool holds fewer than k points.  `means`
-    holds the two sides' means, `alphas` the alphas and `reach` the larger
-    last entry, which a candidate must undercut to enter a list.  Capacity
-    doubles when the bag fills it; the lists keep min(k, capacity) rows, as
-    no pool outgrows the bag.
+    depend only on distances and counts.  A column's rows are, top down:
+    the member's `dim` coordinates; its k nearest same-label distances and
+    then its k nearest other-label ones, each list sorted ascending, padded
+    with +inf when its pool holds fewer than k points and followed by one
+    spare row; the two lists' means; its alpha; and its reach, the larger
+    last list entry, which a candidate must undercut to enter a list.  Every
+    column past the bag is blank: coordinates 0 and every other row +inf, so
+    its reach admits any candidate.  The table keeps at least one blank
+    column, doubling its capacity when the bag reaches it, and the lists
+    keep min(k, capacity) rows, as no pool outgrows the bag.
     """
 
     def __init__(self, bag: TrainingBag, k: int):
         MeasureSpec("knn_ratio", k)  # the batch measure's k rule
-        self.k, self.n = k, len(bag)
+        self.k, self.dim, self.n = k, bag.dim, len(bag)
         self.n_pos = int(bag.is_positive.sum())
+        self.table, self.rows = self._blank(2 * self.n)
         classes = bag.points[bag.is_positive], bag.points[~bag.is_positive]
-        self.coords = np.ascontiguousarray(np.concatenate(classes).T)
-        self.lists = np.full((2, min(k, self.n), self.n), np.inf)
+        self.table[: self.dim, : self.n] = np.concatenate(classes).T
+        lists = self._lists(self.table)
         for c, members in enumerate(classes):
             cols = slice(0, self.n_pos) if c == 0 else slice(self.n_pos, self.n)
             # Every member is its own nearest point, at distance 0.
             same = _k_nearest(members, members, k + 1)[1][:, 1:]
             diff = _k_nearest(members, classes[1 - c], k)[1]
-            self.lists[0, : same.shape[1], cols] = same.T
-            self.lists[1, : diff.shape[1], cols] = diff.T
-        self.means = _pool_means(self.lists)
-        self.alphas = _ratio_array(*self.means)
-        self.reach = np.maximum(*self.lists[:, -1])
+            lists[0, : same.shape[1], cols] = same.T
+            lists[1, : diff.shape[1], cols] = diff.T
+        means = self.table[-4:-2, : self.n]
+        means[:] = _pool_means(lists[:, : self.rows, : self.n])
+        self.table[-2, : self.n] = _ratio_array(*means)
+        self.table[-1] = np.maximum(*lists[:, self.rows - 1])
+
+    def _blank(self, capacity: int) -> tuple[np.ndarray, int]:
+        """A table of `capacity` blank columns and its list length."""
+        rows = min(self.k, capacity)
+        table = np.full((self.dim + 2 * rows + 6, capacity), np.inf)
+        table[: self.dim] = 0.0
+        return table, rows
+
+    def _lists(self, block: np.ndarray) -> np.ndarray:
+        """The list rows of a table or of columns taken from it, as a
+        (side, row, column) view; the last row of each side is the spare."""
+        return block[self.dim : -4].reshape(2, -1, block.shape[1])
 
     def step(self, features: Sequence[float], label: Label) -> tuple[float, float]:
         """One round: the leave-one-out p-values of a candidate labelled
@@ -83,77 +93,91 @@ class _OnlineSession:
         revealed `label`.  Both inputs are checked before the bag changes."""
         h = 0 if _check_label(label) is Label.POSITIVE else 1
         point = np.asarray(list(features), dtype=float)
-        if point.shape != (len(self.coords),):
-            raise ValueError(f"expected {len(self.coords)} features, got {point.shape}")
+        if point.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} features, got {point.shape}")
         _check_points(point, "candidate features")
-        n, n_pos, rows = self.n, self.n_pos, len(self.lists[0])
-        d = _distances(self.coords[:, :n], point[:, None])
+        table, rows, n, n_pos = self.table, self.rows, self.n, self.n_pos
+        d = _distances(table[: self.dim, : n + 1], point[:, None])
         # Only members nearer the candidate than their reach gain it as a
-        # neighbour; the rest keep their means and alphas.
-        changed = (d < self.reach[:n]).nonzero()[0]
-        values = np.concatenate([d[changed], [np.inf]])
-        # The candidate's own lists are the block's last column: its k
-        # nearest of each class, positive first, which an infinite distance
-        # leaves as they are.  Each class's distances are cut in place.
-        nearest = np.full((2, rows, 1), np.inf)
-        for c, pool in enumerate((d[:n_pos], d[n_pos:])):
+        # neighbour; the rest keep their means and alphas.  Blank column n
+        # always qualifies and becomes the candidate's own column.
+        changed = (d < table[-1, : n + 1]).nonzero()[0]
+        block = table.take(changed, axis=1)
+        lists = self._lists(block)
+        # The candidate's distance goes in every member's spare rows, and its
+        # own lists are its k nearest of each class, positive first, unsorted;
+        # one sort down the rows then inserts it into every list, each list's
+        # largest entry dropping to the spare row.  `kept` holds the lists
+        # without it for the sides that do not gain it once the label is known.
+        lists[:, rows] = d[changed]
+        lists[:, rows, -1] = np.inf
+        for c, pool in enumerate((d[:n_pos], d[n_pos:n])):
             r = min(rows, len(pool))
             if r:
                 pool.partition(r - 1)
-                pool[:r].sort()
-                nearest[c, :r, 0] = pool[:r]
-        lists = _insert(np.concatenate([self.lists[:, :, changed], nearest], axis=2), values)
-        new = _pool_means(lists)
+                lists[c, :r, -1] = pool[:r]
+        kept = lists.copy()
+        lists.sort(axis=1)
+        new = _pool_means(lists[:, :rows])
         # means[h]: the means as if the candidate entered both lists of the
         # members labelled h and neither of the rest's.  Under hypothesis h
         # it enters the same-label lists of the first and the other-label
         # lists of the rest, so the alphas are means[h, 0] / means[1 - h, 1];
         # the candidate's own column is its pool means, positive in means[0].
         m_pos = changed.searchsorted(n_pos)
-        old = self.means[:, changed]
+        old = block[-4:-2]
         means = new[None].repeat(2, axis=0)
         means[1, :, :m_pos] = old[:, :m_pos]
-        means[0, :, m_pos:-1] = old[:, m_pos:]
+        means[0, :, m_pos:-1] = old[:, m_pos:-1]
         means[:, :, -1] = new[:, -1:]
         alphas = _ratio_array(means[:, 0], means[::-1, 1])
         # The candidate counts for itself; members outside `changed` count
-        # with their cached alphas.
-        a_c = alphas[:, -1:]
-        count = (self.alphas[:n] >= a_c).sum(axis=1) + (alphas >= a_c).sum(axis=1)
-        count -= (self.alphas[changed] >= a_c).sum(axis=1)
-        p_values = float(count[0] / (n + 1)), float(count[1] / (n + 1))
+        # with their cached alphas, those of `changed` with their new ones.
+        # Until the block is written back, a cached alpha of -inf counts for
+        # neither hypothesis.
+        table[-2, changed] = -np.inf
+        cached = table[-2, :n]
+        count = [np.count_nonzero(cached >= a) + np.count_nonzero(row >= a)
+                 for a, row in zip(alphas[:, -1].tolist(), alphas)]
+        p_values = count[0] / (n + 1), count[1] / (n + 1)
 
-        # The label is revealed: the candidate joins side h of the
-        # positives' lists and side 1 - h of the negatives'.
-        for side, members, cols in ((h, changed[:m_pos], slice(0, m_pos)),
-                                    (1 - h, changed[m_pos:], slice(m_pos, -1))):
-            self.lists[side][:, members] = lists[side, :, cols]
-            self.means[side, members] = new[side, cols]
-        self.alphas[changed] = alphas[h, :-1]
-        self.reach[changed] = np.maximum(*self.lists[:, -1, changed])
-        if n == len(self.alphas):
-            grow = min(self.k, 2 * n) - rows
-            self.lists = np.pad(self.lists, [(0, 0), (0, grow), (0, n)], constant_values=np.inf)
-            self.coords = np.pad(self.coords, [(0, 0), (0, n)])
-            self.means = np.pad(self.means, [(0, 0), (0, n)])
-            self.alphas = np.pad(self.alphas, (0, n))
-            # New rows are padding, which any candidate enters.
-            self.reach = np.maximum(*self.lists[:, -1])
-        column = n
+        # The label is revealed and the block takes hypothesis h: the
+        # candidate joined side h of the positives' lists and side 1 - h of
+        # the negatives', so the other sides go back to `kept`; the means
+        # and alphas are hypothesis h's; and the candidate's own lists go
+        # same-label side first.
+        lists[1 - h, :, :m_pos] = kept[1 - h, :, :m_pos]
+        lists[h, :, m_pos:-1] = kept[h, :, m_pos:-1]
+        if h:
+            lists[:, :, -1] = lists[::-1, :, -1]
+        block[: self.dim, -1] = point
+        block[-4] = means[h, 0]
+        block[-3] = means[1 - h, 1]
+        block[-2] = alphas[h]
+        np.maximum(lists[0, rows - 1], lists[1, rows - 1], out=block[-1])
         if h == 0:
-            # The first negative moves to the end to make room.
-            for array in (self.coords, self.lists, self.means, self.alphas, self.reach):
-                array[..., n] = array[..., self.n_pos]
-            column, self.n_pos = self.n_pos, self.n_pos + 1
-        # Its own lists and means, same-label side first.
-        order = slice(None, None, 1 - 2 * h)
-        self.coords[:, column] = point
-        self.lists[:, : lists.shape[1], column] = lists[order, :, -1]
-        self.means[:, column] = new[order, -1]
-        self.alphas[column] = alphas[h, -1]
-        self.reach[column] = max(self.lists[:, -1, column])
+            # The first negative moves to blank column n to make room.
+            table[:, n] = table[:, n_pos]
+            if changed[m_pos] == n_pos:
+                changed[m_pos] = n
+            changed[-1] = n_pos
+            self.n_pos = n_pos + 1
+        table[:, changed] = block
         self.n = n + 1
+        if self.n == table.shape[1]:
+            self._grow()
         return p_values
+
+    def _grow(self) -> None:
+        """Double the capacity; the lists gain rows while they are shorter than k."""
+        old, rows, n = self.table, self.rows, self.n
+        self.table, self.rows = self._blank(2 * n)
+        self.table[: self.dim, :n] = old[: self.dim, :n]
+        lists = self._lists(self.table)
+        lists[:, :rows, :n] = self._lists(old)[:, :rows, :n]
+        self.table[-4:, :n] = old[-4:, :n]
+        # New rows are padding, which any candidate enters.
+        self.table[-1] = np.maximum(*lists[:, self.rows - 1])
 
 
 def full_cp_pvalue(

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bincp import nonconformity
 from bincp.core import UNKNOWN, Dataset, Label, _feature_limit
@@ -312,6 +315,81 @@ class TestConformityFromRatio:
         # The suite turns warnings into errors, so an overflow warning fails here.
         ratio = nonconformity._ratio_array(np.array([1e300]), np.array([1e-300]))
         assert ratio.tolist() == [math.inf]
+
+
+def masked_pool_means(block):
+    """`_pool_means` with every entry masked: padding read as 0 in a
+    cumulative sum down the columns, divided by each column's pool size."""
+    if not block.shape[-2]:
+        return np.full(block.shape[:-2] + block.shape[-1:], np.inf)
+    finite = np.isfinite(block)
+    sums = np.cumsum(np.where(finite, block, 0.0), axis=-2)[..., -1, :]
+    counts = finite.sum(axis=-2)
+    return np.divide(sums, counts, out=np.full(sums.shape, np.inf), where=counts > 0)
+
+
+def masked_ratio(d_same, d_diff):
+    """`_ratio_array` with its floating-point warnings off and NaN read as 1."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quotient = d_same / d_diff
+    return np.where(np.isnan(quotient), 1.0, quotient)
+
+
+# Neighbour distances: zeros, a subnormal, ties from repeated draws and
+# values far apart, all small enough that k of them sum without overflow.
+DISTANCE = st.sampled_from([0.0, 5e-324, 1e-9, 0.1, 0.2, 0.3, 0.7, 1.0, 2.0, 1e150])
+RATIO_VALUE = st.sampled_from([0.0, 5e-324, 1e-9, 0.5, 2.0, 1e9, 1e150, math.inf])
+
+
+@st.composite
+def pool_blocks(draw):
+    """A (sides, rows, columns) block of sorted pools padded with +inf; a
+    pool may be empty, and the rows may be none.  The block is in C order,
+    in Fortran order, or a view whose columns are contiguous, as batch
+    scoring passes the k-nearest distances."""
+    sides, rows, cols = draw(st.integers(1, 2)), draw(st.integers(0, 9)), draw(st.integers(1, 6))
+    full = draw(st.booleans())
+    block = np.full((sides, rows, cols), np.inf)
+    for side in range(sides):
+        for col in range(cols):
+            size = rows if full else draw(st.integers(0, rows))
+            pool = draw(st.lists(DISTANCE, min_size=size, max_size=size))
+            block[side, :size, col] = sorted(pool)
+    layout = draw(st.sampled_from(["C", "F", "columns"]))
+    if layout == "columns":
+        return np.ascontiguousarray(block.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.asfortranarray(block) if layout == "F" else block
+
+
+class TestFastPaths:
+    """`_pool_means` and `_ratio_array` give the bits of their masked forms."""
+
+    @given(block=pool_blocks())
+    def test_pool_means_match_the_masked_form(self, block):
+        got = nonconformity._pool_means(block)
+        want = masked_pool_means(block)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(pairs=st.lists(st.tuples(RATIO_VALUE, RATIO_VALUE), min_size=1, max_size=8))
+    def test_ratio_array_matches_the_masked_form(self, pairs):
+        d_same, d_diff = np.array(pairs).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nonconformity._ratio_array(d_same, d_diff)
+        assert got.tobytes() == masked_ratio(d_same, d_diff).tobytes()
+
+    @pytest.mark.parametrize(
+        "d_same, d_diff, expected",
+        [(0.0, 0.0, 1.0), (math.inf, math.inf, 1.0), (2.0, 0.0, math.inf),
+         (1e150, 5e-324, math.inf), (0.5, 2.0, 0.25)],
+        ids=["0/0", "inf/inf", "x/0", "huge/subnormal", "plain"],
+    )
+    def test_ratio_array_warns_on_no_degenerate_case(self, d_same, d_diff, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = nonconformity._ratio_array(np.array([d_same, 1.0]), np.array([d_diff, 1.0]))
+        assert ratio.tolist() == [expected, 1.0]
 
 
 class TestKnnProbabilityScores:

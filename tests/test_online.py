@@ -53,6 +53,18 @@ def long_stream(n, seed):
     return points, labels
 
 
+def cached_by_class(session):
+    """Each class's sorted alphas, sorted mean pairs and sorted reaches, as bytes."""
+    table, n, n_pos = session.table, session.n, session.n_pos
+    state = []
+    for cols in (slice(0, n_pos), slice(n_pos, n)):
+        means = table[-4:-2, cols]
+        pairs = means[:, np.lexsort(means[::-1])]
+        state.append([np.sort(table[-2, cols]).tobytes(), pairs.tobytes(),
+                      np.sort(table[-1, cols]).tobytes()])
+    return state
+
+
 def test_from_scratch_oracle_agrees_with_the_per_member_oracle():
     points, labels = long_stream(25, seed=15)
     dist = oracles.pairwise_distances(points)
@@ -254,8 +266,8 @@ class TestRunOnline:
 
     @pytest.mark.parametrize("k", [1, 5, 40])
     def test_long_stream_matches_the_from_scratch_oracle(self, k):
-        # The bag starts at one point and grows past 256, so the buffers
-        # double nine times, and pools stay below k=40 for many rounds.
+        # The bag starts at one point and grows past 256, so the table
+        # doubles eight times, and pools stay below k=40 for many rounds.
         points, labels = long_stream(301, seed=14)
         dist = oracles.pairwise_distances(points)
         session = _OnlineSession(TrainingBag(points[:1], labels[:1]), k)
@@ -264,7 +276,23 @@ class TestRunOnline:
             assert session.step(points[n], label) == oracles.loo_p_values(
                 dist[: n + 1, : n + 1], labels[:n], k
             )
-        assert len(session.alphas) == 512
+        assert session.table.shape[1] == 512
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_cached_columns_match_a_session_built_from_scratch(self, k):
+        # A rescored column left stale can keep its alpha on the same side
+        # of every later candidate, so p-values alone would not show it.
+        points, labels = long_stream(301, seed=14)
+        session = _OnlineSession(TrainingBag(points[:1], labels[:1]), k)
+        checked = 0
+        for n in range(1, len(points)):
+            capacity = session.table.shape[1]
+            session.step(points[n], Label.POSITIVE if labels[n] else Label.NEGATIVE)
+            if session.table.shape[1] != capacity or n == len(points) - 1:
+                fresh = _OnlineSession(TrainingBag(points[: n + 1], labels[: n + 1]), k)
+                assert cached_by_class(session) == cached_by_class(fresh), n
+                checked += 1
+        assert checked == 9
 
     @pytest.mark.parametrize("k", [1, 3, 40])
     def test_a_class_missing_from_the_initial_bag_arrives_late(self, k):
@@ -281,7 +309,7 @@ class TestRunOnline:
                 dist[: n + 1, : n + 1], labels[:n], k
             )
             if n == 49:
-                assert (session.n, session.n_pos, len(session.alphas)) == (50, 0, 96)
+                assert (session.n, session.n_pos, session.table.shape[1]) == (50, 0, 96)
         assert session.n_pos == labels.sum()
 
     def test_points_of_no_features_are_all_alike(self):
