@@ -12,22 +12,18 @@ An empty label field means the label is unknown.
 A plain file (`_read_plain`) is parsed from its bytes by one `np.loadtxt`
 call into fixed-width id and label fields and float columns, so no field
 becomes a Python object: the path holds the bytes, the offsets of their
-line ends and commas, and that table, and makes one `str` per id.  Its
-records are one to a line, so it drops the bytes before the dataset is
-built.  Any other file, and one that call rejects, is read by the csv
-module (`_read_csv`) from the bytes, decoded a block at a time, a fixed
-chunk of rows at a time, each chunk transposed onto per-column lists: it
-holds the bytes and a `str` per field, but no decoded copy of the file and
-no list of every row.  Both paths give the same dataset and share the
-header, label and row checks, and a bad field or row width sends a file to
-the csv path, so the messages are the same too.  The csv path stops at the
-first row of the wrong width or that the csv module cannot read (such as a
-field over `csv.field_size_limit()`), and every row before it is checked
-too: an error names the earliest bad line.  Faults are found by record,
-and a quoted field may hold line breaks, so an error message reads the
-bytes again to name the physical line where its record starts.  Every CSV
-the package writes quotes its fields by one rule, `_quoted`, and formats
-its floats by one, `_reprs`.
+line ends and commas, and that table, and makes one `str` per id.  Any
+other file, and one that call rejects, is read by the csv module
+(`_read_csv`) one record at a time from the bytes, decoded a block at a
+time: it holds the bytes, a `str` per id and label and an array of the
+numbers, but no decoded copy of the file and no list of every row.  Both
+paths give the same dataset and share the header, label and row checks,
+and a bad field or row width sends a file to the csv path, so the messages
+are the same too.  Each path gives the line on which every row starts (a
+quoted field may hold line breaks), and every error names its line from
+that table: the earliest bad line, whatever its fault.  Every CSV the
+package writes quotes its fields by one rule, `_quoted`, and writes each
+float as its `repr`.
 """
 
 from __future__ import annotations
@@ -38,18 +34,13 @@ import importlib.resources
 import io
 import math
 import re
+from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, RowError, label_names
-
-# Rows read and transposed at a time: enough to amortise the per-chunk
-# calls, few enough that the garbage collector never holds many row lists.
-_CHUNK_ROWS = 256
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
@@ -76,16 +67,6 @@ def _quoted(fields: list[str]) -> list[str]:
         '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
         for field in fields
     ]
-
-
-def _reprs(column: np.ndarray) -> list[str]:
-    """`repr` of each value of a float column, formatted once per distinct value.
-
-    Values are told apart by their bits, so -0.0 keeps its own text.
-    """
-    bits = np.asarray(column, dtype=float).view(np.int64)
-    bits, index = np.unique(bits, return_inverse=True)
-    return list(map(list(map(repr, bits.view(float).tolist())).__getitem__, index.tolist()))
 
 
 def _decode(raw: bytes, path: Path | None = None) -> str:
@@ -131,95 +112,6 @@ def _parse_header(columns: list[str], path: Path) -> tuple[int, bool]:
     if not features and not has_scores:
         raise DataFormatError(f"{path}: need feature or score columns")
     return len(features), has_scores
-
-
-def _parse_floats(
-    columns: list[list[str]], names: list[str]
-) -> tuple[np.ndarray, int, str | None]:
-    """The values of numeric columns up to their first field that is not a number.
-
-    Returns the (rows, len(names)) values of the rows before that field, its
-    row and why it is bad; with no bad field, the row count and None.
-    """
-    rows = len(columns[0]) if columns else 0
-    try:
-        values = np.column_stack(
-            [np.fromiter(map(float, column), float, rows) for column in columns]
-        )
-        if not np.isnan(values).any():
-            return values, rows, None
-    except ValueError:
-        pass
-    for row, fields in enumerate(zip(*columns)):
-        for raw, name in zip(fields, names):
-            try:
-                value = float(raw)
-            except ValueError:
-                reason = f"column {name!r} is not a number: {raw!r}"
-            else:
-                if not math.isnan(value):
-                    continue
-                reason = f"column {name!r} is NaN"
-            before = _parse_floats([column[:row] for column in columns], names)[0]
-            return before, row, reason
-
-
-def _lines(raw: bytes) -> io.TextIOWrapper:
-    """The lines of UTF-8 `raw`, decoded a block at a time and split as
-    `open(newline="")` splits them, each with its end."""
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-
-
-def _record_lines(raw: bytes, *records: int) -> list[int]:
-    """The physical line on which each data record of a file's bytes starts.
-
-    Records count from 0 after the header.  The file is read again with a
-    fresh reader, so only error messages pay for it.
-    """
-    reader = csv.reader(_lines(raw))
-    starts = []
-    for _ in range(max(records) + 2):
-        starts.append(reader.line_num + 1)
-        next(reader)
-    return [starts[record + 1] for record in records]
-
-
-def _plain_lines(*records: int) -> list[int]:
-    """`_record_lines` for a plain file, which holds one record a line after the header."""
-    return [record + 2 for record in records]
-
-
-def _read_columns(
-    reader, width: int, raw: bytes
-) -> tuple[list[list[str]], tuple[int, str] | None]:
-    """The fields of the remaining rows of `reader`, as `width` column lists.
-
-    Rows are read `_CHUNK_ROWS` at a time.  Reading stops at the first row
-    that is not `width` fields wide or that the csv module cannot read;
-    returns the columns of the rows before it and its (line, reason), or
-    None when every row was read.
-    """
-    columns: list[list[str]] = [[] for _ in range(width)]
-    read = 0
-    while True:
-        chunk: list[list[str]] = []
-        fault = None
-        try:
-            # `extend` keeps the rows read before a failing one, so they are
-            # still checked for an earlier fault.
-            chunk.extend(islice(reader, _CHUNK_ROWS))
-        except csv.Error as err:
-            fault = (reader.line_num, str(err))
-        if set(map(len, chunk)) - {width}:
-            stop = next(i for i, row in enumerate(chunk) if len(row) != width)
-            line = _record_lines(raw, read + stop)[0]
-            fault = (line, f"expected {width} columns, got {len(chunk[stop])}")
-            del chunk[stop:]
-        for column, fields in zip(columns, zip(*chunk)):
-            column.extend(fields)
-        read += len(chunk)
-        if fault is not None or len(chunk) < _CHUNK_ROWS:
-            return columns, fault
 
 
 def _read_plain(raw: bytes, path: Path) -> tuple | None:
@@ -278,36 +170,73 @@ def _read_plain(raw: bytes, path: Path) -> tuple | None:
     ids = list(map(bytes.decode, table["id"]))
     # Copied out, so that the table goes once its label column is coded.
     values = table["values"].copy()
-    return n_features, has_scores, ids, table["label"], values, None, _plain_lines
+    return n_features, has_scores, ids, table["label"], values, None, range(2, len(ids) + 2)
+
+
+def _bad_field(names: list[str], fields) -> str | None:
+    """Why the first field of a row that is not a number, or is NaN, is bad.
+
+    `fields` may be text or floats, so a parsed row that holds a NaN names
+    it by the same rule.
+    """
+    for name, field in zip(names, fields):
+        try:
+            if not math.isnan(float(field)):
+                continue
+        except ValueError:
+            return f"column {name!r} is not a number: {field!r}"
+        return f"column {name!r} is NaN"
 
 
 def _read_csv(raw: bytes, path: Path) -> tuple:
     """Read a file's UTF-8 bytes with the csv module: (feature count, has
-    score columns, ids, labels, values, fault, record lines).
+    score columns, ids, labels, values, fault, row start lines).
 
-    `ids` and `labels` hold every row read, `values` the rows before the
-    first bad line, and `fault` that line and why it is bad, or None.  The
-    last item is `_record_lines` bound to `raw`, which error messages call.
+    One loop reads the records, noting the physical line on which each
+    starts, and stops at the first that is the wrong width, that the csv
+    module cannot read, or that holds a field `float()` rejects.  After it,
+    the first NaN among the rows read cuts them back to its row.  `fault`
+    names the line where reading stopped and why, or is None; the rows
+    before it are returned, so that the row checks can still find an
+    earlier bad line.
     """
-    reader = csv.reader(_lines(raw))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     try:
         header = next(reader, None)
     except csv.Error as err:
         raise DataFormatError(f"{path}:{reader.line_num}: {err}") from None
     if header is None:
         raise DataFormatError(f"{path}: empty file")
-    # The rows before the first bad line are checked too, so that the
-    # error reported is the one on the earliest line.
-    columns, fault = _read_columns(reader, len(header), raw)
     n_features, has_scores = _parse_header(header, path)
-    ids, raw_labels, *numeric = columns
+    names = header[2:]
+    ids, labels, values, fault = [], [], array("d"), None
+    starts = [reader.line_num + 1]  # the line of each row read, and of the next
+    try:
+        for row in reader:
+            if len(row) != len(header):
+                fault = (starts[-1], f"expected {len(header)} columns, got {len(row)}")
+                break
+            try:
+                values.extend(map(float, row[2:]))
+            except ValueError:
+                fault = (starts[-1], _bad_field(names, row[2:]))
+                break
+            ids.append(row[0])
+            labels.append(row[1])
+            starts.append(reader.line_num + 1)
+    except csv.Error as err:
+        fault = (reader.line_num, str(err))
     if not ids and fault is None:
         raise DataFormatError(f"{path}: no data rows")
-    values, stop, reason = _parse_floats(numeric, header[2:])
-    if reason is not None:
-        fault = (_record_lines(raw, stop)[0], reason)
-    labels = np.array(raw_labels, dtype=object)
-    return n_features, has_scores, ids, labels, values, fault, partial(_record_lines, raw)
+    # A row that `float()` stopped in may have left its first numbers behind.
+    values = np.asarray(values)[: len(ids) * len(names)].reshape(len(ids), len(names))
+    nan = np.isnan(values).any(axis=1)
+    if nan.any():
+        row = int(nan.argmax())
+        fault = (starts[row], _bad_field(names, values[row].tolist()))
+        del ids[row:], labels[row:]
+        values = values[:row]
+    return n_features, has_scores, ids, np.array(labels, dtype=object), values, fault, starts
 
 
 def _text(label: bytes | str) -> str:
@@ -350,18 +279,18 @@ def load_dataset(
 
     The header alone sets which columns the dataset holds (`_parse_header`).
     A plain file is parsed by numpy's C reader (`_read_plain`), any other
-    one by the csv module in chunks of rows straight into columns
-    (`_read_csv`); the file's text alone decides.  Both paths give the same
-    dataset, and a bad field or row width sends a file to the csv path, which
-    names its line.  Errors raise `DataFormatError` as `path:line: reason`,
-    for the earliest bad line: a wrong column count, a field the csv module
-    cannot read (one longer than `csv.field_size_limit()`, say), a field
-    that is not a number or is NaN, a row `Dataset` rejects, or a repeated
-    id, which also names the line of its first occurrence.  Files may hold
-    at most two class names; when two appear, `positive_class` must be one
-    of them.  Files read for one run share `class_names`: the names of this
-    file are added to it, and the rule holds for the union, so that a file
-    naming a third class (such as a typo of the negative one) is rejected.
+    one by the csv module a record at a time (`_read_csv`); the file's text
+    alone decides.  Both paths give the same dataset, and a bad field or row
+    width sends a file to the csv path, which names its line.  Errors raise
+    `DataFormatError` as `path:line: reason`, for the earliest bad line: a
+    wrong column count, a field the csv module cannot read (one longer than
+    `csv.field_size_limit()`, say), a field that is not a number or is NaN,
+    a row `Dataset` rejects, or a repeated id, which also names the line of
+    its first occurrence.  Files may hold at most two class names; when two
+    appear, `positive_class` must be one of them.  Files read for one run
+    share `class_names`: the names of this file are added to it, and the
+    rule holds for the union, so that a file naming a third class (such as a
+    typo of the negative one) is rejected.
     """
     path = Path(path)
     raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
@@ -371,10 +300,8 @@ def load_dataset(
         raw, path
     ) or _read_csv(raw, path)
     del raw
-    stop = len(values)
-    del ids[stop:]
     names = set() if class_names is None else class_names
-    labels = _label_codes(labels, positive_class, names)[:stop]
+    labels = _label_codes(labels, positive_class, names)
     try:
         data = Dataset.from_columns(
             ids,
@@ -384,12 +311,8 @@ def load_dataset(
             probability=has_scores,
         )
     except RowError as err:
-        if err.first is None:
-            line, first = lines(err.row)[0], ""
-        else:
-            line, before = lines(err.row, err.first)
-            first = f" (first on line {before})"
-        raise DataFormatError(f"{path}:{line}: {err}{first}") from None
+        first = "" if err.first is None else f" (first on line {lines[err.first]})"
+        raise DataFormatError(f"{path}:{lines[err.row]}: {err}{first}") from None
     if fault is not None:
         line, reason = fault
         raise DataFormatError(f"{path}:{line}: {reason}")
@@ -406,17 +329,17 @@ def load_dataset(
 def write_dataset(dataset: Dataset, path: Path | str) -> None:
     """Write a dataset back out; labels use the canonical positive/negative names.
 
-    Ids are quoted by `_quoted` and floats written by `_reprs`, so
-    `load_dataset` reads the same values back.
+    Ids are quoted by `_quoted` and each float is written as its `repr`,
+    so `load_dataset` reads the same values back.
     """
     header = ["id", "label"]
     columns = [_quoted(dataset.ids.tolist()), label_names(dataset.labels)]
     if dataset.features is not None:
         header += [f"x{i}" for i in range(1, dataset.feature_dim + 1)]
-        columns += [_reprs(column) for column in dataset.features.T]
+        columns += [list(map(repr, column.tolist())) for column in dataset.features.T]
     if dataset.scores is not None:
         header += ["s_pos", "s_neg"]
-        columns += [_reprs(column) for column in dataset.scores.T]
+        columns += [list(map(repr, column.tolist())) for column in dataset.scores.T]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.writelines(",".join(row) + "\n" for row in [header, *zip(*columns)])
 

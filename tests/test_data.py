@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bincp.core import NEGATIVE, POSITIVE, UNKNOWN, Dataset
 from bincp.data import (
-    _CHUNK_ROWS,
     DataFormatError,
     SyntheticSpec,
     demo_test_path,
@@ -135,12 +134,13 @@ class TestLoadDataset:
             (['"a\nb",yes,1.0', "c,no,abc"], "4: column 'x1' is not a number: 'abc'"),
             (['"a\nb",yes,1.0', "c,no"], "4: expected 3 columns, got 2"),
             (['"a\nb",yes,1.0', "c,no,inf"], "4: sample 'c' has non-finite features"),
+            (['"a\nb",yes,1.0', "c,no,nan"], "4: column 'x1' is NaN"),
             (
                 ['"a\nb",yes,1.0', "c,yes,1.0", '"d\ne",no,1.0', "c,no,2.0"],
                 "7: duplicate sample id 'c' (first on line 4)",
             ),
         ],
-        ids=["not-a-number", "column-count", "row-check", "duplicate-id"],
+        ids=["not-a-number", "column-count", "row-check", "nan", "duplicate-id"],
     )
     def test_lines_count_the_line_breaks_inside_quoted_fields(
         self, tmp_path, rows, message
@@ -175,6 +175,8 @@ class TestLoadDataset:
         [
             ("b,no,abc,0.5,0.5", "column 'x1' is not a number: 'abc'"),
             ("b,no,1.0,nan,0.5", "column 's_pos' is NaN"),
+            ("b,no,nan,x,0.5", "column 'x1' is NaN"),
+            ("b,no,abc,nan,0.5", "column 'x1' is not a number: 'abc'"),
             ("b,no,inf,0.5,0.5", "sample 'b' has non-finite features"),
             ("b,no,1.0,inf,-inf", "probability scores must be finite"),
             ("b,no,1.0,1.5,-0.5", "probability scores must be in [0, 1], got (1.5, -0.5)"),
@@ -183,7 +185,8 @@ class TestLoadDataset:
             ("b,no,1.0,0.5", "expected 5 columns, got 4"),
         ],
         ids=[
-            "not-a-number", "nan", "infinite-feature", "infinite-score",
+            "not-a-number", "nan", "nan-before-not-a-number", "not-a-number-before-nan",
+            "infinite-feature", "infinite-score",
             "outside-unit-interval", "bad-sum", "empty-id", "column-count",
         ],
     )
@@ -203,8 +206,12 @@ class TestLoadDataset:
             (["a,yes,inf,0.0", "b,no,0.5"], "2: probability scores must be finite"),
             (["a,yes,0.5,0.5", ",no,nan,0.5", "c,no,0.5"], "3: column 's_pos' is NaN"),
             (["a,yes,0.5,0.5", "a,no,0.5,0.5", "c,no,x,0.5"], "3: duplicate sample id 'a'"),
+            (["a,yes,0.5,0.5", "b,no,nan,0.5", "c,no,x,0.5"], "3: column 's_pos' is NaN"),
         ],
-        ids=["sum-before-number", "finite-before-width", "nan-before-width", "repeat"],
+        ids=[
+            "sum-before-number", "finite-before-width", "nan-before-width", "repeat",
+            "nan-before-number",
+        ],
     )
     def test_the_earliest_bad_line_is_reported(self, tmp_path, rows, message):
         path = write_csv(tmp_path, "\n".join(["id,label,s_pos,s_neg", *rows]) + "\n")
@@ -217,8 +224,9 @@ class TestLoadDataset:
             load_dataset(tmp_path / "absent.csv", positive_class="yes")
 
 
-CHUNK = _CHUNK_ROWS
-# Rows at the end of a chunk, at the start of the next, and chunks in.
+# Row counts around and far past a block of 256 rows, so that a fault falls
+# early, late and deep in a file among good rows.
+CHUNK = 256
 BOUNDARY_ROWS = pytest.mark.parametrize(
     "at", [CHUNK - 1, CHUNK, 3 * CHUNK + 5], ids=["last", "next", "later"]
 )
@@ -229,8 +237,8 @@ def good_row(i):
     return f"r{i},{'yes' if i % 2 else 'no'},{i}.5,0.25,0.75"
 
 
-class TestChunkedRead:
-    """Faults at and across the boundaries of the chunks the reader takes."""
+class TestManyRows:
+    """Faults and quoted fields among many good rows, each named by its line."""
 
     @BOUNDARY_ROWS
     @pytest.mark.parametrize(
