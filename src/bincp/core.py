@@ -3,14 +3,14 @@
 A dataset is a set of columns, and `Dataset` is the one place that knows
 their layout and checks them: ids, an int8 label column (`POSITIVE`,
 `NEGATIVE`, or `UNKNOWN` for a missing label), features as an (n, m) float
-array of finite values small enough to square (`_feature_limit`) and scores
-as an (n, 2) float array, either absent for every row, and one
-`probability` flag for the whole dataset.  Scores are conformity scores,
-higher meaning more conforming, and never NaN; probability scores are class
-probabilities in [0, 1] that sum to 1, while generic ones may be infinite.
-`Dataset.from_columns` is the one way to hold scores; `Sample` rows remain
-only for the benchmark's input preparation.  Region kinds are coded by their
-index in `REGIONS`.
+array within the feature bound that bags and candidates meet too
+(`_point_checks`) and scores as an (n, 2) float array, either absent for
+every row, and one `probability` flag for the whole dataset.  Scores are
+conformity scores, higher meaning more conforming, and never NaN;
+probability scores are class probabilities in [0, 1] that sum to 1, while
+generic ones may be infinite.  `Dataset.from_columns` is the one way to
+hold scores; `Sample` rows remain only for the benchmark's input
+preparation.  Region kinds are coded by their index in `REGIONS`.
 
 `COVERAGE` is the one statement of which region covers which label (a region
 keeps a label when its p-value is above epsilon): evaluation, the on-line
@@ -74,17 +74,6 @@ def _feature_limit(dim: int) -> float:
     return math.sqrt(float(np.finfo(float).max) / (16 * max(dim, 1)))
 
 
-def _check_points(points: np.ndarray, what: str) -> None:
-    """Raise unless every coordinate of `points` is finite and within
-    `_feature_limit` of their dimension, the last axis."""
-    limit = _feature_limit(points.shape[-1])
-    # A NaN fails the comparison as well.
-    if not np.abs(points).max(initial=0.0) <= limit:
-        if not np.isfinite(points).all():
-            raise ValueError(f"{what} must be finite")
-        raise ValueError(f"{what} must be within ±{limit:.4g}, or squared distances overflow")
-
-
 class RowError(ValueError):
     """A column check failed at row `row` (zero-based).
 
@@ -133,6 +122,27 @@ def _score_checks(scores: np.ndarray, probability: bool) -> list:
             ),
         ]
     return checks
+
+
+def _point_checks(points: np.ndarray, name: Callable[[int], str]) -> list:
+    """The feature bound as row checks, a row along the last axis: finite,
+    and within `_feature_limit` of the row's length.  `name(row)` names it."""
+    limit = _feature_limit(points.shape[-1])
+    return [
+        (~np.isfinite(points).all(axis=-1), lambda row: f"{name(row)} has non-finite features"),
+        (
+            (np.abs(points) > limit).any(axis=-1),
+            lambda row: f"{name(row)} has features beyond ±{limit:.4g}, "
+            "whose squared distances overflow",
+        ),
+    ]
+
+
+def _check_points(points: np.ndarray, name: Callable[[int], str]) -> None:
+    """Raise `RowError` for the first row outside the bound of `_point_checks`."""
+    # One pass clears points within the bound; a NaN fails it as well.
+    if not np.abs(points).max(initial=0.0) <= _feature_limit(points.shape[-1]):
+        _check_rows(_point_checks(points, name))
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -210,18 +220,7 @@ class Dataset:
         checks = [] if self.scores is None else _score_checks(self.scores, self.probability)
         checks.append((self.ids == "", lambda row: "sample id must be nonempty"))
         if self.features is not None:
-            limit = _feature_limit(self.features.shape[1])
-            checks += [
-                (
-                    ~np.isfinite(self.features).all(axis=1),
-                    lambda row: f"sample {self.ids[row]!r} has non-finite features",
-                ),
-                (
-                    (np.abs(self.features) > limit).any(axis=1),
-                    lambda row: f"sample {self.ids[row]!r} has features beyond "
-                    f"±{limit:.4g}, whose squared distances overflow",
-                ),
-            ]
+            checks += _point_checks(self.features, lambda row: f"sample {self.ids[row]!r}")
         _check_rows(checks)
         # Hashing finds a repeat without the sort; the sort only names it.
         if len(set(self.ids)) < n:

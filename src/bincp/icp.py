@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Label, SignificanceLevel, region_codes
+from .core import Dataset, Label, SignificanceLevel, _frozen, region_codes
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,13 @@ class CalibrationTable:
 
     def __post_init__(self) -> None:
         for name in ("pos_scores", "neg_scores"):
-            raw = getattr(self, name)
-            scores = np.array(raw, dtype=float)
+            scores = _frozen(getattr(self, name), float)
             if scores.ndim != 1 or scores.size == 0:
                 raise ValueError(f"{name} must be a nonempty 1-d array")
             if np.isnan(scores).any():
                 raise ValueError(f"{name} must not contain NaN")
             if np.any(scores[1:] < scores[:-1]):
                 raise ValueError(f"{name} must be sorted ascending")
-            scores.flags.writeable = False
             object.__setattr__(self, name, scores)
 
 

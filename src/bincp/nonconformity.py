@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Dataset, Label, _check_label, _check_points
+from .core import Dataset, Label, _check_label, _check_points, _frozen
 
 MEASURE_KINDS = ("knn_ratio", "knn_prob", "passthrough")
 
@@ -42,23 +42,20 @@ class MeasureSpec:
 class TrainingBag:
     """Labelled reference points that nearest-neighbour measures score against.
 
-    Arrays are stored read-only.  Coordinates must be finite and within
-    `core._feature_limit`, so no squared distance overflows.
+    Arrays are stored read-only; points meet the feature bound, `core._point_checks`.
     """
 
     points: np.ndarray
     is_positive: np.ndarray
 
     def __post_init__(self) -> None:
-        points = np.array(self.points, dtype=float)
+        points = _frozen(self.points, float)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("bag needs a nonempty (n, m) point array")
-        _check_points(points, "bag points")
-        labels = np.array(self.is_positive, dtype=bool)
+        _check_points(points, "bag point {}".format)
+        labels = _frozen(self.is_positive, bool)
         if labels.shape != (points.shape[0],):
             raise ValueError("one label per bag point required")
-        points.flags.writeable = False
-        labels.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "is_positive", labels)
 

@@ -37,6 +37,9 @@ from .icp import region
 from .nonconformity import MeasureSpec, TrainingBag, _distances, _k_nearest
 from .nonconformity import _pool_means, _ratio_array
 
+# Names the one row a step checks; `format` ignores the row index.
+_CANDIDATE = "candidate".format
+
 
 class _OnlineSession:
     """A bag held by class in one float table, a member per column.
@@ -95,7 +98,7 @@ class _OnlineSession:
         point = np.asarray(list(features), dtype=float)
         if point.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} features, got {point.shape}")
-        _check_points(point, "candidate features")
+        _check_points(point, _CANDIDATE)
         table, rows, n, n_pos = self.table, self.rows, self.n, self.n_pos
         d = _distances(table[: self.dim, : n + 1], point[:, None])
         # Only members nearer the candidate than their reach gain it as a

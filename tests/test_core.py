@@ -17,8 +17,11 @@ from bincp.core import (
     RowError,
     Sample,
     SignificanceLevel,
+    _feature_limit,
     region_codes,
 )
+from bincp.nonconformity import TrainingBag
+from bincp.online import _OnlineSession
 from oracles import REGION_KEEPING
 
 
@@ -229,3 +232,50 @@ class TestDatasetColumns:
         assert (str(caught.value), caught.value.row, caught.value.first) == (
             "duplicate sample id 'a'", 2, 0
         )
+
+
+# The feature bound is one rule that the dataset, the training bag and the
+# on-line candidate each reach, so the same bad point gets the same message
+# after the caller's name for its row.
+_LIMIT = _feature_limit(2)
+
+
+def _dataset_with(point):
+    Dataset.from_columns(["a", "b"], [POSITIVE, NEGATIVE], [(0.0, 0.0), point])
+
+
+def _bag_with(point):
+    TrainingBag([(0.0, 0.0), point], [True, False])
+
+
+def _step_with(point):
+    _OnlineSession(TrainingBag([(0.0, 0.0), (1.0, 1.0)], [True, False]), 1).step(
+        point, Label.NEGATIVE
+    )
+
+
+_CALLERS = {"sample 'b'": _dataset_with, "bag point 1": _bag_with, "candidate": _step_with}
+
+
+@pytest.mark.parametrize("subject", list(_CALLERS))
+@pytest.mark.parametrize(
+    "value, tail",
+    [
+        (math.nan, "has non-finite features"),
+        (math.inf, "has non-finite features"),
+        (
+            np.nextafter(_LIMIT, math.inf),
+            f"has features beyond ±{_LIMIT:.4g}, whose squared distances overflow",
+        ),
+    ],
+    ids=["nan", "inf", "one-ulp-beyond"],
+)
+def test_one_feature_bound_names_the_row_of_each_caller(subject, value, tail):
+    with pytest.raises(RowError) as caught:
+        _CALLERS[subject]((1.0, value))
+    assert str(caught.value) == f"{subject} {tail}"
+
+
+@pytest.mark.parametrize("subject", list(_CALLERS))
+def test_the_feature_bound_itself_is_accepted_by_each_caller(subject):
+    _CALLERS[subject]((_LIMIT, -_LIMIT))

@@ -275,7 +275,7 @@ class TestManyRows:
         message = f"field larger than field limit ({limit})"
         assert str(caught.value) == f"{path}:{at + 2}: {message}"
 
-    def test_a_bad_number_before_an_oversized_field_in_one_chunk_wins(self, tmp_path):
+    def test_a_bad_number_before_an_oversized_field_wins(self, tmp_path):
         limit = csv.field_size_limit()
         rows = [good_row(i) for i in range(CHUNK + 8)]
         rows[CHUNK + 2] = "b,no,abc,0.5,0.5"
@@ -306,7 +306,7 @@ class TestManyRows:
         with pytest.raises(DataFormatError, match="no data rows"):
             load_dataset(path, positive_class="yes")
 
-    def test_quoted_ids_straddle_a_chunk_boundary(self, tmp_path):
+    def test_quoted_ids_around_row_256_are_read(self, tmp_path):
         odd = ['"a,b"', '"say ""hi"""', '"two\nlines"', '"x\r\ny"']
         rows = [good_row(i) for i in range(2 * CHUNK)]
         for offset, quoted in enumerate(odd, start=CHUNK - 2):
@@ -583,7 +583,7 @@ class TestPlainFiles:
             check_both_readers_agree(tmp, *file)
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK])
-    def test_both_readers_agree_across_chunk_boundaries(self, tmp_path, n):
+    def test_both_readers_agree_at_255_to_768_rows(self, tmp_path, n):
         check_both_readers_agree(tmp_path, [HEADER, *(good_row(i) for i in range(n))])
 
 

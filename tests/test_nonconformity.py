@@ -448,18 +448,23 @@ class TestTrainingBag:
         points = np.full((2, dim), -limit)
         TrainingBag(points, [True, False])
         points[1, -1] = np.nextafter(limit, np.inf)
-        with pytest.raises(ValueError, match="bag points must be within"):
+        with pytest.raises(ValueError, match="^bag point 1 has features beyond"):
             TrainingBag(points, [True, False])
 
     @pytest.mark.parametrize(
         "points, labels, message",
         [
             (np.zeros((0, 2)), [], "bag needs a nonempty (n, m) point array"),
-            ([[0.0, math.nan], [1.0, 1.0]], [True, False], "bag points must be finite"),
-            ([[0.0, 0.0], [-math.inf, 1.0]], [True, False], "bag points must be finite"),
+            ([[0.0, math.nan], [1.0, 1.0]], [True, False], "bag point 0 has non-finite features"),
+            ([[0.0, 0.0], [-math.inf, 1.0]], [True, False], "bag point 1 has non-finite features"),
+            (
+                [[0.0, 0.0], [math.nan, 1.0], [1.0, 1.0]],
+                [True, False, True],
+                "bag point 1 has non-finite features",
+            ),
             ([[0.0, 0.0], [1.0, 1.0]], [True], "one label per bag point required"),
         ],
-        ids=["no-rows", "nan", "inf", "label-count"],
+        ids=["no-rows", "nan", "inf", "middle-row", "label-count"],
     )
     def test_a_bad_bag_is_rejected_with_its_message(self, points, labels, message):
         with pytest.raises(ValueError) as caught:

@@ -154,7 +154,11 @@ class TestFullCpPValue:
     def test_candidate_beyond_the_feature_bound_rejected(self):
         limit = _feature_limit(1)
         assert full_cp_pvalue(two_point_bag(), ((limit,), Label.POSITIVE)) > 0.0
-        for value, message in ((math.inf, "finite"), (-limit * 2, "within")):
+        for value, message in (
+            (math.inf, "finite"),
+            (-limit * 2, "beyond"),
+            (np.nextafter(limit, math.inf), "beyond"),
+        ):
             with pytest.raises(ValueError, match=message):
                 full_cp_pvalue(two_point_bag(), ((value,), Label.POSITIVE))
 
@@ -332,7 +336,7 @@ class TestRunOnline:
         session.step((1.0,), Label.NEGATIVE)
         with pytest.raises(ValueError, match="features"):
             session.step((1.0, 2.0), Label.NEGATIVE)
-        with pytest.raises(ValueError, match="^candidate features must be finite$"):
+        with pytest.raises(ValueError, match="^candidate has non-finite features$"):
             session.step((math.nan,), Label.NEGATIVE)
         with pytest.raises(ValueError, match="got 'negative'"):
             session.step((2.0,), "negative")
