@@ -28,10 +28,6 @@ from .pipeline import (
 )
 
 
-class CliError(ValueError):
-    """A usage problem detected before any work starts."""
-
-
 # The flag that sets each field the CLI checks through `MeasureSpec` and `SplitConfig`.
 _FLAGS = {"k": "--k", "proper_fraction": "--split-fraction", "seed": "--split-seed"}
 
@@ -43,12 +39,12 @@ def _config_stage():
         yield
     except ValueError as err:
         field, _, rest = str(err).partition(" ")
-        raise CliError(f"config: {_FLAGS.get(field, field)} {rest}") from None
+        raise ValueError(f"config: {_FLAGS.get(field, field)} {rest}") from None
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); validation is exit 1
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _add_level_arguments(parser: argparse.ArgumentParser) -> None:
@@ -126,7 +122,7 @@ def _split_config(args: argparse.Namespace) -> SplitConfig | None:
     )
     if args.train is None:
         if wants_split:
-            raise CliError("split options require --train")
+            raise ValueError("split options require --train")
         return None
     fraction = 0.7 if args.split_fraction is None else args.split_fraction
     seed = 0 if args.split_seed is None else args.split_seed
@@ -136,7 +132,7 @@ def _split_config(args: argparse.Namespace) -> SplitConfig | None:
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     if args.smoothed != (args.smoothing_seed is not None):
-        raise CliError("--smoothed and --smoothing-seed must be given together")
+        raise ValueError("--smoothed and --smoothing-seed must be given together")
     with _config_stage():
         measure = MeasureSpec(args.measure.replace("-", "_"), args.k)
     return RunConfig(
@@ -168,7 +164,7 @@ def _write_output(out: Path | None, chunks: Iterable[bytes]) -> None:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     if args.test is None:
-        raise CliError("predict requires --test")
+        raise ValueError("predict requires --test")
     result = run_pipeline(_run_config(args))
     _write_output(args.out, regions_csv_chunks(result))
     return 0
@@ -176,10 +172,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.regions_out is not None and args.test is None:
-        raise CliError("--regions-out requires --test")
+        raise ValueError("--regions-out requires --test")
     result = run_pipeline(_run_config(args))
     if args.test is not None and not result.document["results"]:
-        raise CliError("evaluate requires labels on every --test row")
+        raise ValueError("evaluate requires labels on every --test row")
     _write_output(args.out, [emit_report(result.document, args.format)])
     if args.regions_out is not None:
         _write_output(args.regions_out, regions_csv_chunks(result))
@@ -190,7 +186,7 @@ def _cmd_simulate_online(args: argparse.Namespace) -> int:
     # On-line validity holds at the one level a run is at.
     epsilons = _epsilons(args)
     if len(epsilons) != 1:
-        raise CliError(f"simulate-online takes one --epsilon or --confidence, got {len(epsilons)}")
+        raise ValueError(f"simulate-online takes one --epsilon or --confidence, got {len(epsilons)}")
     with _config_stage():
         MeasureSpec("knn_ratio", args.k)  # the run's own k rule, checked under its flag
     rounds = simulate_online(args.data, args.positive_class, epsilons[0], args.initial_size, args.k)

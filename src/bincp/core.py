@@ -47,6 +47,10 @@ class Label(Enum):
         return self.value
 
 
+# Each label at the index of its code, the one mapping between labels and codes.
+_LABELS = (Label.NEGATIVE, Label.POSITIVE)
+
+
 def _check_label(label) -> Label:
     """`label` itself; anything but a `Label` member, such as its text, is an error."""
     if not isinstance(label, Label):
@@ -56,7 +60,7 @@ def _check_label(label) -> Label:
 
 def label_names(labels: np.ndarray) -> list[str]:
     """The file text of each label code: a class name, or '' when unknown."""
-    return np.array(["", str(Label.NEGATIVE), str(Label.POSITIVE)])[labels + 1].tolist()
+    return np.array([*map(str, _LABELS), ""])[labels].tolist()
 
 
 @functools.cache
@@ -181,10 +185,9 @@ class Dataset:
             raise ValueError(
                 f"inconsistent feature dimensions: {dims}, feature_dim {feature_dim}"
             )
-        codes = {Label.NEGATIVE: NEGATIVE, Label.POSITIVE: POSITIVE}
         self._set_columns(
             [s.id for s in rows],
-            [UNKNOWN if s.true_label is None else codes[_check_label(s.true_label)]
+            [UNKNOWN if s.true_label is None else _LABELS.index(_check_label(s.true_label))
              for s in rows],
             None if dims <= {None} else [s.features for s in rows],
             None,
@@ -277,7 +280,7 @@ class Dataset:
         """The rows as `Sample`s, built from the checked columns."""
         n = len(self)
         features = [None] * n if self.features is None else map(tuple, self.features.tolist())
-        labels = [(Label.NEGATIVE, Label.POSITIVE, None)[c] for c in self.labels.tolist()]
+        labels = [(*_LABELS, None)[c] for c in self.labels.tolist()]
         return tuple(map(Sample, self.ids.tolist(), features, labels))
 
     def __len__(self) -> int:
@@ -321,12 +324,11 @@ class PredictionRegion(Enum):
     EMPTY = "empty"
 
     def contains(self, label: Label) -> bool:
-        code = POSITIVE if _check_label(label) is Label.POSITIVE else NEGATIVE
-        return bool(COVERAGE[code, REGIONS.index(self)])
+        return bool(COVERAGE[_LABELS.index(_check_label(label)), REGIONS.index(self)])
 
     @property
     def is_singleton(self) -> bool:
-        return self in (PredictionRegion.SINGLE_POSITIVE, PredictionRegion.SINGLE_NEGATIVE)
+        return REGIONS.index(self) < REGION_BOTH
 
     def __str__(self) -> str:
         return self.value

@@ -145,11 +145,12 @@ def _pool_means(block: np.ndarray) -> np.ndarray:
 
     Columns are sorted neighbour distances, so the sum runs smallest first
     and the +inf padding of a pool smaller than k comes last; a block of no
-    rows (an empty pool) gives +inf throughout.  The rows are added one
-    after another whatever the block's layout, as a cumulative sum down the
-    columns would add them, so batch scoring and the on-line engine get the
-    same bits.  A block with no padding is summed as it is and divided by
-    its row count.
+    rows (an empty pool) gives +inf throughout.  The sum is the last row of
+    a cumulative sum, which adds the rows one after another whatever the
+    block's layout, so batch scoring and the on-line engine get the same
+    bits; `ndarray.sum` would pair the rows of a transposed block of 8 or
+    more.  A block with no padding is summed as it is and divided by its
+    row count.
     """
     rows = block.shape[-2]
     if not rows:
@@ -158,12 +159,9 @@ def _pool_means(block: np.ndarray) -> np.ndarray:
     padded = not finite.all()
     if padded:
         block = np.where(finite, block, 0.0)
-    sums = block[..., 0, :].copy()
-    for row in range(1, rows):
-        sums += block[..., row, :]
+    sums = np.cumsum(block, axis=-2)[..., -1, :]
     if not padded:
-        sums /= rows
-        return sums
+        return sums / rows
     counts = finite.sum(axis=-2)
     return np.divide(sums, counts, out=np.full(sums.shape, np.inf), where=counts > 0)
 

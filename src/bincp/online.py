@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import COVERAGE, NEGATIVE, POSITIVE, REGIONS, Label, PredictionRegion, SignificanceLevel
-from .core import _check_label, _check_points
+from .core import COVERAGE, REGIONS, Label, PredictionRegion, SignificanceLevel
+from .core import _LABELS, _check_label, _check_points
 from .icp import region
 from .nonconformity import MeasureSpec, TrainingBag, _distances, _k_nearest
 from .nonconformity import _pool_means, _ratio_array
@@ -230,7 +230,6 @@ def run_online(
         raise ValueError("stream must not be empty")
     index = np.arange(1, len(labels) + 1)
     codes = region(*np.transpose(p_values), eps)
-    truth = np.where([label is Label.POSITIVE for label in labels], POSITIVE, NEGATIVE)
-    rates = np.cumsum(~COVERAGE[truth, codes]) / index
+    rates = np.cumsum(~COVERAGE[list(map(_LABELS.index, labels)), codes]) / index
     regions = [REGIONS[code] for code in codes.tolist()]
     return list(map(OnlineRound, index.tolist(), regions, labels, rates.tolist()))

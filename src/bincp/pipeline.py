@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import REGIONS, Dataset, Label, SignificanceLevel, label_names
+from .core import _LABELS, REGIONS, Dataset, SignificanceLevel, label_names
 from .data import _decode, _quoted, load_dataset
 from .evaluate import (
     REGION_KINDS,
@@ -362,7 +362,7 @@ def simulate_online(
     with _stage("simulate"):
         initial = TrainingBag.from_dataset(data.take(slice(initial_size)))
         rest = data.take(slice(initial_size, None))
-        labels = [Label.POSITIVE if p else Label.NEGATIVE for p in rest.positive.tolist()]
+        labels = [_LABELS[code] for code in rest.labels.tolist()]
         return run_online(initial, zip(rest.features, labels), eps, k)
 
 

@@ -18,6 +18,7 @@ from bincp.core import (
     Sample,
     SignificanceLevel,
     _feature_limit,
+    label_names,
     region_codes,
 )
 from bincp.nonconformity import TrainingBag
@@ -232,6 +233,10 @@ class TestDatasetColumns:
         assert (str(caught.value), caught.value.row, caught.value.first) == (
             "duplicate sample id 'a'", 2, 0
         )
+
+    @pytest.mark.parametrize("code, name", [(-1, ""), (0, "negative"), (1, "positive")])
+    def test_label_names_give_the_file_text_of_each_code(self, code, name):
+        assert label_names(np.array([code, code], dtype=np.int8)) == [name, name]
 
 
 # The feature bound is one rule that the dataset, the training bag and the
