@@ -10,11 +10,7 @@ conformity scores, higher meaning more conforming, and never NaN;
 probability scores are class probabilities in [0, 1] that sum to 1, while
 generic ones may be infinite.  `Dataset.from_columns` is the one way to
 hold scores; `Sample` rows remain only for the benchmark's input
-preparation.  Region kinds are coded by their index in `REGIONS`.
-
-`COVERAGE` is the one statement of which region covers which label (a region
-keeps a label when its p-value is above epsilon): evaluation, the on-line
-loop's error count and `PredictionRegion.contains` all read it.
+preparation.
 """
 
 from __future__ import annotations
@@ -165,12 +161,8 @@ class Sample:
 
 
 class Dataset:
-    """Rows held as columns; every row has a column or none has it.
-
-    Build one from columns with `from_columns`.  Arrays are stored
-    read-only.  `Dataset(samples, feature_dim)` and `samples` convert from
-    and to `Sample` rows, which carry no scores.
-    """
+    """Rows held as columns, stored read-only; `Dataset(samples, feature_dim)`
+    and `samples` convert from and to `Sample` rows."""
 
     ids: np.ndarray
     labels: np.ndarray
@@ -357,14 +349,9 @@ _MEMBERSHIP = np.array(
 )
 
 # COVERAGE[label code, region code]: whether the region keeps the label, as
-# the indices of _MEMBERSHIP[keeps positive, keeps negative] say.
+# the indices of _MEMBERSHIP[keeps positive, keeps negative] say.  It is the
+# one statement of coverage: evaluation, the on-line loop's error count and
+# `PredictionRegion.contains` all read it.
 COVERAGE = np.empty((2, len(REGIONS)), dtype=bool)
 COVERAGE[POSITIVE, _MEMBERSHIP], COVERAGE[NEGATIVE, _MEMBERSHIP] = np.indices((2, 2)) == 1
 COVERAGE.flags.writeable = False
-
-
-def region_codes(keep_positive, keep_negative) -> np.ndarray:
-    """Region code of each row from whether its region keeps each label."""
-    return _MEMBERSHIP[
-        np.asarray(keep_positive, dtype=np.intp), np.asarray(keep_negative, dtype=np.intp)
-    ]

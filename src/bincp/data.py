@@ -3,34 +3,27 @@
 File contract: UTF-8, comma separated, dot decimals, header required.  An
 input is read once, so it may be a pipe: a leading byte order mark, as
 Excel writes, is skipped, and a byte that is not UTF-8 is an error naming
-its line (`_decode`, which decodes a file that is not all ASCII once to
-check it).
-Columns are `id,label[,x1..xm][,s_pos,s_neg]`; score columns carry class
-probabilities (s_pos belongs to whichever class the caller names positive).
-An empty label field means the label is unknown.
+its line.  Columns are `id,label[,x1..xm][,s_pos,s_neg]`; score columns
+carry class probabilities (s_pos belongs to whichever class the caller
+names positive).  An empty label field means the label is unknown.
 
-A plain file (`_read_plain`) is parsed from its bytes by one `np.loadtxt`
-call into fixed-width id and label fields and float columns, so no field
-becomes a Python object: the path holds the bytes, the offsets of their
-line ends and commas, and that table, and makes one `str` per id.  Any
-other file, and one that call rejects, is read by the csv module
-(`_read_csv`) one record at a time from the bytes, decoded a block at a
-time: it holds the bytes, a `str` per id and label and an array of the
-numbers, but no decoded copy of the file and no list of every row.  Both
-paths give the same dataset and share the header, label and row checks,
-and a bad field or row width sends a file to the csv path, so the messages
-are the same too.  Each path gives the line on which every row starts (a
-quoted field may hold line breaks), and every error names its line from
-that table: the earliest bad line, whatever its fault.  Every CSV the
-package writes quotes its fields by one rule, `_quoted`, and writes each
-float as its `repr`.
+A file is read on one of two paths, and its bytes alone choose: a plain
+file by one `np.loadtxt` call into fixed-width fields (`_read_plain`), so
+no field becomes a Python object, and any other file, or one that call
+rejects, by the csv module one record at a time (`_read_csv`), with no
+decoded copy of the file and no list of every row.  Both paths give the
+same dataset and share the header, label and row checks, and a bad field
+or row width sends a file to the csv path, so the messages are the same
+too.  Each path gives the line on which every row starts (a quoted field
+may hold line breaks), and every error names its line from that table.
+Every CSV the package writes quotes its fields by one rule, `_quoted`, and
+writes each float as its `repr`.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import importlib.resources
 import io
 import math
 import re
@@ -43,6 +36,9 @@ import numpy as np
 from .core import NEGATIVE, POSITIVE, UNKNOWN, Dataset, RowError, label_names
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+# The bundled fixtures, shipped as package data.
+_FIXTURES = Path(__file__).with_name("data")
 
 # Bytes that send a file to the csv path: a quote, a CR, and a NUL, which
 # the csv module of Python 3.10 rejects, are csv grammar; U+001C-U+001F are
@@ -88,12 +84,12 @@ def _decode(raw: bytes, path: Path | None = None) -> str:
 
 def figure1_path() -> Path:
     """The bundled 21-sample example calibration set (classes A and B, scores)."""
-    return Path(str(importlib.resources.files("bincp").joinpath("data/figure1.csv")))
+    return _FIXTURES / "figure1.csv"
 
 
 def demo_test_path() -> Path:
     """A 3-row scored test fixture that pairs with the figure1 calibration set."""
-    return Path(str(importlib.resources.files("bincp").joinpath("data/demo_test.csv")))
+    return _FIXTURES / "demo_test.csv"
 
 
 def _parse_header(columns: list[str], path: Path) -> tuple[int, bool]:
@@ -122,9 +118,7 @@ def _read_plain(raw: bytes, path: Path) -> tuple | None:
     than `csv.field_size_limit()` bytes, so no field is either, and
     `np.loadtxt` reads it with no NaN.  Each line of a plain file is its
     fields joined by commas, as the csv module reads them, and the C reader
-    parses every number it accepts there to the bits of `float()`, so the
-    csv path would build the same dataset.  The header is checked by
-    `_parse_header`, as on the csv path.
+    parses every number it accepts there to the bits of `float()`.
 
     The line and comma offsets give the widest id and label, so the C
     reader fills fixed-width `S` fields with their bytes (it reads the lines
@@ -197,8 +191,7 @@ def _read_csv(raw: bytes, path: Path) -> tuple:
     module cannot read, or that holds a field `float()` rejects.  After it,
     the first NaN among the rows read cuts them back to its row.  `fault`
     names the line where reading stopped and why, or is None; the rows
-    before it are returned, so that the row checks can still find an
-    earlier bad line.
+    before it are returned for the row checks.
     """
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     try:
@@ -277,20 +270,15 @@ def load_dataset(
 ) -> Dataset:
     """Read a dataset, mapping the named class to positive and the other to negative.
 
-    The header alone sets which columns the dataset holds (`_parse_header`).
-    A plain file is parsed by numpy's C reader (`_read_plain`), any other
-    one by the csv module a record at a time (`_read_csv`); the file's text
-    alone decides.  Both paths give the same dataset, and a bad field or row
-    width sends a file to the csv path, which names its line.  Errors raise
-    `DataFormatError` as `path:line: reason`, for the earliest bad line: a
-    wrong column count, a field the csv module cannot read (one longer than
-    `csv.field_size_limit()`, say), a field that is not a number or is NaN,
-    a row `Dataset` rejects, or a repeated id, which also names the line of
-    its first occurrence.  Files may hold at most two class names; when two
-    appear, `positive_class` must be one of them.  Files read for one run
-    share `class_names`: the names of this file are added to it, and the
-    rule holds for the union, so that a file naming a third class (such as a
-    typo of the negative one) is rejected.
+    Errors raise `DataFormatError` as `path:line: reason`, for the earliest
+    bad line: a wrong column count, a field the csv module cannot read (one
+    longer than `csv.field_size_limit()`, say), a field that is not a number
+    or is NaN, a row `Dataset` rejects, or a repeated id, which also names
+    the line of its first occurrence.  Files may hold at most two class
+    names; when two appear, `positive_class` must be one of them.  Files
+    read for one run share `class_names`: the names of this file are added
+    to it, and the rule holds for the union, so that a file naming a third
+    class (such as a typo of the negative one) is rejected.
     """
     path = Path(path)
     raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
@@ -327,11 +315,8 @@ def load_dataset(
 
 
 def write_dataset(dataset: Dataset, path: Path | str) -> None:
-    """Write a dataset back out; labels use the canonical positive/negative names.
-
-    Ids are quoted by `_quoted` and each float is written as its `repr`,
-    so `load_dataset` reads the same values back.
-    """
+    """Write a dataset back out, which `load_dataset` reads back to the same
+    values; labels use the canonical positive/negative names."""
     header = ["id", "label"]
     columns = [_quoted(dataset.ids.tolist()), label_names(dataset.labels)]
     if dataset.features is not None:

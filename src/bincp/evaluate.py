@@ -1,21 +1,14 @@
 """Quality measures for set-valued predictions and their underlying scores.
 
-Validity is the fraction of regions that contain the true label, so a
-two-label region always counts as covered and an empty region never does.
-Efficiency is the fraction of single-label regions, the predictions that are
-actually informative.  The two deliberately pull apart: predicting both
-labels everywhere is 100% valid and 0% efficient.  The region distribution
-and the two scored-accuracy conventions make that tension explicit, and the
-singleton-conditional block reports how good the informative subset really is.
-
-`evaluate_predictions`, `binary_report` and `calibration_report` return the
-report's own blocks: dicts keyed as the report writes them, so each figure
-is named once, here.  Every region figure reads one class-by-region count
-table (`_region_figures`), and which of its cells count as covered is
-`core.COVERAGE`, the rule the on-line loop counts its errors by too.  One
-confusion table (`_panel`) makes all three forced-choice blocks: the
-threshold call on the calibration rows and on the test rows, and the call
-the singletons make.
+Validity and efficiency deliberately pull apart: predicting both labels
+everywhere is fully valid and never efficient.  The region distribution and
+the two scored-accuracy conventions make that tension explicit, and the
+singleton-conditional block reports how good the informative subset really
+is.  `evaluate_predictions`, `binary_report` and `calibration_report`
+return the report's own blocks, keyed as the report writes them, so each
+figure is named once, here.  One confusion table (`_panel`) makes all
+three forced-choice blocks: the threshold call on the calibration rows and
+on the test rows, and the call the singletons make.
 """
 
 from __future__ import annotations
@@ -55,11 +48,7 @@ def _region_codes(regions) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionDistribution:
-    """How the four region kinds divide the test set.
-
-    frac_correct_single + frac_both is the validity; frac_correct_single +
-    frac_false_single is the efficiency.
-    """
+    """How the four region kinds divide the test set."""
 
     frac_correct_single: float
     frac_false_single: float
@@ -158,11 +147,9 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _auroc(s_pos: np.ndarray, positive: np.ndarray) -> float:
-    """Win fraction of the positive scores over the negative ones, ties half.
-
-    Only the sums of the rank counts matter, so both classes are sorted and
-    the positive scores are counted against the negative ones in order.
-    """
+    """`auroc` of checked columns.  Only the sums of the rank counts matter, so
+    both classes are sorted and the positive scores counted against the negative
+    ones in order."""
     neg = np.sort(s_pos[~positive])
     pos = np.sort(s_pos[positive])
     if pos.size == 0 or neg.size == 0:
@@ -242,9 +229,7 @@ def evaluate_predictions(regions, s_pos, positive) -> dict:
     """The blocks of one result that depend on epsilon, keyed as in the report.
 
     Takes the region codes, the s_pos scores and the mask of positive rows
-    of a test set.  The region figures come from `_region_figures`, so
-    validity equals the both_correct accuracy and the correct-single
-    fraction the both_wrong one, bit for bit.  The singleton block is the
+    of a test set.  The singleton block adds to the region figures the
     forced choice the singletons make, on those rows alone: "when the
     predictor commits, how often is it right".
     """

@@ -1,14 +1,9 @@
 """Inductive calibration: data splitting, per-class score tables, p-values, regions.
 
-The p-value of a label hypothesis is rank-based: the fraction of calibration
-scores (of the matching class when Mondrian, pooled otherwise) that conform
-no better than the test sample, counting the test sample itself.  Ties are
-counted inclusively, which keeps the engine deterministic; passing a
-generator as `rng` gives smoothed p-values, which randomize over ties.
-
 P-values do not depend on epsilon, so a run computes the two p-value
-columns of its test set once; the region at each epsilon is one comparison
-of those columns with it, so regions nest as epsilon grows.
+columns of its test set once, with one draw of smoothing ties; the region
+at each epsilon is one comparison of those columns with it, so regions
+nest as epsilon grows.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Label, SignificanceLevel, _frozen, region_codes
+from .core import _MEMBERSHIP, Dataset, Label, SignificanceLevel, _frozen
 
 
 @dataclass(frozen=True)
@@ -165,15 +160,13 @@ def p_values(
 
 def region(p_pos, p_neg, eps: SignificanceLevel) -> np.ndarray:
     """Region codes (see `core.REGIONS`): keep every label whose p-value exceeds epsilon."""
-    return region_codes(np.greater(p_pos, eps.epsilon), np.greater(p_neg, eps.epsilon))
+    return _MEMBERSHIP[tuple(np.greater(p, eps.epsilon).astype(np.intp) for p in (p_pos, p_neg))]
 
 
 def predict_set(
     table: CalibrationTable, tests: Dataset, *, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The p-value columns (positive, negative) of every test sample, in input order.
-
-    They are smoothed exactly when `rng` is given, as in `p_values`.
-    """
+    """The p-value columns (positive, negative) of every test sample, in input
+    order, smoothed when `rng` is given (`p_values`)."""
     tests.require("scores", why="test samples need scores")
     return p_values(table, tests.scores[:, 0], tests.scores[:, 1], rng=rng)

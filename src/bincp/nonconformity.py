@@ -1,8 +1,7 @@
 """Conformity scoring: nearest-neighbour measures and ingested class probabilities.
 
-Every score produced here follows one convention: higher numbers mean a
-sample conforms better to the hypothesized label.  Distance-ratio values
-grow with strangeness, so they are negated at the boundary of this module.
+Scores follow `core`'s convention, higher meaning more conforming, so the
+distance-ratio values, which grow with strangeness, are negated here.
 """
 
 from __future__ import annotations
@@ -333,11 +332,8 @@ def score_dataset(
     """Return `data` with the score column of the chosen measure.
 
     Passthrough requires precomputed scores and returns `data` itself; the
-    nearest-neighbour measures require features plus a bag.  Distance ties
-    among bag points go to the lower bag index.  Scores do not depend on
-    the BLAS library or its thread count, and queries are scored in blocks,
-    so scratch memory stays near `_BLOCK_BYTES` per block whatever the size
-    of `data`.
+    nearest-neighbour measures require features plus a bag and rank it with
+    `_k_nearest`, so distance ties among bag points go to the lower index.
     """
     if measure.kind == "passthrough":
         data.require("scores", why="passthrough needs precomputed scores")

@@ -7,21 +7,11 @@ the augmented bag itself: every member (candidate included) is scored
 leave-one-out, and the p-value is the fraction of members at least as
 strange as the candidate.  No separate calibration set exists.
 
-One engine, `_OnlineSession`, implements this, and a round is one call of
-its `step`: it checks the candidate and its label, computes both p-values
-before it reads the label, then absorbs the candidate.  It holds the bag
-by class in one float table, a member per column, which caches every
-member's k nearest same-label and other-label distances, their means, its
-alpha and its reach.  A round computes the candidate's distances once and
-rescores only the members U whose k nearest it enters: it gathers their
-columns with one take, inserts the candidate into every list with one
-in-place sort, and writes them back with one scatter.  That is
-O(n * d + k * |U|) for a bag of n points in d dimensions, plus amortised
-table growth, each O(n) pass elementwise over contiguous rows.
-`run_online` drives it over a stream, one `step` a round,
-then reads every round's region off the p-value columns with one
-`icp.region` call and its errors off `core.COVERAGE`, as evaluation does.
-`full_cp_pvalue` is the p-value of a single candidate.
+One engine, `_OnlineSession`, caches every member's neighbour lists, and a
+round is one call of its `step`, which rescores only the members U whose
+k nearest the candidate enters.  That is O(n * d + k * |U|) for a bag of n
+points in d dimensions, plus amortised table growth, each O(n) pass
+elementwise over contiguous rows.
 """
 
 from __future__ import annotations
@@ -186,13 +176,8 @@ class _OnlineSession:
 def full_cp_pvalue(
     bag: TrainingBag, candidate: tuple[Sequence[float], Label], k: int = 1
 ) -> float:
-    """Leave-one-out p-value of a labelled candidate against the whole bag.
-
-    The bag is augmented with the candidate, every member of the augmented
-    bag is scored against the bag minus itself with the distance-ratio
-    measure, and the returned value is |{i : alpha_i >= alpha_candidate}|
-    over n + 1, the candidate counting for itself.
-    """
+    """The p-value of a labelled candidate against the whole bag, under its own
+    label, as one on-line round computes it."""
     features, label = candidate
     # The session is discarded, so the candidate's absorption goes unused.
     p_pos, p_neg = _OnlineSession(bag, k).step(features, label)

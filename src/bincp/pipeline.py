@@ -3,18 +3,9 @@
 Every run is a pure function of its input files and configuration; reports
 carry no timestamps or environment details, so rerunning a configuration
 reproduces the output byte for byte.  Data moves between the stages as
-`Dataset` columns: a run computes the p-value columns of its test set once,
-derives the region codes of each epsilon from them, and the report and
-regions writers format whole columns.  The regions writer yields its CSV a
-fixed number of rows at a time, formatting the fields every epsilon shares
-once, so the memory it takes grows with the test rows and not with the
-test rows times the epsilons.
-
-The evaluation layer returns the report's own blocks, keyed by their report
-paths, so a report figure is named once, where `evaluate` writes it; the
-field table below only says where each format puts it.  The `binary` block
-does not depend on epsilon, so a run computes it once and each result row
-carries it.
+`Dataset` columns, and the report and regions writers format whole columns.
+The field tables below say where each format puts a figure that `evaluate`
+names.
 """
 
 from __future__ import annotations
@@ -307,8 +298,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     regions: dict[float, np.ndarray] = {}
     results: list[dict] = []
     if test is not None:
-        # P-values do not depend on epsilon: one draw of smoothing ties
-        # serves every level, so regions nest across epsilon.
         rng = None
         if config.smoothing_seed is not None:
             rng = np.random.default_rng(config.smoothing_seed)
@@ -350,7 +339,7 @@ def simulate_online(
         eps = SignificanceLevel(epsilon)
         if initial_size < 1:
             raise ValueError(f"initial_size must be >= 1, got {initial_size}")
-        MeasureSpec("knn_ratio", k)  # the batch measure's k rule
+        MeasureSpec("knn_ratio", k)
     with _stage("load"):
         data = load_dataset(data_path, positive_class)
         if not data.fully_labelled():
@@ -439,10 +428,9 @@ def parse_report(data: bytes) -> dict:
     Every result and calibration figure must be present and of its field's
     kind, and so must every config figure and `n_test` when the document
     holds them; the config figures must also lie in the ranges a run
-    accepts.  bincp writes no NaN or infinity, so a document
-    holding one (as a constant, or as a number too large for a float) is not
-    a report.  The bytes are decoded as every input is (`data._decode`): a
-    byte order mark is skipped and a byte that is not UTF-8 names its line.
+    accepts.  bincp writes no NaN or infinity, so a document holding one
+    (as a constant, or as a number too large for a float) is not a report.
+    The bytes are decoded as every input is (`data._decode`).
     """
     try:
         document = json.loads(_decode(data), parse_constant=_finite, parse_float=_finite)
@@ -487,10 +475,7 @@ def parse_report(data: bytes) -> dict:
 
 
 def _check_config_ranges(config: dict) -> None:
-    """Hold a typed config block to the rules a run applies to its configuration.
-
-    The run's own validators state the ranges, so none is restated here.
-    """
+    """Hold a typed config block to the run's own validators, which state the ranges."""
     measure, split = config["measure"], config["split"]
     checks = [
         ("measure", MeasureSpec, (measure["kind"], measure["k"])),
@@ -508,8 +493,7 @@ def _check_config_ranges(config: dict) -> None:
             raise ValueError(f"not a report document: config {name!r}: {err}") from None
 
 
-# Rows per chunk of the regions CSV, about 270 KB of text at 66-byte rows: a
-# writer holds one chunk at a time, so memory does not grow with the levels.
+# Rows per chunk of the regions CSV, about 270 KB of text at 66-byte rows.
 _CHUNK_ROWS = 4096
 
 
@@ -517,12 +501,14 @@ def regions_csv_chunks(result: PipelineResult) -> Iterator[bytes]:
     """Per-sample regions for every requested epsilon, in input order, as encoded chunks.
 
     The header comes first, then at most `_CHUNK_ROWS` whole rows to a
-    chunk, so every chunk ends in a newline.  A row is two pieces: its id
-    and a tail, `,label,p_pos,p_neg,region` and the line end followed by
-    the next row's epsilon (the last tail of a chunk stops at the line end).
-    A tail depends only on its row's label, p-values, told apart by their
-    bits, and region, so each distinct tail is formatted once per epsilon
-    and a chunk is one `str.join` of ids and tails.  Ids are quoted by
+    chunk, so every chunk ends in a newline; a writer holds one chunk at a
+    time, so its memory grows with the test rows and not with the rows
+    times the epsilons.  A row is two pieces: its id and a tail,
+    `,label,p_pos,p_neg,region` and the line end followed by the next row's
+    epsilon (the last tail of a chunk stops at the line end).  A tail
+    depends only on its row's label, p-values, told apart by their bits,
+    and region, so each distinct tail is formatted once per epsilon and a
+    chunk is one `str.join` of ids and tails.  Ids are quoted by
     `data._quoted`, so a `csv.reader` reads every id back as it was;
     labels, p-values and region names never need quotes.
     """

@@ -19,8 +19,8 @@ from bincp.core import (
     SignificanceLevel,
     _feature_limit,
     label_names,
-    region_codes,
 )
+from bincp.icp import region
 from bincp.nonconformity import TrainingBag
 from bincp.online import _OnlineSession
 from oracles import REGION_KEEPING
@@ -47,10 +47,12 @@ class TestPredictionRegion:
     def test_singleton_contains_only_its_label(self, region, label, expected):
         assert region.contains(label) is expected
 
-    def test_region_codes_match_membership_row_by_row(self):
+    def test_region_matches_membership_row_by_row(self):
         keep_pos = np.array([True, True, False, False])
         keep_neg = np.array([True, False, True, False])
-        codes = region_codes(keep_pos, keep_neg)
+        # A label is kept when its p-value lies above epsilon, here 0.1.
+        p_pos, p_neg = (np.where(keep, 0.15, 0.05) for keep in (keep_pos, keep_neg))
+        codes = region(p_pos, p_neg, SignificanceLevel(0.1))
         assert [REGIONS[c] for c in codes] == [
             REGION_KEEPING[p, n] for p, n in zip(keep_pos, keep_neg)
         ]

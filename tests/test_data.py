@@ -12,6 +12,7 @@ from bincp.core import NEGATIVE, POSITIVE, UNKNOWN, Dataset
 from bincp.data import (
     DataFormatError,
     SyntheticSpec,
+    _read_plain,
     demo_test_path,
     figure1_path,
     generate_synthetic,
@@ -567,6 +568,17 @@ class TestPlainFiles:
             assert outcome == read
         else:
             assert outcome.labels.tolist() == read
+
+    def test_a_row_with_misplaced_commas_goes_to_the_csv_path(self, tmp_path):
+        # The file holds as many commas as its header times its lines, but
+        # line 2 has one too many and line 3 one too few.  The row guard
+        # turns it away before the C reader sees it.
+        raw = b"id,label,s_pos,s_neg\na,x,0.1,0.9,\nb,y,0.2\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        with mock.patch("bincp.data.np.loadtxt", side_effect=AssertionError):
+            assert _read_plain(raw, path) is None
+        check_load(path, ":2: expected 4 columns, got 5")
 
     def test_a_file_whose_fixed_width_fields_outgrow_it_goes_to_the_csv_path(self, tmp_path):
         ids = ["a" * 5000, *(f"r{i}" for i in range(999))]
