@@ -27,7 +27,8 @@ from .icp import (
 )
 from .nonconformity import MeasureSpec, TrainingBag, score_dataset
 from .online import full_cp_pvalue, run_online
-from .pipeline import RunConfig, emit_report, run_pipeline, simulate_online
+from .pipeline import RunConfig, run_pipeline, simulate_online
+from .report import emit_report
 
 __version__ = "0.1.0"
 

@@ -16,14 +16,12 @@ from .core import SignificanceLevel
 from .data import SyntheticSpec, generate_synthetic, write_dataset
 from .nonconformity import MeasureSpec
 from .icp import SplitConfig
-from .pipeline import (
+from .pipeline import RunConfig, run_pipeline, simulate_online
+from .report import (
     REPORT_FORMATS,
-    RunConfig,
     emit_report,
     parse_report,
     regions_csv_chunks,
-    run_pipeline,
-    simulate_online,
     trajectory_csv,
 )
 

@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 
 from bincp.core import NEGATIVE, POSITIVE, Dataset
-from bincp.data import figure1_path, load_dataset, write_dataset
+from bincp.data import (
+    SyntheticSpec,
+    demo_test_path,
+    figure1_path,
+    generate_synthetic,
+    load_dataset,
+    write_dataset,
+)
 from bincp.icp import build_calibration_table
+from bincp.pipeline import RunConfig
+from bincp.report import regions_csv_chunks
 
 # Own-class probability columns of the bundled figure1.csv fixture, in row
 # order (negative rows first, then positive rows).
@@ -82,3 +91,33 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def demo_config(**overrides):
+    base = dict(
+        positive_class="B",
+        epsilons=(0.2,),
+        calibration_path=figure1_path(),
+        test_path=demo_test_path(),
+    )
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+def regions_bytes(result):
+    """The regions CSV as one bytes object; every chunk must end a row."""
+    chunks = list(regions_csv_chunks(result))
+    assert all(chunk.endswith(b"\n") for chunk in chunks)
+    return b"".join(chunks)
+
+
+def write_stream(tmp_path, n_per_class=12, seed=5):
+    """A labelled two-feature file of 2 * `n_per_class` rows to stream on-line."""
+    path = tmp_path / "stream.csv"
+    write_dataset(
+        generate_synthetic(
+            SyntheticSpec(n_per_class=n_per_class, dim=2, separation=2.0, seed=seed)
+        ),
+        path,
+    )
+    return path

@@ -1,6 +1,8 @@
 import codecs
 import csv
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from bincp.cli import main
 from bincp.core import Dataset, _feature_limit
 from bincp.data import demo_test_path, figure1_path, write_dataset
-from bincp.pipeline import _CHUNK_ROWS
+from bincp.report import _CHUNK_ROWS
 
 from conftest import needs_dev_fd, piped
 
@@ -1002,6 +1004,17 @@ class TestExitCodes:
         )
         assert code == 2
         assert "i/o error" in err
+
+    def test_the_module_run_as_a_script_exits_with_the_status(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # runpy warns when the module it runs as __main__ is already imported.
+        monkeypatch.delitem(sys.modules, "bincp.cli", raising=False)
+        monkeypatch.setattr(sys, "argv", ["bincp", "report", "--in", str(tmp_path / "absent")])
+        with pytest.raises(SystemExit) as caught:
+            runpy.run_module("bincp.cli", run_name="__main__")
+        assert caught.value.code == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     def test_unknown_flag_is_a_validation_error(self, capsys):
         code, _, err = run(capsys, *demo_args("--frobnicate"))

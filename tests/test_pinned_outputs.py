@@ -12,7 +12,8 @@ import pytest
 
 from bincp.cli import main
 from bincp.data import demo_test_path, figure1_path
-from bincp.pipeline import RunConfig, emit_report, run_pipeline
+from bincp.pipeline import RunConfig, run_pipeline
+from bincp.report import emit_report
 
 EPSILONS = ("--epsilon", "0.05", "--epsilon", "0.1", "--epsilon", "0.2")
 

@@ -6,9 +6,10 @@ Runs `pytest.main` in this process under `sys.settrace` and
 `threading.settrace`.  The tracer follows only frames whose file lies under
 src/bincp.  Afterwards each module is compiled, and every line that one of
 its code objects (nested ones included) lists in `co_lines()` but that never
-ran is printed as `path:line: source`.  It exits with pytest's status.  A
-report, not a gate: `coverage` is not a dependency, and this is the line
-census it would give.
+ran is printed as `path:line: source`.  It exits with pytest's status
+when that is not 0, and otherwise with 1 when it printed any line, so the
+census is a gate: every line of src/bincp is reached by some test.
+`coverage` is not a dependency, and this is the line census it would give.
 
 Lines reached only in child processes are not traced, such as the README
 blocks that tests/test_readme.py runs in a child interpreter.
@@ -67,13 +68,15 @@ def main(args: list[str]) -> int:
     ran: dict[Path, set[int]] = {}
     for filename, lines in hit.items():
         ran.setdefault(Path(filename).resolve(), set()).update(lines)
+    listed = False
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         text = source.splitlines()
         missed = _executable(compile(source, str(path), "exec")) - ran.get(path.resolve(), set())
         for line in sorted(missed):
             print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
-    return int(status)
+            listed = True
+    return int(status) or int(listed)
 
 
 if __name__ == "__main__":
