@@ -16,7 +16,7 @@ from .core import SignificanceLevel
 from .data import SyntheticSpec, generate_synthetic, write_dataset
 from .nonconformity import MeasureSpec
 from .icp import SplitConfig
-from .pipeline import RunConfig, run_pipeline, simulate_online
+from .pipeline import RunConfig, _validate_config, run_pipeline, simulate_online
 from .report import (
     REPORT_FORMATS,
     emit_report,
@@ -26,18 +26,20 @@ from .report import (
 )
 
 
-# The flag that sets each field the CLI checks through `MeasureSpec` and `SplitConfig`.
-_FLAGS = {"k": "--k", "proper_fraction": "--split-fraction", "seed": "--split-seed"}
+# The flag that sets each field named by `MeasureSpec`, `SplitConfig` and
+# `pipeline._validate_config` messages.
+_FLAGS = {"k": "--k", "proper_fraction": "--split-fraction", "seed": "--split-seed",
+          "train_path": "--train", "calibration_path": "--calibration", "proper_path": "--proper"}
 
 
 @contextmanager
 def _config_stage():
-    """Fail as the pipeline's `config` stage does, naming the flag, not the field."""
+    """Fail as the pipeline's `config` stage does, naming flags, not fields."""
     try:
         yield
     except ValueError as err:
-        field, _, rest = str(err).partition(" ")
-        raise ValueError(f"config: {_FLAGS.get(field, field)} {rest}") from None
+        words = (_FLAGS.get(word, word) for word in str(err).split(" "))
+        raise ValueError(f"config: {' '.join(words)}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +135,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--smoothed and --smoothing-seed must be given together")
     with _config_stage():
         measure = MeasureSpec(args.measure.replace("-", "_"), args.k)
-    return RunConfig(
+    config = RunConfig(
         positive_class=args.positive_class,
         epsilons=_epsilons(args),
         measure=measure,
@@ -146,6 +148,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         split=_split_config(args),
         smoothing_seed=args.smoothing_seed,
     )
+    with _config_stage():
+        _validate_config(config)
+    return config
 
 
 def _write_output(out: Path | None, chunks: Iterable[bytes]) -> None:

@@ -148,19 +148,17 @@ def _pool_means(block: np.ndarray) -> np.ndarray:
     a cumulative sum, which adds the rows one after another whatever the
     block's layout, so batch scoring and the on-line engine get the same
     bits; `ndarray.sum` would pair the rows of a transposed block of 8 or
-    more.  A block with no padding is summed as it is and divided by its
-    row count.
+    more.  Entries are never negative or NaN, so one reduction tells a
+    block with no padding, which is summed as it is and divided by its row
+    count.
     """
     rows = block.shape[-2]
     if not rows:
         return np.full(block.shape[:-2] + block.shape[-1:], np.inf)
+    if block.max(initial=0.0) < np.inf:
+        return np.cumsum(block, axis=-2)[..., -1, :] / rows
     finite = np.isfinite(block)
-    padded = not finite.all()
-    if padded:
-        block = np.where(finite, block, 0.0)
-    sums = np.cumsum(block, axis=-2)[..., -1, :]
-    if not padded:
-        return sums / rows
+    sums = np.cumsum(np.where(finite, block, 0.0), axis=-2)[..., -1, :]
     counts = finite.sum(axis=-2)
     return np.divide(sums, counts, out=np.full(sums.shape, np.inf), where=counts > 0)
 
@@ -184,8 +182,10 @@ def _k_nearest(
     k + margin candidates per query, whose distances are then computed
     directly.  A query whose shortlist cannot be proven to hold its k
     nearest is ranked against all n points, so the result does not depend
-    on BLAS, its thread count or how the shortlist was taken.  Queries go
-    through in blocks that keep scratch memory near `_BLOCK_BYTES`.
+    on BLAS, its thread count or how the shortlist was taken: one partition
+    finds its k-th distance, and only the points at or below it are sorted.
+    Queries go through in blocks that keep scratch memory near
+    `_BLOCK_BYTES`.
 
     The product.  Points and queries are centred on the points' mean and
     scaled by one power of two s, chosen from both so that no scaled
@@ -320,7 +320,10 @@ def _k_nearest(
         dist[start:stop] = np.take_along_axis(d, order, axis=1)
         for row in np.flatnonzero(~proven):
             full = _distances(coords, block[row, :, None])
-            nearest = np.argsort(full, kind="stable")[:k]
+            # Indices come out ascending, so a stable sort of the points at
+            # or below the k-th distance keeps (distance, index) order.
+            near = np.flatnonzero(full <= np.partition(full, k - 1)[k - 1])
+            nearest = near[np.argsort(full[near], kind="stable")[:k]]
             index[start + row] = nearest
             dist[start + row] = full[nearest]
     return index, dist

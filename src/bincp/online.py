@@ -93,25 +93,24 @@ class _OnlineSession:
         d = _distances(table[: self.dim, : n + 1], point[:, None])
         # Only members nearer the candidate than their reach gain it as a
         # neighbour; the rest keep their means and alphas.  Blank column n
-        # always qualifies and becomes the candidate's own column.
+        # always qualifies and becomes the candidate's own column, whose
+        # spare rows, read from `d` below, are +inf.
         changed = (d < table[-1, : n + 1]).nonzero()[0]
+        d[n] = np.inf
         block = table.take(changed, axis=1)
         lists = self._lists(block)
         # The candidate's distance goes in every member's spare rows, and its
         # own lists are its k nearest of each class, positive first, unsorted;
-        # one sort down the rows then inserts it into every list, each list's
-        # largest entry dropping to the spare row.  `kept` holds the lists
-        # without it for the sides that do not gain it once the label is known.
+        # sorting down the rows into `ranked` then inserts it into every list,
+        # each list's largest entry dropping to the spare row.
         lists[:, rows] = d[changed]
-        lists[:, rows, -1] = np.inf
         for c, pool in enumerate((d[:n_pos], d[n_pos:n])):
             r = min(rows, len(pool))
             if r:
                 pool.partition(r - 1)
                 lists[c, :r, -1] = pool[:r]
-        kept = lists.copy()
-        lists.sort(axis=1)
-        new = _pool_means(lists[:, :rows])
+        ranked = np.sort(lists, axis=1)
+        new = _pool_means(ranked[:, :rows])
         # means[h]: the means as if the candidate entered both lists of the
         # members labelled h and neither of the rest's.  Under hypothesis h
         # it enters the same-label lists of the first and the other-label
@@ -135,14 +134,13 @@ class _OnlineSession:
         p_values = count[0] / (n + 1), count[1] / (n + 1)
 
         # The label is revealed and the block takes hypothesis h: the
-        # candidate joined side h of the positives' lists and side 1 - h of
-        # the negatives', so the other sides go back to `kept`; the means
-        # and alphas are hypothesis h's; and the candidate's own lists go
-        # same-label side first.
-        lists[1 - h, :, :m_pos] = kept[1 - h, :, :m_pos]
-        lists[h, :, m_pos:-1] = kept[h, :, m_pos:-1]
-        if h:
-            lists[:, :, -1] = lists[::-1, :, -1]
+        # candidate enters side h of the positives' lists and side 1 - h of
+        # the negatives', whose ranked lists are written back, the other
+        # sides keeping theirs; the means and alphas are hypothesis h's;
+        # and the candidate's own lists go same-label side first.
+        lists[h, :, :m_pos] = ranked[h, :, :m_pos]
+        lists[1 - h, :, m_pos:-1] = ranked[1 - h, :, m_pos:-1]
+        lists[:, :, -1] = ranked[:: 1 - 2 * h, :, -1]
         block[: self.dim, -1] = point
         block[-4] = means[h, 0]
         block[-3] = means[1 - h, 1]

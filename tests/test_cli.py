@@ -1038,7 +1038,25 @@ class TestExitCodes:
     def test_proper_set_with_the_passthrough_measure_is_rejected(self, capsys):
         code, out, err = run(capsys, *demo_args("--proper", FIG, "--epsilon", "0.2"))
         assert (code, out) == (1, "")
-        assert "config: proper_path does not apply to measure 'passthrough'" in err
+        assert "config: --proper does not apply to measure 'passthrough'" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ((), "exactly one of --train and --calibration is required"),
+            (("--train", FIG, "--calibration", FIG),
+             "exactly one of --train and --calibration is required"),
+            (("--train", FIG, "--proper", FIG, "--measure", "knn-prob"),
+             "--proper only applies when --calibration is given"),
+            (("--calibration", FIG, "--measure", "knn-ratio"),
+             "measure 'knn_ratio' needs --proper when --calibration is given"),
+        ],
+        ids=["neither", "both", "proper-with-train", "no-proper"],
+    )
+    def test_a_route_error_names_the_flags(self, capsys, flags, message):
+        code, out, err = run(capsys, "evaluate", "--test", DEMO, "--positive-class", "B", *flags)
+        assert (code, out) == (1, "")
+        assert err == f"error: config: {message}\n"
 
     def test_train_route_via_cli(self, capsys, tmp_path):
         train = tmp_path / "train.csv"

@@ -521,13 +521,8 @@ class TestScoreDataset:
         assert len(out) == 0
 
     @staticmethod
-    def _check_layouts(layouts, kind, k, monkeypatch):
-        """Score each layout's queries and compare them with the oracles.
-
-        Returns the names of the layouts where the exact fallback ran, and
-        checks that it did not run in all of them.
-        """
-        fallback_layouts, names = set(), set()
+    def _fallback_calls(monkeypatch):
+        """A list that gains an entry for each query the exact fallback ranks."""
         exact = nonconformity._distances
         calls = []
 
@@ -540,6 +535,17 @@ class TestScoreDataset:
             return exact(coords, x)
 
         monkeypatch.setattr(nonconformity, "_distances", counted)
+        return calls
+
+    @classmethod
+    def _check_layouts(cls, layouts, kind, k, monkeypatch):
+        """Score each layout's queries and compare them with the oracles.
+
+        Returns the names of the layouts where the exact fallback ran, and
+        checks that it did not run in all of them.
+        """
+        fallback_layouts, names = set(), set()
+        calls = cls._fallback_calls(monkeypatch)
         for layout, points, labels, queries in layouts:
             names.add(layout)
             bag = TrainingBag(points, labels)
@@ -589,6 +595,23 @@ class TestScoreDataset:
                 assert (-(-pool // size**2) > width) == (k < 40), layout
         fallback = self._check_layouts(_grouped_layouts(), kind, k, monkeypatch)
         assert "tied" in fallback, "exact fallback did not run"
+
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_binary_features_fall_back_in_distance_then_index_order(self, k, monkeypatch):
+        # Fingerprint-like 0/1 features: distances take the values sqrt(j),
+        # j <= 8, so most rows tie past the shortlist's margin and are
+        # ranked by the exact fallback, which selects before it sorts.
+        rng = np.random.default_rng(8)
+        points = rng.integers(0, 2, size=(600, 8)).astype(float)
+        queries = rng.integers(0, 2, size=(300, 8)).astype(float)
+        calls = self._fallback_calls(monkeypatch)
+        index, dist = nonconformity._k_nearest(queries, points, k)
+        assert len(calls) > len(queries) // 2
+        for query, got_index, got_dist in zip(queries, index, dist):
+            d = oracles.distances(points, query)
+            nearest = np.lexsort((np.arange(len(points)), d))[:k]
+            assert got_index.tolist() == nearest.tolist()
+            assert got_dist.tolist() == d[nearest].tolist()
 
     def test_overflowing_squares_fall_back_within_the_bag(self):
         # |p|^2 overflows, so every GEMM value is inf or nan: no row can be

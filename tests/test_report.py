@@ -20,9 +20,9 @@ from bincp.core import (
     PredictionRegion,
     SignificanceLevel,
 )
-from bincp.data import write_dataset
+from bincp.data import SyntheticSpec, generate_synthetic, write_dataset
 from bincp.icp import region
-from bincp.nonconformity import MEASURE_KINDS
+from bincp.nonconformity import MEASURE_KINDS, MeasureSpec
 from bincp.pipeline import PipelineResult, RunConfig, run_pipeline, simulate_online
 from bincp.report import (
     REPORT_CSV_COLUMNS,
@@ -465,6 +465,11 @@ def grid_columns(n, seed):
 
 
 GRID_CALIBRATION, GRID_TEST = grid_columns(2000, 1), grid_columns(1000, 2)
+# Each region code's mirror image under swapped classes.
+MIRRORED = np.array([REGIONS.index(kind) for kind in (
+    PredictionRegion.SINGLE_NEGATIVE, PredictionRegion.SINGLE_POSITIVE,
+    PredictionRegion.BOTH, PredictionRegion.EMPTY,
+)])
 
 
 def order_preserving(k):
@@ -474,16 +479,23 @@ def order_preserving(k):
     return (2048 + np.sign(k - 512) * (j + 3 * j**2 // 512)) / 4096
 
 
-def grid_run(directory, scale=lambda k: k / 1024, calibration_order=slice(None),
-             test_order=slice(None), **config):
-    """Write the grid's calibration and test rows, in the given orders and with
-    s_pos = scale(k), under `directory` and run them at three epsilons."""
+def reordered(columns, order):
+    return tuple(column[order] for column in columns)
+
+
+def classes_swapped(columns):
+    """The other class positive: at k/1024, s_pos and s_neg = 1 - s_pos swap exactly."""
+    ids, labels, k = columns
+    return ids, np.where(labels == POSITIVE, NEGATIVE, POSITIVE), 1024 - k
+
+
+def grid_run(directory, scale=lambda k: k / 1024, calibration=GRID_CALIBRATION,
+             test=GRID_TEST, **config):
+    """Write calibration and test columns of the grid, with s_pos = scale(k),
+    under `directory` and run them at three epsilons."""
     directory.mkdir()
     paths = []
-    for name, columns, order in (
-        ("calibration", GRID_CALIBRATION, calibration_order), ("test", GRID_TEST, test_order),
-    ):
-        ids, labels, k = (column[order] for column in columns)
+    for name, (ids, labels, k) in (("calibration", calibration), ("test", test)):
         s_pos = scale(k)
         scores = np.column_stack([s_pos, 1.0 - s_pos])
         paths.append(directory / f"{name}.csv")
@@ -496,11 +508,33 @@ def grid_run(directory, scale=lambda k: k / 1024, calibration_order=slice(None),
     ))
 
 
-@pytest.mark.parametrize("mondrian", [True, False], ids=["mondrian", "pooled"])
+def features_run(directory, kind, order, **config):
+    """Run `kind` at k = 5 through a proper set of 1,000 Gaussian rows in d = 10,
+    written in `order`, with 300 calibration and 200 test rows."""
+    directory.mkdir()
+    paths = []
+    for name, n_per_class, seed, rows in (
+        ("proper", 500, 11, order), ("calibration", 150, 12, slice(None)),
+        ("test", 100, 13, slice(None)),
+    ):
+        data = generate_synthetic(SyntheticSpec(n_per_class=n_per_class, dim=10, seed=seed))
+        paths.append(directory / f"{name}.csv")
+        write_dataset(data.take(rows), paths[-1])
+    return run_pipeline(RunConfig(
+        positive_class="positive", epsilons=(0.05, 0.1, 0.2), measure=MeasureSpec(kind, 5),
+        proper_path=paths[0], calibration_path=paths[1], test_path=paths[2], **config,
+    ))
+
+
+MONDRIAN = pytest.mark.parametrize("mondrian", [True, False], ids=["mondrian", "pooled"])
+
+
 class TestMetamorphicRelations:
     """A conformal p-value is a rank, so the outputs depend on the scores only
-    through their order, and on the rows not through theirs."""
+    through their order, on the rows not through theirs, and on which class
+    is called positive only through the labels they carry."""
 
+    @MONDRIAN
     @pytest.mark.parametrize("smoothing_seed", [None, 0], ids=["plain", "smoothed"])
     def test_an_order_preserving_map_of_the_scores_changes_no_byte(
         self, tmp_path, mondrian, smoothing_seed
@@ -512,13 +546,17 @@ class TestMetamorphicRelations:
         assert emit_report(mapped.document, "json") == emit_report(grid.document, "json")
         assert regions_bytes(mapped) == regions_bytes(grid)
 
+    @MONDRIAN
     def test_permuted_rows_change_no_figure(self, tmp_path, mondrian):
         rng = np.random.default_rng(0)
         grid = grid_run(tmp_path / "grid", mondrian=mondrian)
         calibration = grid_run(
-            tmp_path / "calibration", calibration_order=rng.permutation(2000), mondrian=mondrian
+            tmp_path / "calibration", mondrian=mondrian,
+            calibration=reordered(GRID_CALIBRATION, rng.permutation(2000)),
         )
-        test = grid_run(tmp_path / "test", test_order=rng.permutation(1000), mondrian=mondrian)
+        test = grid_run(
+            tmp_path / "test", mondrian=mondrian, test=reordered(GRID_TEST, rng.permutation(1000))
+        )
         for fmt in REPORT_FORMATS:
             assert emit_report(calibration.document, fmt) == emit_report(grid.document, fmt)
             assert emit_report(test.document, fmt) == emit_report(grid.document, fmt)
@@ -526,3 +564,45 @@ class TestMetamorphicRelations:
         # Test rows keep their own lines, in their new order.
         assert regions_bytes(test) != regions_bytes(grid)
         assert sorted(regions_bytes(test).splitlines()) == sorted(regions_bytes(grid).splitlines())
+
+    @MONDRIAN
+    def test_swapped_classes_swap_the_p_values_and_mirror_the_regions(self, tmp_path, mondrian):
+        grid = grid_run(tmp_path / "grid", mondrian=mondrian)
+        swapped = grid_run(
+            tmp_path / "swapped", mondrian=mondrian,
+            calibration=classes_swapped(GRID_CALIBRATION), test=classes_swapped(GRID_TEST),
+        )
+        assert [column.tolist() for column in swapped.p_values] == [
+            column.tolist() for column in grid.p_values[::-1]
+        ]
+        for epsilon, codes in grid.regions.items():
+            assert swapped.regions[epsilon].tolist() == MIRRORED[codes].tolist()
+        # Both singletons occur, so the mirror moves some region.
+        singletons = {REGIONS.index(PredictionRegion.SINGLE_POSITIVE),
+                      REGIONS.index(PredictionRegion.SINGLE_NEGATIVE)}
+        assert singletons <= set(np.concatenate(list(grid.regions.values())).tolist())
+
+    @pytest.mark.parametrize("smoothing_seed", [None, 0], ids=["plain", "smoothed"])
+    def test_added_negatives_leave_every_mondrian_p_pos(self, tmp_path, smoothing_seed):
+        ids, labels, k = grid_columns(1000, 3)
+        negatives = labels == NEGATIVE
+        extra = np.char.add("x", ids[negatives]), labels[negatives], k[negatives]
+        calibration = tuple(map(np.concatenate, zip(GRID_CALIBRATION, extra)))
+        grid = grid_run(tmp_path / "grid", smoothing_seed=smoothing_seed)
+        more = grid_run(tmp_path / "more", calibration=calibration, smoothing_seed=smoothing_seed)
+        assert more.p_values[0].tolist() == grid.p_values[0].tolist()
+        assert more.p_values[1].tolist() != grid.p_values[1].tolist()
+
+    @MONDRIAN
+    @pytest.mark.parametrize("kind", ["knn_prob", "knn_ratio"])
+    def test_permuted_proper_rows_change_no_byte(self, tmp_path, mondrian, kind):
+        # Gaussian features tie with probability 0, so the order of the
+        # proper rows, which breaks distance ties, must not show.
+        order = np.random.default_rng(4).permutation(1000)
+        runs = [
+            features_run(tmp_path / name, kind, rows, mondrian=mondrian)
+            for name, rows in (("proper", slice(None)), ("permuted", order))
+        ]
+        for fmt in REPORT_FORMATS:
+            assert emit_report(runs[1].document, fmt) == emit_report(runs[0].document, fmt)
+        assert regions_bytes(runs[1]) == regions_bytes(runs[0])
