@@ -7,16 +7,17 @@ file cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import SignificanceLevel
 from .data import SyntheticSpec, generate_synthetic, write_dataset
-from .nonconformity import MeasureSpec
 from .icp import SplitConfig
-from .pipeline import RunConfig, _validate_config, run_pipeline, simulate_online
+from .nonconformity import MEASURE_KINDS, MeasureSpec
+from .pipeline import RunConfig, run_pipeline, simulate_online
 from .report import (
     REPORT_FORMATS,
     emit_report,
@@ -26,20 +27,46 @@ from .report import (
 )
 
 
-# The flag that sets each field named by `MeasureSpec`, `SplitConfig` and
-# `pipeline._validate_config` messages.
-_FLAGS = {"k": "--k", "proper_fraction": "--split-fraction", "seed": "--split-seed",
-          "train_path": "--train", "calibration_path": "--calibration", "proper_path": "--proper"}
+# The level a run is at when neither --epsilon nor --confidence is given.
+_EPSILON = 0.2
+# `simulate_online` owns the default of --initial-size.
+_INITIAL_SIZE = inspect.signature(simulate_online).parameters["initial_size"].default
+# Help that shows a flag's default; argparse expands it when it prints help.
+_DEFAULT = "(default: %(default)s)"
+# Each measure kind as --measure spells it.
+_MEASURES = {kind.replace("_", "-"): kind for kind in MEASURE_KINDS}
+
+# The flag that sets each field the library's messages name.
+_FLAGS = {
+    "proper_fraction": "--split-fraction", "seed": "--split-seed",
+    "train_path": "--train", "calibration_path": "--calibration", "proper_path": "--proper",
+    **{field: "--" + field.replace("_", "-") for field in
+       "k epsilon threshold smoothing_seed initial_size n_per_class dim separation noise".split()},
+}
+_CONFIG_NAMES = _FLAGS | {repr(kind): repr(cli) for cli, kind in _MEASURES.items()}
 
 
-@contextmanager
-def _config_stage():
-    """Fail as the pipeline's `config` stage does, naming flags, not fields."""
+def _name_flags(message: str) -> str:
+    """`message` with the flag that sets each field it names in place of the field.
+
+    A `config:` message quotes no input, so each of its words is looked up,
+    and a quoted measure kind takes its --measure spelling.  Other messages
+    quote ids, class names and paths, which may hold a field's words; there
+    only the subject of the last clause, after the last ": ", is looked up.
+    """
+    if message.startswith("config: "):
+        return " ".join(_CONFIG_NAMES.get(word, word) for word in message.split(" "))
+    head, colon, clause = message.rpartition(": ")
+    subject, space, rest = clause.partition(" ")
+    return head + colon + _FLAGS.get(subject, subject) + space + rest
+
+
+def _config(make, *args):
+    """`make(*args)`, failing as the pipeline's `config` stage does."""
     try:
-        yield
+        return make(*args)
     except ValueError as err:
-        words = (_FLAGS.get(word, word) for word in str(err).split(" "))
-        raise ValueError(f"config: {' '.join(words)}") from None
+        raise ValueError(f"config: {err}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,20 +79,20 @@ def _add_level_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--positive-class", required=True, help="class name mapped to positive"
     )
-    parser.add_argument("--k", type=int, default=1, help="neighbour count (default: 1)")
+    parser.add_argument("--k", type=int, default=MeasureSpec.k, help="neighbour count " + _DEFAULT)
     parser.add_argument(
         "--epsilon",
         type=float,
         action="append",
-        default=None,
+        default=[],
         metavar="E",
-        help="significance level (default: 0.2); simulate-online takes one",
+        help=f"significance level (default: {_EPSILON}); simulate-online takes one",
     )
     parser.add_argument(
         "--confidence",
         type=float,
         action="append",
-        default=None,
+        default=[],
         metavar="C",
         help="confidence percent, converted to epsilon; mixes with --epsilon",
     )
@@ -81,9 +108,9 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--test", type=Path, help="dataset to predict on")
     parser.add_argument(
         "--measure",
-        choices=("passthrough", "knn-ratio", "knn-prob"),
-        default="passthrough",
-        help="score source (default: passthrough)",
+        choices=_MEASURES,
+        default=RunConfig.measure.kind.replace("_", "-"),
+        help="score source " + _DEFAULT,
     )
     parser.add_argument(
         "--no-mondrian",
@@ -98,20 +125,14 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threshold",
         type=float,
-        default=0.5,
-        help="forced-choice threshold on s_pos (default: 0.5)",
+        default=RunConfig.threshold,
+        help="forced-choice threshold on s_pos " + _DEFAULT,
     )
 
 
 def _epsilons(args: argparse.Namespace) -> tuple[float, ...]:
-    values: list[float] = []
-    if args.epsilon:
-        values.extend(args.epsilon)
-    if args.confidence:
-        values.extend(
-            SignificanceLevel.from_confidence(c).epsilon for c in args.confidence
-        )
-    return tuple(values) if values else (0.2,)
+    confidences = (SignificanceLevel.from_confidence(c).epsilon for c in args.confidence)
+    return (*args.epsilon, *confidences) or (_EPSILON,)
 
 
 def _split_config(args: argparse.Namespace) -> SplitConfig | None:
@@ -126,16 +147,14 @@ def _split_config(args: argparse.Namespace) -> SplitConfig | None:
         return None
     fraction = 0.7 if args.split_fraction is None else args.split_fraction
     seed = 0 if args.split_seed is None else args.split_seed
-    with _config_stage():
-        return SplitConfig(fraction, seed, not args.no_stratify)
+    return _config(SplitConfig, fraction, seed, not args.no_stratify)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     if args.smoothed != (args.smoothing_seed is not None):
         raise ValueError("--smoothed and --smoothing-seed must be given together")
-    with _config_stage():
-        measure = MeasureSpec(args.measure.replace("-", "_"), args.k)
-    config = RunConfig(
+    measure = _config(MeasureSpec, _MEASURES[args.measure], args.k)
+    return RunConfig(
         positive_class=args.positive_class,
         epsilons=_epsilons(args),
         measure=measure,
@@ -148,9 +167,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         split=_split_config(args),
         smoothing_seed=args.smoothing_seed,
     )
-    with _config_stage():
-        _validate_config(config)
-    return config
 
 
 def _write_output(out: Path | None, chunks: Iterable[bytes]) -> None:
@@ -190,24 +206,15 @@ def _cmd_simulate_online(args: argparse.Namespace) -> int:
     epsilons = _epsilons(args)
     if len(epsilons) != 1:
         raise ValueError(f"simulate-online takes one --epsilon or --confidence, got {len(epsilons)}")
-    with _config_stage():
-        MeasureSpec("knn_ratio", args.k)  # the run's own k rule, checked under its flag
     rounds = simulate_online(args.data, args.positive_class, epsilons[0], args.initial_size, args.k)
     _write_output(args.out, [trajectory_csv(rounds)])
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    dataset = generate_synthetic(
-        SyntheticSpec(
-            n_per_class=args.n_per_class,
-            dim=args.dim,
-            separation=args.separation,
-            noise=args.noise,
-            seed=args.seed,
-        )
-    )
-    write_dataset(dataset, args.out)
+    # Each field of the spec is set by the flag of its name.
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
+    write_dataset(generate_synthetic(spec), args.out)
     return 0
 
 
@@ -247,17 +254,17 @@ def _build_parser() -> _Parser:
     )
     simulate.add_argument("--data", type=Path, required=True, help="feature dataset; first rows seed the bag")
     _add_level_arguments(simulate)
-    simulate.add_argument("--initial-size", type=int, default=10)
+    simulate.add_argument("--initial-size", type=int, default=_INITIAL_SIZE, help=_DEFAULT)
     simulate.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
     simulate.set_defaults(handler=_cmd_simulate_online)
 
     synth = commands.add_parser("synth", help="generate a synthetic dataset CSV")
     synth.add_argument("--out", type=Path, required=True)
     synth.add_argument("--n-per-class", type=int, required=True)
-    synth.add_argument("--dim", type=int, default=2)
-    synth.add_argument("--separation", type=float, default=1.0)
-    synth.add_argument("--noise", type=float, default=1.0)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--dim", type=int, default=SyntheticSpec.dim, help=_DEFAULT)
+    synth.add_argument("--separation", type=float, default=SyntheticSpec.separation, help=_DEFAULT)
+    synth.add_argument("--noise", type=float, default=SyntheticSpec.noise, help=_DEFAULT)
+    synth.add_argument("--seed", type=int, default=SyntheticSpec.seed, help=_DEFAULT)
     synth.set_defaults(handler=_cmd_synth)
 
     report = commands.add_parser(
@@ -272,10 +279,15 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        args = _build_parser().parse_args(argv)
+        try:
+            return args.handler(args)
+        except ValueError as err:
+            # A saved report's messages name its own fields, not flags.
+            if args.handler is _cmd_report:
+                raise
+            raise ValueError(_name_flags(str(err))) from None
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -141,6 +141,10 @@ def scored_accuracy(mode: str, regions, positive) -> float:
     return _region_figures(regions, positive)["scored_accuracy"][mode]
 
 
+# The forced-choice cut on s_pos when a run names none.
+_THRESHOLD = 0.5
+
+
 def _check_threshold(threshold: float) -> None:
     if not (math.isfinite(threshold) and 0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -192,7 +196,7 @@ def _panel(calls: np.ndarray, s_pos: np.ndarray, positive: np.ndarray) -> dict:
     }
 
 
-def binary_report(test: Dataset, threshold: float = 0.5) -> dict:
+def binary_report(test: Dataset, threshold: float = _THRESHOLD) -> dict:
     """The `binary` block: calls positive every row whose s_pos >= threshold.
 
     It does not depend on epsilon, so a run computes it once for its test
@@ -209,7 +213,7 @@ def binary_report(test: Dataset, threshold: float = 0.5) -> dict:
     return block
 
 
-def calibration_report(calibration: Dataset, threshold: float = 0.5) -> dict:
+def calibration_report(calibration: Dataset, threshold: float = _THRESHOLD) -> dict:
     """The calibration block: how well the ingested probabilities separate the classes.
 
     This is the health check that tells a reader whether downstream regions

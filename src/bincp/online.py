@@ -172,7 +172,7 @@ class _OnlineSession:
 
 
 def full_cp_pvalue(
-    bag: TrainingBag, candidate: tuple[Sequence[float], Label], k: int = 1
+    bag: TrainingBag, candidate: tuple[Sequence[float], Label], k: int = MeasureSpec.k
 ) -> float:
     """The p-value of a labelled candidate against the whole bag, under its own
     label, as one on-line round computes it."""
@@ -196,7 +196,7 @@ def run_online(
     initial: TrainingBag,
     stream: Iterable[tuple[Sequence[float], Label]],
     eps: SignificanceLevel,
-    k: int = 1,
+    k: int = MeasureSpec.k,
 ) -> list[OnlineRound]:
     """Run the full predict-reveal-absorb protocol over a stream, one item a round.
 

@@ -20,6 +20,7 @@ from . import report
 from .core import _LABELS, Dataset, SignificanceLevel
 from .data import load_dataset
 from .evaluate import (
+    _THRESHOLD,
     _check_threshold,
     binary_report,
     calibration_report,
@@ -59,7 +60,7 @@ class RunConfig:
     epsilons: tuple[float, ...]
     measure: MeasureSpec = MeasureSpec("passthrough")
     mondrian: bool = True
-    threshold: float = 0.5
+    threshold: float = _THRESHOLD
     train_path: Path | None = None
     calibration_path: Path | None = None
     proper_path: Path | None = None
@@ -187,14 +188,15 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
 
 def simulate_online(
-    data_path: Path, positive_class: str, epsilon: float, initial_size: int = 10, k: int = 1
+    data_path: Path, positive_class: str, epsilon: float, initial_size: int = 10,
+    k: int = MeasureSpec.k,
 ) -> list[OnlineRound]:
     """Seed the bag with the first `initial_size` rows of the file and stream the rest."""
     with _stage("config"):
+        MeasureSpec("knn_ratio", k)
         eps = SignificanceLevel(epsilon)
         if initial_size < 1:
             raise ValueError(f"initial_size must be >= 1, got {initial_size}")
-        MeasureSpec("knn_ratio", k)
     with _stage("load"):
         data = load_dataset(data_path, positive_class)
         if not data.fully_labelled():

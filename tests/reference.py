@@ -2,8 +2,8 @@
 
 From the rows of its input files it computes the report document
 `pipeline.run_pipeline` gives: for the `--train` route the split into
-proper training and calibration rows and each row's nearest-neighbour
-scores; then the calibration block, Mondrian or pooled p-values counted one
+proper training and calibration rows, and for it and the `--proper` route
+each row's nearest-neighbour scores; then the calibration block, Mondrian or pooled p-values counted one
 calibration score at a time, the region of each test row at each epsilon,
 and every figure of each result row.  The scores and figures come from the
 one-point and row-by-row oracles in `oracles`; nothing here calls the code
@@ -206,6 +206,23 @@ def passthrough_evaluate(
     return scored_evaluate(calibration, test, config, probability=True)
 
 
+def proper_evaluate(
+    proper, calibration, test, *, positive_class, kind, k, epsilons, mondrian, threshold,
+    smoothing_seed, split=None,
+):
+    """The report document, p-value columns and regions per epsilon of a
+    nearest-neighbour measure on feature rows, scored against the `proper`
+    rows: the `--calibration` and `--proper` run, or with `split`, the
+    config's split block, the `--train` run on its two parts."""
+    config = config_block(
+        positive_class, kind, k, mondrian, threshold, smoothing_seed, split, epsilons
+    )
+    return scored_evaluate(
+        score_rows(kind, k, proper, calibration), score_rows(kind, k, proper, test), config,
+        probability=kind == "knn_prob",
+    )
+
+
 def train_evaluate(
     train, test, *, positive_class, kind, k, fraction, seed, stratified, epsilons, mondrian,
     threshold, smoothing_seed,
@@ -213,11 +230,9 @@ def train_evaluate(
     """The report document, p-value columns and regions per epsilon of the
     `--train` run of a nearest-neighbour measure on feature rows."""
     proper, calibration = split_rows(train, fraction, seed, stratified)
-    split = {"proper_fraction": fraction, "seed": seed, "stratified": stratified}
-    config = config_block(
-        positive_class, kind, k, mondrian, threshold, smoothing_seed, split, epsilons
-    )
-    return scored_evaluate(
-        score_rows(kind, k, proper, calibration), score_rows(kind, k, proper, test), config,
-        probability=kind == "knn_prob",
+    return proper_evaluate(
+        proper, calibration, test, positive_class=positive_class, kind=kind, k=k,
+        epsilons=epsilons, mondrian=mondrian, threshold=threshold,
+        smoothing_seed=smoothing_seed,
+        split={"proper_fraction": fraction, "seed": seed, "stratified": stratified},
     )

@@ -3,13 +3,16 @@ import csv
 import json
 import runpy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bincp.cli import main
 from bincp.core import Dataset, _feature_limit
-from bincp.data import demo_test_path, figure1_path, write_dataset
+from bincp.data import (
+    SyntheticSpec, demo_test_path, figure1_path, generate_synthetic, write_dataset,
+)
 from bincp.report import _CHUNK_ROWS
 
 from conftest import needs_dev_fd, piped
@@ -17,6 +20,11 @@ from conftest import needs_dev_fd, piped
 FIG = str(figure1_path())
 DEMO = str(demo_test_path())
 LEVELS = "a non-empty list of finite floats"
+# Leading arguments of the error cases: a batch route on the demo test set,
+# an on-line run on ROWS, and synth up to its --n-per-class value.
+ROUTE = ("evaluate", "--test", DEMO, "--positive-class", "B")
+STREAM = ("simulate-online", "--data", "ROWS", "--positive-class", "positive")
+SYNTH = ("synth", "--out", "x.csv", "--n-per-class")
 
 
 def demo_args(*extra):
@@ -674,7 +682,7 @@ class TestSynthCommand:
             "--n-per-class", "0",
         )
         assert code == 1
-        assert "n_per_class" in err
+        assert err == "error: --n-per-class must be >= 1, got 0\n"
 
 
 class TestReportCommand:
@@ -967,7 +975,7 @@ class TestSeeds:
             "--smoothed", "--smoothing-seed", "-1",
         )
         assert (code, out) == (1, "")
-        assert err == "error: config: smoothing_seed must be >= 0, got -1\n"
+        assert err == "error: config: --smoothing-seed must be >= 0, got -1\n"
 
     def test_a_negative_split_seed_fails_before_loading(self, capsys):
         code, out, err = run(
@@ -1016,6 +1024,24 @@ class TestExitCodes:
         assert caught.value.code == 2
         assert capsys.readouterr().err.startswith("i/o error: ")
 
+    # argparse expands %(default)s only when it prints help, so only a help
+    # run shows a bad format string.
+    @pytest.mark.parametrize(
+        "command", ["", "predict", "evaluate", "simulate-online", "synth", "report"]
+    )
+    def test_help_renders_and_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--help"] if command else ["--help"])
+        assert caught.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: bincp {command}".rstrip())
+        if command == "evaluate":
+            words = " ".join(out.split())  # as wrapped at any terminal width
+            for shown in ("--k K neighbour count (default: 1)",
+                          "--threshold THRESHOLD forced-choice threshold on s_pos (default: 0.5)",
+                          "score source (default: passthrough)"):
+                assert shown in words
+
     def test_unknown_flag_is_a_validation_error(self, capsys):
         code, _, err = run(capsys, *demo_args("--frobnicate"))
         assert code == 1
@@ -1040,23 +1066,59 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "config: --proper does not apply to measure 'passthrough'" in err
 
+    # Every message a command raises names the flag to change, never the
+    # library field behind it, and the measure as --measure spells it.  ROWS
+    # is a 40-row file of both classes, so the default split leaves 28
+    # proper rows; DUP and "noise k.csv" repeat an id.
     @pytest.mark.parametrize(
-        "flags, message",
+        "argv, message",
         [
-            ((), "exactly one of --train and --calibration is required"),
-            (("--train", FIG, "--calibration", FIG),
-             "exactly one of --train and --calibration is required"),
-            (("--train", FIG, "--proper", FIG, "--measure", "knn-prob"),
-             "--proper only applies when --calibration is given"),
-            (("--calibration", FIG, "--measure", "knn-ratio"),
-             "measure 'knn_ratio' needs --proper when --calibration is given"),
+            (ROUTE, "config: exactly one of --train and --calibration is required"),
+            ((*ROUTE, "--train", FIG, "--calibration", FIG),
+             "config: exactly one of --train and --calibration is required"),
+            ((*ROUTE, "--train", FIG, "--proper", FIG, "--measure", "knn-prob"),
+             "config: --proper only applies when --calibration is given"),
+            ((*ROUTE, "--calibration", FIG, "--measure", "knn-ratio"),
+             "config: measure 'knn-ratio' needs --proper when --calibration is given"),
+            ((*ROUTE, "--calibration", FIG, "--smoothed", "--smoothing-seed", "-1"),
+             "config: --smoothing-seed must be >= 0, got -1"),
+            ((*ROUTE, "--calibration", FIG, "--threshold", "2"),
+             "config: --threshold must be in [0, 1], got 2.0"),
+            ((*ROUTE, "--calibration", FIG, "--epsilon", "1.5"),
+             "config: --epsilon must be in [0, 1], got 1.5"),
+            (("evaluate", "--train", "ROWS", "--test", "ROWS", "--positive-class", "positive",
+              "--measure", "knn-prob", "--k", "100"),
+             "score: --k must be in [1, 28], got 100"),
+            ((*STREAM, "--epsilon", "1.5"), "config: --epsilon must be in [0, 1], got 1.5"),
+            ((*STREAM, "--initial-size", "0"), "config: --initial-size must be >= 1, got 0"),
+            ((*STREAM, "--initial-size", "100"),
+             "load: --initial-size 100 leaves no stream (dataset has 40 rows)"),
+            ((*SYNTH, "0"), "--n-per-class must be >= 1, got 0"),
+            ((*SYNTH, "2", "--dim", "0"), "--dim must be >= 1, got 0"),
+            ((*SYNTH, "2", "--separation", "-1"), "--separation must be >= 0, got -1.0"),
+            ((*SYNTH, "2", "--noise", "0"), "--noise must be > 0, got 0.0"),
+            # What the user typed stays as typed.
+            ((*ROUTE, "--calibration", FIG, "k"), "unrecognized arguments: k"),
+            ((*ROUTE, "--calibration", "DUP"),
+             "load: DUP:3: duplicate sample id 'knn_ratio' (first on line 2)"),
+            ((*ROUTE, "--calibration", "noise k.csv"),
+             "load: noise k.csv:3: duplicate sample id 'seed k' (first on line 2)"),
         ],
-        ids=["neither", "both", "proper-with-train", "no-proper"],
+        ids=["neither", "both", "proper-with-train", "no-proper", "smoothing-seed",
+             "threshold", "epsilon", "k-beyond-proper", "online-epsilon", "initial-size",
+             "initial-size-beyond-rows", "n-per-class", "dim", "separation", "noise",
+             "stray-positional", "repeated-measure-id", "field-words-in-path-and-id"],
     )
-    def test_a_route_error_names_the_flags(self, capsys, flags, message):
-        code, out, err = run(capsys, "evaluate", "--test", DEMO, "--positive-class", "B", *flags)
+    def test_a_route_error_names_the_flags(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        write_dataset(generate_synthetic(SyntheticSpec(20, seed=1)), "ROWS")
+        for name, repeated in (("DUP", "knn_ratio"), ("noise k.csv", "seed k")):
+            Path(name).write_text(
+                f"id,label,s_pos,s_neg\n{repeated},A,0.5,0.5\n{repeated},B,0.5,0.5\n"
+            )
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: config: {message}\n"
+        assert err == f"error: {message}\n"
 
     def test_train_route_via_cli(self, capsys, tmp_path):
         train = tmp_path / "train.csv"

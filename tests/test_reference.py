@@ -1,5 +1,6 @@
 """`run_pipeline`'s `evaluate` against the plain-loop reference: the
-passthrough run, and the `--train` run of each nearest-neighbour measure.
+passthrough run, and the `--train` and `--proper` runs of each
+nearest-neighbour measure.
 
 Every figure of the document is a count or a ratio of counts, so the two
 must agree exactly, as must the p-values unless smoothed (then to 1e-12)
@@ -20,7 +21,7 @@ from bincp.icp import SplitConfig
 from bincp.nonconformity import MeasureSpec
 from bincp.pipeline import PipelineError, RunConfig, run_pipeline
 
-from reference import passthrough_evaluate, split_rows, train_evaluate
+from reference import passthrough_evaluate, proper_evaluate, split_rows, train_evaluate
 
 GRID = [i / 10 for i in range(11)]
 EPSILONS = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -184,6 +185,70 @@ def test_train_evaluate_matches_the_reference(
             )
         except ValueError as err:
             # A Mondrian calibration part that lacks a class.
+            with pytest.raises(PipelineError, match=f"^calibrate: {err}$"):
+                run_pipeline(config)
+            return
+        result = run_pipeline(config)
+    assert result.document == document
+    tolerance = 0.0 if smoothing_seed is None else 1e-12
+    for actual, expected in zip(result.p_values, p_values):
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=tolerance)
+    assert {eps: codes.tolist() for eps, codes in result.regions.items()} == regions
+
+
+@st.composite
+def proper_calibration_and_test(draw):
+    """1-30 proper rows of either class or both, 2-30 calibration rows and
+    1-20 test rows, of 1-3 features."""
+    dim = draw(st.integers(1, 3))
+    parts = [
+        draw(st.lists(st.booleans(), min_size=low, max_size=high).flatmap(
+            lambda labels, prefix=prefix: feature_rows(prefix, labels, dim)
+        ))
+        for prefix, low, high in (("p", 1, 30), ("c", 2, 30), ("t", 1, 20))
+    ]
+    return tuple(parts)
+
+
+@given(
+    rows=proper_calibration_and_test(),
+    kind=st.sampled_from(["knn_prob", "knn_ratio"]),
+    k=st.integers(1, 5),
+    epsilons=st.lists(EPSILONS, min_size=1, max_size=3),
+    mondrian=st.booleans(),
+    smoothing_seed=st.none() | st.integers(0, 2**32 - 1),
+    threshold=st.sampled_from(GRID),
+)
+@settings(max_examples=100, deadline=None)
+def test_proper_evaluate_matches_the_reference(
+    rows, kind, k, epsilons, mondrian, smoothing_seed, threshold
+):
+    proper, calibration, test = rows
+    if kind == "knn_prob":
+        k = min(k, len(proper))  # knn_prob needs k within the proper rows
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"{name}.csv") for name in ("proper", "calibration", "test")]
+        for path, part in zip(paths, rows):
+            write_features(path, part)
+        config = RunConfig(
+            positive_class="act",
+            epsilons=tuple(epsilons),
+            measure=MeasureSpec(kind, k),
+            mondrian=mondrian,
+            threshold=threshold,
+            proper_path=paths[0],
+            calibration_path=paths[1],
+            test_path=paths[2],
+            smoothing_seed=smoothing_seed,
+        )
+        try:
+            document, p_values, regions = proper_evaluate(
+                proper, calibration, test, positive_class="act", kind=kind, k=k,
+                epsilons=epsilons, mondrian=mondrian, threshold=threshold,
+                smoothing_seed=smoothing_seed,
+            )
+        except ValueError as err:
+            # A Mondrian calibration set that lacks a class.
             with pytest.raises(PipelineError, match=f"^calibrate: {err}$"):
                 run_pipeline(config)
             return

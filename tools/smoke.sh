@@ -150,3 +150,11 @@ code=0
 $BINCP simulate-online --data train.csv --positive-class positive \
     --initial-size 10 --epsilon 0.2 --epsilon 0.1 > /dev/null || code=$?
 test "$code" -eq 1
+# Help renders, defaults and all, and an error names the flag to change.
+$BINCP --help > help.txt
+$BINCP evaluate --help > evaluate-help.txt
+tr -s ' \n' ' ' < evaluate-help.txt | grep -q "neighbour count (default: 1)"
+code=0
+$BINCP synth --out x.csv --n-per-class 0 2> synth.err || code=$?
+test "$code" -eq 1
+test "$(cat synth.err)" = "error: --n-per-class must be >= 1, got 0"
